@@ -5,12 +5,22 @@ solution of sum_i max(0, gamma - c_i) = V (for V > 0), i.e. the level
 reached when a volume V of water is poured into a basin whose floor heights
 are the c_i. The level equals the slack-constrained objective value at the
 current predictor, and the covered indices define the sampling distribution
-for stochastic supergradients. A two-basin variant additionally optimizes an
-unregularized bias.
+for stochastic supergradients.
+
+With an unregularized bias b the floors become c_i + y_i * b: positives
+stand at level u = gamma - b over their floors p, negatives at
+v = gamma + b over their floors q, and the best b maximizes u + v = 2 gamma
+subject to the two basins holding V together. The least water that reaches
+a level sum s is the infimal convolution of the two basins,
+sum_j max(0, s - p_(j) - q_(j)) over the j-th smallest floors of each class,
+j <= min(n+, n-). So one sort per class and one water fill of these paired
+floors give the exact optimum; the optimal biases form an interval, and its
+midpoint is taken.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,17 +105,28 @@ def _covered(c: np.ndarray, gamma: float, volume: float):
     return int(np.count_nonzero(mask)), float(c[mask].sum())
 
 
+def _responses(c) -> np.ndarray:
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("responses must be a nonempty 1-D vector")
+    if not np.isfinite(c).all():
+        raise ValueError("responses must be finite")
+    return c
+
+
+def _check_volume(volume: float) -> None:
+    if not (volume >= 0.0 and math.isfinite(volume)):
+        raise ValueError("volume must be finite and non-negative")
+
+
 def find_gamma(c, volume: float, deterministic_pivot: bool = False) -> WaterLevel:
     """Find the water level for responses c and slack volume >= 0.
 
     Expected O(n) with randomized pivots; worst-case O(n) with
     deterministic_pivot (median-of-medians).
     """
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("responses must be a nonempty 1-D vector")
-    if not volume >= 0.0:
-        raise ValueError("volume must be non-negative")
+    c = _responses(c)
+    _check_volume(volume)
     if volume == 0.0:
         gamma = float(c.min())
     else:
@@ -136,64 +157,58 @@ def objective_value(c, volume: float) -> float:
     return find_gamma(c, volume).gamma
 
 
-def _slope_counts(c, y, b, volume):
-    """Covered counts per class at bias b (d gamma / d b has sign k+ - k-)."""
-    shifted = c + y * b
-    level = find_gamma(shifted, volume)
-    idx = support_set(shifted, level)
-    pos = int(np.count_nonzero(y[idx] > 0))
-    return pos, idx.size - pos
+def _midpoint_level(a: np.ndarray, b: np.ndarray, k: int, s: float) -> float:
+    """Midpoint of the optimal levels of the basin with sorted floors a when
+    the basin with sorted floors b takes the rest of the level sum s.
+
+    k pairs a_(j) + b_(j) lie strictly below s, so the optimal level of a
+    lies in [max(a_(k), s - b_(k+1)), min(a_(k+1), s - b_(k))]; an end that
+    does not exist (k == 0, or k past a class's size) yields to the other.
+    """
+    lo = max(a[k - 1] if k else -np.inf, s - b[k] if k < b.size else -np.inf)
+    hi = min(a[k] if k < a.size else np.inf, s - b[k - 1] if k else np.inf)
+    return 0.5 * float(lo + hi)
 
 
-def find_gamma_and_bias(c, y, volume: float, max_iter: int = 200) -> WaterLevelBias:
+def find_gamma_and_bias(c, y, volume: float) -> WaterLevelBias:
     """Jointly find the water level and the unregularized bias.
 
     Maximizes gamma(b), the water level of the shifted responses
-    c_i + y_i * b, over b. gamma(b) is concave with slope of the same sign
-    as the covered-count imbalance between the two class basins, so a sign
-    bisection converges; at the optimum the basins cover equally many
-    indices whenever both still have dry capacity.
+    c_i + y_i * b, over b, in closed form. With the sorted positive floors
+    p_(j) and negative floors q_(j), the level sum s = 2 * gamma is the
+    water level of the paired floors p_(j) + q_(j), j <= min(n+, n-). The
+    optimal bias b = gamma - u = v - gamma, where u and v = s - u are the
+    two class levels, fills an interval; b is taken from the midpoints of
+    u's and v's intervals, which keeps b deterministic, equalizes two-point
+    instances and negates b exactly under a label flip. The covered counts
+    follow support_set's rule: strictly below the level, or at it when
+    nothing is strictly below.
     """
-    c = np.asarray(c, dtype=np.float64)
+    c = _responses(c)
     y = np.asarray(y, dtype=np.float64)
-    if c.shape != y.shape or c.ndim != 1 or c.size == 0:
+    if y.shape != c.shape:
         raise ValueError("responses and labels must be matching nonempty vectors")
-    if not (np.any(y > 0) and np.any(y < 0)):
+    if not np.isin(y, (-1.0, 1.0)).all():
+        raise ValueError("labels must be +1 or -1")
+    _check_volume(volume)
+    p = np.sort(c[y > 0])
+    q = np.sort(c[y < 0])
+    if not (p.size and q.size):
         raise ValueError("both classes must be present; bias is unbounded otherwise")
-    if not volume >= 0.0:
-        raise ValueError("volume must be non-negative")
 
-    spread = float(c.max() - c.min())
-    half = spread + volume + 1.0
-    lo, hi = -half, half
-    # Expand until the slope brackets a maximum.
-    for _ in range(64):
-        if _slope_counts(c, y, lo, volume)[0] >= _slope_counts(c, y, lo, volume)[1]:
-            break
-        lo *= 2.0
-    for _ in range(64):
-        kp, kn = _slope_counts(c, y, hi, volume)
-        if kn >= kp:
-            break
-        hi *= 2.0
+    m = min(p.size, q.size)
+    floors = p[:m] + q[:m]
+    s = find_gamma(floors, volume).gamma
+    k = int(np.searchsorted(floors, s))
+    u = _midpoint_level(p, q, k, s)
+    v = _midpoint_level(q, p, k, s)
+    gamma = 0.5 * s
 
-    b = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        b = 0.5 * (lo + hi)
-        kp, kn = _slope_counts(c, y, b, volume)
-        if kp == kn:
-            break
-        if kp > kn:
-            lo = b
-        else:
-            hi = b
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            b = 0.5 * (lo + hi)
-            break
-
-    shifted = c + y * b
-    level = find_gamma(shifted, volume)
-    idx = support_set(shifted, level)
-    pos = int(np.count_nonzero(y[idx] > 0))
-    return WaterLevelBias(gamma=level.gamma, bias=float(b),
-                          covered_pos=pos, covered_neg=idx.size - pos)
+    tol = 1e-12 * max(1.0, abs(gamma))
+    pos = int(np.searchsorted(p, u - tol))
+    neg = int(np.searchsorted(q, v - tol))
+    if pos + neg == 0:
+        pos = int(np.searchsorted(p, u + tol, side="right"))
+        neg = int(np.searchsorted(q, v + tol, side="right"))
+    return WaterLevelBias(gamma=gamma, bias=0.5 * (v - u),
+                          covered_pos=pos, covered_neg=neg)

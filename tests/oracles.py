@@ -6,6 +6,8 @@ Production code must match these, never the other way around.
 
 import numpy as np
 
+from slacksvm.waterfill import WaterLevelBias, find_gamma, support_set
+
 
 def water_level_sorted(c, volume):
     """Sort-then-scan solution of sum_i max(0, gamma - c_i) = volume.
@@ -89,6 +91,70 @@ def bias_grid_values(c, y, volume, grid):
     c = np.asarray(c, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     return np.array([water_level_sorted(c + y * b, volume) for b in grid])
+
+
+def _slope_counts(c, y, b, volume):
+    """Covered counts per class at bias b (d gamma / d b has sign k+ - k-)."""
+    shifted = c + y * b
+    level = find_gamma(shifted, volume)
+    idx = support_set(shifted, level)
+    pos = int(np.count_nonzero(y[idx] > 0))
+    return pos, idx.size - pos
+
+
+def bias_level_bisection(c, y, volume: float, max_iter: int = 200) -> WaterLevelBias:
+    """Jointly find the water level and the unregularized bias by bisection.
+
+    Maximizes gamma(b), the water level of the shifted responses
+    c_i + y_i * b, over b. gamma(b) is concave with slope of the same sign
+    as the covered-count imbalance between the two class basins, so a sign
+    bisection converges; at the optimum the basins cover equally many
+    indices whenever both still have dry capacity. About 25 water fills
+    per call.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if c.shape != y.shape or c.ndim != 1 or c.size == 0:
+        raise ValueError("responses and labels must be matching nonempty vectors")
+    if not (np.any(y > 0) and np.any(y < 0)):
+        raise ValueError("both classes must be present; bias is unbounded otherwise")
+    if not volume >= 0.0:
+        raise ValueError("volume must be non-negative")
+
+    spread = float(c.max() - c.min())
+    half = spread + volume + 1.0
+    lo, hi = -half, half
+    # Expand until the slope brackets a maximum.
+    for _ in range(64):
+        if _slope_counts(c, y, lo, volume)[0] >= _slope_counts(c, y, lo, volume)[1]:
+            break
+        lo *= 2.0
+    for _ in range(64):
+        kp, kn = _slope_counts(c, y, hi, volume)
+        if kn >= kp:
+            break
+        hi *= 2.0
+
+    b = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        b = 0.5 * (lo + hi)
+        kp, kn = _slope_counts(c, y, b, volume)
+        if kp == kn:
+            break
+        if kp > kn:
+            lo = b
+        else:
+            hi = b
+        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+            b = 0.5 * (lo + hi)
+            break
+
+    shifted = c + y * b
+    level = find_gamma(shifted, volume)
+    idx = support_set(shifted, level)
+    pos = int(np.count_nonzero(y[idx] > 0))
+    return WaterLevelBias(gamma=level.gamma, bias=float(b),
+                          covered_pos=pos, covered_neg=idx.size - pos)
 
 
 def slack_objective_dense(w, x, labels, nu):

@@ -99,14 +99,16 @@ def test_responses_consistent_with_alpha():
     assert state.norm_sq == pytest.approx(float(state.alpha @ recomputed), rel=1e-6)
 
 
-def test_train_exact_eval_budget():
-    ds, kernel, config = train_pair(n=35, iterations=120)
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_train_exact_eval_budget(use_bias):
+    ds, kernel, config = train_pair(n=35, iterations=120, use_bias=use_bias)
     sbp_train(ds, kernel, config)
     assert kernel.eval_count == ds.n * config.iterations + ds.n
 
 
-def test_train_determinism():
-    ds, _, config = train_pair(n=40, iterations=150, nu=0.05)
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_train_determinism(use_bias):
+    ds, _, config = train_pair(n=40, iterations=150, nu=0.05, use_bias=use_bias)
     m1, r1 = sbp_train(ds, LinearKernel(), config)
     m2, r2 = sbp_train(ds, LinearKernel(), config)
     assert np.array_equal(m1.alpha, m2.alpha)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slacksvm.waterfill import (find_gamma, find_gamma_and_bias,
                                 objective_value, support_set)
 
-from oracles import bias_grid_values, water_level_sorted
+from oracles import bias_grid_values, bias_level_bisection, water_level_sorted
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
                           allow_nan=False, allow_infinity=False)
@@ -46,6 +46,25 @@ def test_rejects_bad_input():
         find_gamma([], 1.0)
     with pytest.raises(ValueError):
         find_gamma([1.0], -0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_gamma([np.nan, 1.0], 1.0),
+    lambda: find_gamma([-np.inf, 1.0], 1.0),
+    lambda: find_gamma([0.0, 1.0], np.inf),
+    lambda: find_gamma([0.0, 1.0], np.nan),
+    lambda: find_gamma_and_bias([np.nan, 1.0], [1.0, -1.0], 1.0),
+    lambda: find_gamma_and_bias([np.inf, 1.0], [1.0, -1.0], 1.0),
+    lambda: find_gamma_and_bias([0.0, 1.0], [np.nan, -1.0], 1.0),
+    lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -np.inf], 1.0),
+    lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.inf),
+    lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.nan),
+], ids=["gamma-nan-response", "gamma-neg-inf-response", "gamma-inf-volume",
+        "gamma-nan-volume", "bias-nan-response", "bias-inf-response",
+        "bias-nan-label", "bias-inf-label", "bias-inf-volume", "bias-nan-volume"])
+def test_rejects_non_finite(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(response_vectors, st.floats(min_value=0.0, max_value=500.0))
@@ -156,6 +175,45 @@ class TestBias:
             wlb = find_gamma_and_bias(c, y, volume)
             grid = np.linspace(-10.0, 10.0, 1000)
             assert wlb.gamma >= bias_grid_values(c, y, volume, grid).max() - 1e-6
+
+
+@st.composite
+def bias_instances(draw):
+    """(c, y, volume) with both classes present (possibly a single positive),
+    float or integer-valued (tied) responses, and 0 <= volume <= 3n."""
+    n = draw(st.integers(2, 60))
+    elements = draw(st.sampled_from([finite_floats, st.integers(-5, 5).map(float)]))
+    c = draw(hnp.arrays(np.float64, n, elements=elements))
+    n_pos = draw(st.integers(1, n - 1))
+    order = draw(st.permutations(range(n)))
+    y = np.where(np.asarray(order) < n_pos, 1.0, -1.0)
+    volume = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * n)))
+    return c, y, volume
+
+
+@given(bias_instances())
+@example((np.array([0.0, 0.0, 1.0, 1.0, 2.0]),
+          np.array([-1.0, 1.0, -1.0, -1.0, -1.0]), 0.0))
+@example((np.array([3.0, -1.0, -1.0, 2.0]),
+          np.array([1.0, -1.0, -1.0, -1.0]), 12.0))
+@settings(max_examples=300, deadline=None)
+def test_bias_closed_form_matches_bisection(instance):
+    c, y, volume = instance
+    got = find_gamma_and_bias(c, y, volume)
+    want = bias_level_bisection(c, y, volume)
+    scale = max(1.0, abs(want.gamma))
+    assert got.gamma >= want.gamma - 1e-9 * scale
+    assert got.gamma == pytest.approx(want.gamma, rel=1e-9, abs=1e-9)
+    # The returned bias attains the returned level, and the covered counts
+    # are support_set's at that bias.
+    shifted = c + y * got.bias
+    assert find_gamma(shifted, volume).gamma == pytest.approx(got.gamma, rel=1e-9, abs=1e-9)
+    idx = support_set(shifted, got)
+    pos = int(np.count_nonzero(y[idx] > 0))
+    assert (got.covered_pos, got.covered_neg) == (pos, idx.size - pos)
+    flipped = find_gamma_and_bias(c, -y, volume)
+    assert abs(flipped.gamma - got.gamma) <= 1e-12 * scale
+    assert abs(flipped.bias + got.bias) <= 1e-12 * max(1.0, abs(got.bias))
 
 
 def test_objective_value_is_gamma():
