@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -125,6 +125,9 @@ def parse_plan(text: str) -> BenchPlan:
     )
 
 
+_SYNTHETIC_KEYS = frozenset(f.name for f in fields(SyntheticSpec)) - {"kind"}
+
+
 def load_dataset(spec: str, positive_class=None) -> Dataset:
     """Resolve ``file:PATH`` or ``synthetic:kind:k=v,...`` dataset specs."""
     if spec.startswith("file:"):
@@ -138,10 +141,18 @@ def load_dataset(spec: str, positive_class=None) -> Dataset:
             for item in kvs.split(","):
                 k, _, v = item.partition("=")
                 k = k.strip()
-                if k in ("n", "dimension", "seed"):
-                    kwargs[k] = int(v)
-                else:
-                    kwargs[k] = float(v)
+                if k not in _SYNTHETIC_KEYS:
+                    raise DataError(f"unknown synthetic parameter {k!r} in {spec!r}")
+                cast = int if k in ("n", "dimension", "seed") else float
+                try:
+                    value = cast(v)
+                except ValueError:
+                    raise DataError(f"unreadable value {v!r} for {k} in {spec!r}") from None
+                if cast is float and not math.isfinite(value):
+                    raise DataError(f"non-finite value {v!r} for {k} in {spec!r}")
+                kwargs[k] = value
+        if "n" not in kwargs:
+            raise DataError(f"synthetic spec {spec!r} needs n")
         return generate(SyntheticSpec(kind=kind, **kwargs))
     raise DataError(f"unknown dataset spec {spec!r}")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,8 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
                 val = float(val_s)
             except ValueError:
                 raise DataError(f"line {lineno}: malformed feature {tok!r}")
+            if not math.isfinite(val):
+                raise DataError(f"line {lineno}: non-finite feature value {tok!r}")
             if idx < 1:
                 raise DataError(f"line {lineno}: feature index {idx} is not positive")
             if idx <= prev:

@@ -52,6 +52,8 @@ class SbpState:
     t: int
     bias: float
     eta0: float
+    # Water level of the last no-bias step: the start of the next search.
+    level: float | None = None
 
 
 def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
@@ -111,7 +113,8 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
         shifted = state.responses + y * wlb.bias
         i = _sample_covered(shifted, wlb, y, True, rng)
     else:
-        wl = find_gamma(state.responses, volume)
+        wl = find_gamma(state.responses, volume, start=state.level)
+        state.level = wl.gamma
         i = _sample_covered(state.responses, wl, y, False, rng)
 
     row = kernel.row(dataset, i)  # n evaluations

@@ -7,6 +7,15 @@ are the c_i. The level equals the slack-constrained objective value at the
 current predictor, and the covered indices define the sampling distribution
 for stochastic supergradients.
 
+A cold search is a randomized quickselect, expected O(n). Given a start
+level, such as the previous SBP iteration's, Newton (Michelot) passes find
+the level instead: each pass pours the volume over the floors strictly below
+the current level, and the pass whose floor count repeats is exact. The
+ell-1/simplex projection threshold is the same equation (Duchi et al. 2008;
+Condat 2016). Responses move little between iterations, so a few O(n)
+passes suffice there; after _MAX_NEWTON_PASSES the quickselect finishes the
+job, so the expected cost stays linear on any input.
+
 With an unregularized bias b the floors become c_i + y_i * b: positives
 stand at level u = gamma - b over their floors p, negatives at
 v = gamma + b over their floors q, and the best b maximizes u + v = 2 gamma
@@ -28,6 +37,10 @@ import numpy as np
 # Pivot selection is randomized (expected linear time) but driven by a
 # fixed-seed stream so that training runs are bit-reproducible.
 _PIVOT_SEED = 0x5EED
+# Newton passes allowed from a start level before falling back to the
+# selection. Starts from the previous SBP iteration need 3-6; far starts
+# on floors spread over many orders of magnitude can need hundreds.
+_MAX_NEWTON_PASSES = 16
 
 
 @dataclass(frozen=True)
@@ -45,42 +58,14 @@ class WaterLevelBias:
     covered_neg: int
 
 
-def _mom_select(arr: np.ndarray, k: int) -> float:
-    """k-th smallest via median-of-medians pivots; worst-case linear."""
-    while True:
-        if arr.size <= 5:
-            return float(np.sort(arr)[k])
-        p = _mom_pivot(arr)
-        below = arr[arr < p]
-        n_eq = int(np.count_nonzero(arr == p))
-        if k < below.size:
-            arr = below
-        elif k < below.size + n_eq:
-            return p
-        else:
-            k -= below.size + n_eq
-            arr = arr[arr > p]
-
-
-def _mom_pivot(arr: np.ndarray) -> float:
-    m = (arr.size // 5) * 5
-    meds = np.median(arr[:m].reshape(-1, 5), axis=1)
-    if m < arr.size:
-        meds = np.append(meds, np.median(arr[m:]))
-    return _mom_select(meds, meds.size // 2)
-
-
-def _water_level(c: np.ndarray, volume: float, deterministic_pivot: bool) -> float:
+def _water_level(c: np.ndarray, volume: float) -> float:
     """Level gamma with sum_i max(0, gamma - c_i) == volume > 0."""
-    rng = None if deterministic_pivot else np.random.default_rng(_PIVOT_SEED)
+    rng = np.random.default_rng(_PIVOT_SEED)
     arr = c
     lo_count = 0
     lo_sum = 0.0
     while arr.size:
-        if deterministic_pivot:
-            p = _mom_pivot(arr) if arr.size > 5 else float(np.median(arr))
-        else:
-            p = float(arr[rng.integers(arr.size)])
+        p = float(arr[rng.integers(arr.size)])
         below = arr < p
         m = lo_count + int(np.count_nonzero(below))
         s = lo_sum + float(arr[below].sum())
@@ -94,6 +79,32 @@ def _water_level(c: np.ndarray, volume: float, deterministic_pivot: bool) -> flo
             lo_sum = s + p * n_eq
             arr = arr[arr > p]
     return (volume + lo_sum) / lo_count
+
+
+def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
+    """Level gamma with sum_i max(0, gamma - c_i) == volume > 0 by Newton
+    passes from start, or None when _MAX_NEWTON_PASSES do not settle it.
+
+    A pass takes the floors strictly below the current level and moves the
+    level to where those alone hold the volume. From below the root this
+    overshoots it; from above it descends monotonically, never past the
+    root. The below-sets of levels are nested, so a pass that finds as many
+    floors below as the last one has the same set, and its level is exact.
+    """
+    gamma = start
+    last = -1
+    for _ in range(_MAX_NEWTON_PASSES):
+        below = c < gamma
+        m = int(np.count_nonzero(below))
+        if m == last:
+            return gamma
+        if m == 0:
+            # Dry start: the lowest floor alone under volume is above the root.
+            gamma = float(c.min()) + volume
+        else:
+            gamma = (volume + float(c @ below)) / m
+        last = m
+    return None
 
 
 def _covered(c: np.ndarray, gamma: float, volume: float):
@@ -119,18 +130,26 @@ def _check_volume(volume: float) -> None:
         raise ValueError("volume must be finite and non-negative")
 
 
-def find_gamma(c, volume: float, deterministic_pivot: bool = False) -> WaterLevel:
+def find_gamma(c, volume: float, start: float | None = None) -> WaterLevel:
     """Find the water level for responses c and slack volume >= 0.
 
-    Expected O(n) with randomized pivots; worst-case O(n) with
-    deterministic_pivot (median-of-medians).
+    Without start, a randomized quickselect on a fixed-seed pivot stream
+    finds it in expected O(n). With a finite start level, such as the
+    previous SBP iteration's, Newton passes of O(n) each find the same level
+    exactly, a few passes when start is near it; after _MAX_NEWTON_PASSES
+    the quickselect takes over, so the expected cost stays linear. No
+    worst-case linear method is offered.
     """
     c = _responses(c)
     _check_volume(volume)
+    if start is not None and not math.isfinite(start):
+        raise ValueError("start level must be finite")
     if volume == 0.0:
         gamma = float(c.min())
     else:
-        gamma = _water_level(c, float(volume), deterministic_pivot)
+        gamma = None if start is None else _newton_level(c, float(volume), float(start))
+        if gamma is None:
+            gamma = _water_level(c, float(volume))
     count, total = _covered(c, gamma, volume)
     return WaterLevel(gamma=gamma, covered_count=count, covered_sum=total)
 

@@ -69,6 +69,18 @@ class TestDatasetSpecs:
         with pytest.raises(DataError):
             load_dataset("http:nope")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("synthetic:two_gaussians:n=10,foo=1", "unknown synthetic parameter 'foo'"),
+        ("synthetic:nope", "needs n"),
+        ("synthetic:two_gaussians:seed=3", "needs n"),
+        ("synthetic:two_gaussians:n=ten", "unreadable value 'ten' for n"),
+        ("synthetic:two_gaussians:n=10,separation=x", "unreadable value 'x'"),
+        ("synthetic:two_gaussians:n=10,separation=nan", "non-finite value 'nan'"),
+    ])
+    def test_bad_synthetic_spec(self, spec, message):
+        with pytest.raises(DataError, match=message):
+            load_dataset(spec)
+
 
 class TestRunPlan:
     def test_file_contract(self, tmp_path):
@@ -216,6 +228,21 @@ class TestCli:
 
     def test_missing_file_is_3(self):
         assert self.run_cli("train", "/no/such/file").returncode == 3
+
+    def test_non_finite_feature_is_3(self, tmp_path):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("+1 1:nan\n-1 1:1\n")
+        r = self.run_cli("train", str(bad), "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert "line 1" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("spec", ["synthetic:two_gaussians:n=10,foo=1",
+                                      "synthetic:nope",
+                                      "synthetic:two_gaussians:n=ten"])
+    def test_bad_synthetic_spec_is_3(self, tmp_path, spec):
+        r = self.run_cli("train", spec, "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
 
     def test_solver_error_is_4(self, tmp_path):
         contradiction = tmp_path / "c.txt"

@@ -43,6 +43,9 @@ class TestParse:
             parse_libsvm("+1 0:1\n")
         with pytest.raises(DataError, match="line 1.*non-ascending"):
             parse_libsvm("+1 2:1 2:2\n")
+        for value in ("nan", "inf", "-inf", "NaN", "-Infinity"):
+            with pytest.raises(DataError, match="line 2.*non-finite"):
+                parse_libsvm(f"+1 1:1\n-1 1:2 3:{value}\n")
         with pytest.raises(DataError):
             parse_libsvm("")
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from slacksvm import sbp
+from slacksvm.bench import write_run_csv
 from slacksvm.data import SyntheticSpec, generate, parse_libsvm
 from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
 from slacksvm.model import (SolverError, deserialize_model, load_model,
                             save_model, score_batch, serialize_model)
 from slacksvm.sbp import SbpConfig, rescale_check, sbp_init, sbp_step, sbp_train
+from slacksvm.waterfill import find_gamma
 
 
 def train_pair(n=60, seed=0, **cfg):
@@ -114,6 +117,34 @@ def test_train_determinism(use_bias):
     assert np.array_equal(m1.alpha, m2.alpha)
     assert m1.bias == m2.bias
     assert r1.samples == r2.samples
+
+
+def test_warm_level_keeps_run_bytes(tmp_path, monkeypatch):
+    # Starting each no-bias level search at the previous iteration's level
+    # must give the same run CSV and model bytes as cold searches.
+    ds = generate(SyntheticSpec(kind="two_gaussians", n=150, seed=2, noise_rate=0.1))
+    test = generate(SyntheticSpec(kind="two_gaussians", n=100, seed=3, noise_rate=0.1))
+    config = SbpConfig(nu=0.1, iterations=300, seed=4)
+
+    def run(name):
+        model, record = sbp_train(ds, GaussianKernel(1.0), config, test_data=test,
+                                  eval_kernel=GaussianKernel(1.0))
+        write_run_csv(record, tmp_path / name)
+        return (tmp_path / name).read_bytes(), serialize_model(model)
+
+    starts = []
+
+    def spy(c, volume, start=None):
+        starts.append(start)
+        return find_gamma(c, volume, start=start)
+
+    monkeypatch.setattr(sbp, "find_gamma", spy)
+    warm = run("warm.csv")
+    # Every step but the first starts warm; the checkpoint levels stay cold.
+    assert sum(s is not None for s in starts) == config.iterations - 1
+    monkeypatch.setattr(sbp, "find_gamma",
+                        lambda c, volume, start=None: find_gamma(c, volume))
+    assert run("cold.csv") == warm
 
 
 def test_train_reaches_good_margin_on_two_points():

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slacksvm.waterfill import (find_gamma, find_gamma_and_bias,
+from slacksvm.waterfill import (_newton_level, find_gamma, find_gamma_and_bias,
                                 objective_value, support_set)
 
 from oracles import bias_grid_values, bias_level_bisection, water_level_sorted
@@ -53,6 +53,8 @@ def test_rejects_bad_input():
     lambda: find_gamma([-np.inf, 1.0], 1.0),
     lambda: find_gamma([0.0, 1.0], np.inf),
     lambda: find_gamma([0.0, 1.0], np.nan),
+    lambda: find_gamma([0.0, 1.0], 1.0, start=np.nan),
+    lambda: find_gamma([0.0, 1.0], 1.0, start=np.inf),
     lambda: find_gamma_and_bias([np.nan, 1.0], [1.0, -1.0], 1.0),
     lambda: find_gamma_and_bias([np.inf, 1.0], [1.0, -1.0], 1.0),
     lambda: find_gamma_and_bias([0.0, 1.0], [np.nan, -1.0], 1.0),
@@ -60,8 +62,9 @@ def test_rejects_bad_input():
     lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.inf),
     lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.nan),
 ], ids=["gamma-nan-response", "gamma-neg-inf-response", "gamma-inf-volume",
-        "gamma-nan-volume", "bias-nan-response", "bias-inf-response",
-        "bias-nan-label", "bias-inf-label", "bias-inf-volume", "bias-nan-volume"])
+        "gamma-nan-volume", "gamma-nan-start", "gamma-inf-start",
+        "bias-nan-response", "bias-inf-response", "bias-nan-label",
+        "bias-inf-label", "bias-inf-volume", "bias-nan-volume"])
 def test_rejects_non_finite(call):
     with pytest.raises(ValueError):
         call()
@@ -110,14 +113,43 @@ def test_flood_limit(c):
     assert wl.gamma == pytest.approx((v + c.sum()) / c.size, rel=1e-9)
 
 
-def test_deterministic_pivot_agrees():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        c = rng.standard_normal(rng.integers(1, 300))
-        v = float(rng.uniform(0.0, 2.0 * c.size))
-        a = find_gamma(c, v).gamma
-        b = find_gamma(c, v, deterministic_pivot=True).gamma
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+@st.composite
+def warm_instances(draw):
+    """(c, volume, start): volume in [0, 3n], start any finite float."""
+    c = draw(response_vectors)
+    volume = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * c.size)))
+    start = draw(st.one_of(finite_floats, st.floats(allow_nan=False, allow_infinity=False)))
+    return c, volume, start
+
+
+@given(warm_instances())
+@settings(max_examples=500, deadline=None)
+def test_warm_start_matches_cold(instance):
+    c, volume, start = instance
+    got = find_gamma(c, volume, start=start)
+    want = find_gamma(c, volume)
+    tol = 1e-12 * max(1.0, abs(want.gamma), float(np.abs(c).max()))
+    assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=tol)
+    if got.gamma == want.gamma:
+        assert got == want
+    else:
+        # Levels a rounding apart can disagree only on a floor tied with the
+        # level: it holds no water, and the last bit decides if it counts.
+        lo = int(np.count_nonzero(c < want.gamma - tol))
+        hi = int(np.count_nonzero(c < want.gamma + tol))
+        assert lo <= got.covered_count <= hi
+        assert lo <= want.covered_count <= hi
+
+
+def test_warm_start_falls_back_to_selection():
+    # Floors spread over 260 decades: Newton from the top floor drops about
+    # 12 floors a pass and needs over 100 passes, so the capped passes give
+    # up and the selection must still find the exact level.
+    c = 1.5 ** np.arange(1500)
+    assert _newton_level(c, 1.0, float(c.max())) is None
+    got = find_gamma(c, 1.0, start=float(c.max()))
+    assert got == find_gamma(c, 1.0)
+    assert got.gamma == pytest.approx(1.75)
 
 
 class TestSupportSet:
