@@ -4,18 +4,18 @@ A margin-maximizing stochastic solver with water-filling sampling, plus
 regularized baselines, random Fourier features, and a benchmark harness.
 """
 
-from .baselines import (PegasosConfig, PerceptronModel, SdcaConfig,
-                        pegasos_train, perceptron_train, predict, sdca_train)
-from .bench import BenchPlan, calibrate_nu, fourier_plan, parse_plan, run_plan
+from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig,
+                        pegasos_train, perceptron_train, sdca_train)
+from .bench import (SOLVER_KINDS, BenchPlan, calibrate_nu, fourier_plan,
+                    parse_plan, run_plan, train_solver)
 from .data import (DataError, Dataset, SparseExample, SyntheticSpec, evaluate,
                    generate, parse_libsvm, serialize_libsvm)
 from .fourier import FourierMap, fourier_features, fourier_features_batch, linearize, make_fourier_map
-from .kernels import (GaussianKernel, KernelOracle, LinearKernel,
-                      PrecomputedGramKernel, kernel_from_spec)
+from .kernels import GaussianKernel, KernelOracle, LinearKernel, kernel_from_spec
 from .model import (SolverError, TrainedModel, load_model, save_model, score,
                     score_batch, serialize_model, deserialize_model)
-from .recording import RunRecord, Sample, geometric_schedule
-from .sbp import SbpConfig, SbpState, rescale_check, sbp_init, sbp_step, sbp_train
+from .recording import Checkpointer, RunRecord, Sample, geometric_schedule
+from .sbp import SbpConfig, SbpState, sbp_init, sbp_step, sbp_train
 from .waterfill import (WaterLevel, WaterLevelBias, find_gamma,
                         find_gamma_and_bias, objective_value, support_set)
 

@@ -8,15 +8,12 @@ the regularized dual, and the single-pass online Perceptron.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .model import TrainedModel, score as _score
-from .recording import RunRecord, geometric_schedule
-from .sbp import RNG_IDENTITY
+from .recording import Checkpointer
 
 
 @dataclass
@@ -46,20 +43,14 @@ class SdcaConfig:
             raise ValueError("iterations must be at least 1")
 
 
-def predict(model: TrainedModel, example, kernel) -> float:
-    """Score = sum_j alpha_j y_j K(x_j, x) + b; costs support_size evals."""
-    return _score(model, example, kernel)
+@dataclass
+class PerceptronConfig:
+    passes: int = 1
+    seed: int = 0
 
-
-def _test_error(alpha, bias, dataset, kernel_spec, test_data, eval_kernel):
-    if test_data is None or eval_kernel is None:
-        return math.nan
-    from .model import score_batch
-
-    m = TrainedModel(alpha=alpha, bias=bias, dataset=dataset,
-                     kernel_spec=kernel_spec, use_bias=False, kernel_evals=0)
-    scores = score_batch(m, test_data, eval_kernel)
-    return float(np.mean(test_data.labels * scores <= 0.0))
+    def __post_init__(self):
+        if self.passes < 1:
+            raise ValueError("passes must be at least 1")
 
 
 def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
@@ -73,21 +64,16 @@ def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
     n = dataset.n
     y = dataset.labels
     rng = np.random.default_rng(config.seed)
-    start_evals = kernel.eval_count
-    start_ns = time.perf_counter_ns()
+    ckpt = Checkpointer(dataset, kernel, config.iterations, {
+        "solver": "pegasos", "lambda": config.lam,
+        "iterations": config.iterations, "seed": config.seed,
+        "average": config.average,
+    }, test_data, eval_kernel, timing, metadata)
 
     raw_alpha = np.zeros(n)
     raw_resp = np.zeros(n)  # effective responses are scale * raw_resp
     scale = 1.0
     alpha_sum = np.zeros(n) if config.average else None
-
-    record = RunRecord(metadata={
-        "solver": "pegasos", "lambda": config.lam,
-        "iterations": config.iterations, "seed": config.seed,
-        "average": config.average, "rng": RNG_IDENTITY,
-        **(metadata or {}),
-    })
-    schedule = geometric_schedule(config.iterations)
 
     for t in range(1, config.iterations + 1):
         i = int(rng.integers(n))
@@ -101,30 +87,13 @@ def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
             raw_resp += (eta / scale) * y[i] * y * row
         if config.average:
             alpha_sum += scale * raw_alpha
-        if t in schedule:
+        if t in ckpt.schedule:
             c = scale * raw_resp
-            hinge = float(np.mean(np.maximum(0.0, 1.0 - c)))
-            record.add(
-                iteration=t,
-                train_kernel_evals=kernel.eval_count - start_evals,
-                eval_kernel_evals=(eval_kernel.eval_count if eval_kernel else 0),
-                empirical_hinge=hinge,
-                test_zero_one=_test_error(scale * raw_alpha, 0.0, dataset,
-                                          kernel.spec_string, test_data, eval_kernel),
-                wall_clock_ns=(time.perf_counter_ns() - start_ns) if timing else 0,
-            )
+            ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - c))), scale * raw_alpha)
 
     if config.average:
-        alpha = alpha_sum / config.iterations
-    else:
-        alpha = scale * raw_alpha
-    model = TrainedModel(
-        alpha=alpha, bias=0.0, dataset=dataset,
-        kernel_spec=kernel.spec_string, use_bias=False,
-        kernel_evals=kernel.eval_count - start_evals,
-        metadata=dict(record.metadata),
-    )
-    return model, record
+        return ckpt.model(alpha_sum / config.iterations)
+    return ckpt.model(scale * raw_alpha)
 
 
 def sdca_dual_value(alpha, responses, lam) -> float:
@@ -171,126 +140,53 @@ def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
                timing: bool = False, metadata: dict | None = None):
     """Stochastic dual coordinate ascent with exact coordinate maximization."""
     rng = np.random.default_rng(config.seed)
-    start_evals = kernel.eval_count
-    start_ns = time.perf_counter_ns()
-    record = RunRecord(metadata={
+    ckpt = Checkpointer(dataset, kernel, config.iterations, {
         "solver": "sdca", "lambda": config.lam,
         "iterations": config.iterations, "seed": config.seed,
-        "rng": RNG_IDENTITY, **(metadata or {}),
-    })
-    schedule = geometric_schedule(config.iterations)
+    }, test_data, eval_kernel, timing, metadata)
 
     def on_step(t, i, delta, alpha, responses):
-        if t in schedule:
-            hinge = float(np.mean(np.maximum(0.0, 1.0 - responses)))
-            record.add(
-                iteration=t,
-                train_kernel_evals=kernel.eval_count - start_evals,
-                eval_kernel_evals=(eval_kernel.eval_count if eval_kernel else 0),
-                empirical_hinge=hinge,
-                test_zero_one=_test_error(alpha.copy(), 0.0, dataset,
-                                          kernel.spec_string, test_data, eval_kernel),
-                wall_clock_ns=(time.perf_counter_ns() - start_ns) if timing else 0,
-            )
+        if t in ckpt.schedule:
+            ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - responses))), alpha)
 
-    alpha, responses, _ = _sdca_loop(dataset, kernel, config.lam, rng,
-                                     iterations=config.iterations, on_step=on_step)
-    model = TrainedModel(
-        alpha=alpha, bias=0.0, dataset=dataset,
-        kernel_spec=kernel.spec_string, use_bias=False,
-        kernel_evals=kernel.eval_count - start_evals,
-        metadata=dict(record.metadata),
-    )
-    return model, record
+    alpha, _, _ = _sdca_loop(dataset, kernel, config.lam, rng,
+                             iterations=config.iterations, on_step=on_step)
+    return ckpt.model(alpha)
 
 
-@dataclass
-class PerceptronModel:
-    """Mistake-driven integer coefficients; support size equals the
-    mistake count."""
-
-    alpha: np.ndarray
-    mistake_count: int
-
-    def to_trained_model(self, dataset, kernel_spec, kernel_evals=0) -> TrainedModel:
-        return TrainedModel(
-            alpha=self.alpha.astype(np.float64), bias=0.0, dataset=dataset,
-            kernel_spec=kernel_spec, use_bias=False, kernel_evals=kernel_evals,
-            metadata={"solver": "perceptron", "mistakes": self.mistake_count},
-        )
-
-
-def perceptron_train(dataset: Dataset, kernel, seed: int, passes: int = 1,
+def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
                      test_data: Dataset | None = None, eval_kernel=None,
                      timing: bool = False, metadata: dict | None = None):
     """Online Perceptron; the per-example score against the live support set
     costs exactly the current mistake count in kernel evaluations.
 
-    Guarantees hold for a single pass; later passes are flagged in the
-    record metadata since the predictor may then overfit.
+    The model's integer coefficients count the mistakes made on each
+    example; metadata["mistakes"] holds their total. Guarantees hold for a
+    single pass; later passes are flagged in the record metadata since the
+    predictor may then overfit.
     """
-    if passes < 1:
-        raise ValueError("passes must be at least 1")
     n = dataset.n
     y = dataset.labels
-    rng = np.random.default_rng(seed)
-    start_evals = kernel.eval_count
-    start_ns = time.perf_counter_ns()
+    rng = np.random.default_rng(config.seed)
+    ckpt = Checkpointer(dataset, kernel, config.passes * n, {
+        "solver": "perceptron", "passes": config.passes, "seed": config.seed,
+        "single_pass_valid_through_iteration": n,
+        "beyond_single_pass": config.passes > 1,
+    }, test_data, eval_kernel, timing, metadata)
 
     alpha = np.zeros(n, dtype=np.int64)
-    mistakes = 0
-    total_steps = passes * n
-    schedule = geometric_schedule(total_steps)
-    record = RunRecord(metadata={
-        "solver": "perceptron", "passes": passes, "seed": seed,
-        "rng": RNG_IDENTITY, "single_pass_valid_through_iteration": n,
-        "beyond_single_pass": passes > 1, **(metadata or {}),
-    })
-
     step = 0
-    for _ in range(passes):
-        order = rng.permutation(n)
-        for i in order:
+    for _ in range(config.passes):
+        for i in rng.permutation(n):
             step += 1
             sv = np.flatnonzero(alpha)
             if sv.size:
-                g = kernel.cross(dataset, sv, _single(dataset, int(i)))
-                score_i = float((alpha[sv] * y[sv]) @ g[:, 0])
+                score_i = float((alpha[sv] * y[sv]) @ kernel.row(dataset, int(i), sv))
             else:
                 score_i = 0.0
             if y[i] * score_i <= 0.0:  # sign(0) counts as a mistake
                 alpha[i] += 1
-                mistakes += 1
-            if step in schedule:
-                record.add(
-                    iteration=step,
-                    train_kernel_evals=kernel.eval_count - start_evals,
-                    eval_kernel_evals=(eval_kernel.eval_count if eval_kernel else 0),
-                    empirical_hinge=math.nan,
-                    test_zero_one=_test_error(alpha.astype(np.float64), 0.0, dataset,
-                                              kernel.spec_string, test_data, eval_kernel),
-                    wall_clock_ns=(time.perf_counter_ns() - start_ns) if timing else 0,
-                )
+            if step in ckpt.schedule:
+                ckpt.add(step, math.nan, alpha.astype(np.float64))
 
-    model = PerceptronModel(alpha=alpha, mistake_count=mistakes)
-    return model, record
-
-
-def _single(dataset, i):
-    """One-example view used for streaming scores (no data copies kept)."""
-    return _SingleView(dataset, i)
-
-
-class _SingleView:
-    def __init__(self, dataset, i):
-        self.examples = [dataset.examples[i]]
-        self.labels = dataset.labels[i:i + 1]
-        self.norms = dataset.norms[i:i + 1]
-        self.dimension = dataset.dimension
-        self.n = 1
-        self._parent = dataset
-        self._i = i
-
-    @property
-    def matrix(self):
-        return self._parent.matrix[self._i:self._i + 1]
+    return ckpt.model(alpha.astype(np.float64), mistakes=int(alpha.sum()))

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .baselines import (PegasosConfig, SdcaConfig, _sdca_loop, pegasos_train,
-                        perceptron_train, sdca_dual_value, sdca_train)
+from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_loop,
+                        pegasos_train, perceptron_train, sdca_dual_value,
+                        sdca_train)
 from .data import DataError, Dataset, SyntheticSpec, generate, parse_libsvm
 from .fourier import linearize, make_fourier_map
 from .kernels import kernel_from_spec
-from .model import SolverError, TrainedModel, score_batch
+from .model import SolverError, score_batch
 from .recording import RunRecord
 from .sbp import SbpConfig, sbp_train
 
@@ -50,11 +51,84 @@ def write_run_csv(record: RunRecord, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _flag(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+
+
+# Every solver kind: its config class, the name of its train function, and
+# its parameters as plan key -> (config field, reader, default). The train
+# function is looked up in this module's globals at call time, so a tracer
+# that patches the module attribute sees every run. A default of None
+# stands for 1/n.
+SOLVER_KINDS = {
+    "sbp": (SbpConfig, "sbp_train", {
+        "nu": ("nu", float, 0.1),
+        "iters": ("iterations", int, 1000),
+        "bias": ("use_bias", _flag, False),
+    }),
+    "pegasos": (PegasosConfig, "pegasos_train", {
+        "lambda": ("lam", float, None),
+        "iters": ("iterations", int, 1000),
+        "average": ("average", _flag, False),
+    }),
+    "sdca": (SdcaConfig, "sdca_train", {
+        "lambda": ("lam", float, None),
+        "iters": ("iterations", int, 1000),
+    }),
+    "perceptron": (PerceptronConfig, "perceptron_train", {
+        "passes": ("passes", int, 1),
+    }),
+}
+
+
+def _solver_kind(kind: str):
+    try:
+        return SOLVER_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown solver kind {kind!r}") from None
+
+
+def _read_param(kind: str, key: str, text: str):
+    """(config field, value) of one solver parameter given as text."""
+    table = _solver_kind(kind)[2]
+    if key not in table:
+        raise ValueError(f"solver kind {kind} takes no parameter {key!r} "
+                         f"(it takes {', '.join(table)})")
+    field_name, reader, _ = table[key]
+    try:
+        return field_name, reader(text)
+    except ValueError:
+        raise ValueError(f"unreadable value {text!r} for {kind} parameter {key}") from None
+
+
+def train_solver(kind: str, params: dict, dataset: Dataset, kernel, seed: int,
+                 test_data: Dataset | None = None, eval_kernel=None,
+                 timing: bool = False, metadata: dict | None = None):
+    """Train one solver of the given kind, its params (plan key -> text)
+    over the kind's defaults; returns (TrainedModel, RunRecord).
+
+    An unknown kind or key, or an unreadable value, raises ValueError before
+    any training; so does the config for a value out of range.
+    """
+    config_cls, train_name, table = _solver_kind(kind)
+    kwargs = {field_name: 1.0 / dataset.n if default is None else default
+              for field_name, _, default in table.values()}
+    kwargs.update(_read_param(kind, key, text) for key, text in params.items())
+    config = config_cls(seed=seed, **kwargs)
+    return globals()[train_name](dataset, kernel, config, test_data,
+                                 eval_kernel, timing, metadata)
+
+
 @dataclass
 class SolverSpec:
     name: str       # unique id within the plan, e.g. "sbp" or "sbp_small_nu"
-    kind: str       # one of sbp / pegasos / sdca / perceptron
-    params: dict = field(default_factory=dict)
+    kind: str       # a key of SOLVER_KINDS
+    params: dict = field(default_factory=dict)  # plan key -> value text
 
 
 @dataclass
@@ -76,15 +150,21 @@ class BenchPlan:
             raise ValueError("plan needs at least one solver")
 
 
+# Top-level plan keys and their readers; the defaults are BenchPlan's.
+_PLAN_KEYS = {"dataset": str, "test": str, "kernel": str, "repeat": int,
+              "seed": int, "timing": _flag, "out": str, "positive_class": str}
+
+
 def parse_plan(text: str) -> BenchPlan:
     """Parse the flat ``key = value`` plan format.
 
-    Recognized keys: dataset, test, kernel, repeat, seed, timing, out,
-    positive_class, and ``solver.NAME.KEY = VALUE`` entries where NAME is a
-    per-plan solver id and KEY is ``kind`` or a config parameter.
+    Top-level keys are those of _PLAN_KEYS; ``solver.NAME.KEY = VALUE``
+    entries set ``kind`` (default NAME) or a parameter of that kind (see
+    SOLVER_KINDS) for a per-plan solver id NAME. An unknown key or an
+    unreadable value raises ValueError naming its line.
     """
     top: dict = {}
-    solver_params: dict = {}
+    solver_params: dict = {}   # name -> {key: (value, lineno)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -98,31 +178,33 @@ def parse_plan(text: str) -> BenchPlan:
             parts = key.split(".")
             if len(parts) != 3:
                 raise ValueError(f"plan line {lineno}: use solver.NAME.KEY")
-            solver_params.setdefault(parts[1], {})[parts[2]] = value
+            solver_params.setdefault(parts[1], {})[parts[2]] = (value, lineno)
+        elif key in _PLAN_KEYS:
+            try:
+                top[key] = _PLAN_KEYS[key](value)
+            except ValueError:
+                raise ValueError(f"plan line {lineno}: unreadable value "
+                                 f"{value!r} for {key}") from None
         else:
-            top[key] = value
+            raise ValueError(f"plan line {lineno}: unknown key {key!r}")
 
     solvers = []
     for name in sorted(solver_params):
-        params = dict(solver_params[name])
-        kind = params.pop("kind", name)
-        if kind not in ("sbp", "pegasos", "sdca", "perceptron"):
-            raise ValueError(f"unknown solver kind {kind!r} for {name!r}")
+        entries = solver_params[name]
+        first_line = min(ln for _, ln in entries.values())
+        kind, lineno = entries.pop("kind", (name, first_line))
+        try:
+            _solver_kind(kind)
+            for key, (value, lineno) in entries.items():
+                _read_param(kind, key, value)
+        except ValueError as exc:
+            raise ValueError(f"plan line {lineno}: solver {name}: {exc}") from None
+        params = {key: value for key, (value, _) in entries.items()}
         solvers.append(SolverSpec(name=name, kind=kind, params=params))
 
     if "dataset" not in top or "kernel" not in top:
         raise ValueError("plan must set dataset and kernel")
-    return BenchPlan(
-        dataset=top["dataset"],
-        kernel=top["kernel"],
-        solvers=solvers,
-        repeat=int(top.get("repeat", "1")),
-        seed=int(top.get("seed", "0")),
-        test=top.get("test"),
-        timing=top.get("timing", "0").strip().lower() in ("1", "true", "yes"),
-        out=top.get("out", "bench_out"),
-        positive_class=top.get("positive_class"),
-    )
+    return BenchPlan(solvers=solvers, **top)
 
 
 _SYNTHETIC_KEYS = frozenset(f.name for f in fields(SyntheticSpec)) - {"kind"}
@@ -157,51 +239,6 @@ def load_dataset(spec: str, positive_class=None) -> Dataset:
     raise DataError(f"unknown dataset spec {spec!r}")
 
 
-def _run_one(solver: SolverSpec, dataset, kernel_spec, seed, test_data, timing):
-    kernel = kernel_from_spec(kernel_spec)
-    eval_kernel = kernel_from_spec(kernel_spec) if test_data is not None else None
-    p = solver.params
-    meta = {"dataset_n": dataset.n}
-    if solver.kind == "sbp":
-        config = SbpConfig(
-            nu=float(p.get("nu", "0.1")),
-            iterations=int(p.get("iters", "1000")),
-            seed=seed,
-            use_bias=p.get("bias", "0").strip().lower() in ("1", "true", "yes"),
-        )
-        model, record = sbp_train(dataset, kernel, config, test_data=test_data,
-                                  eval_kernel=eval_kernel, timing=timing,
-                                  metadata=meta)
-    elif solver.kind == "pegasos":
-        config = PegasosConfig(
-            lam=float(p.get("lambda", str(1.0 / dataset.n))),
-            iterations=int(p.get("iters", "1000")),
-            seed=seed,
-            average=p.get("average", "0").strip().lower() in ("1", "true", "yes"),
-        )
-        model, record = pegasos_train(dataset, kernel, config, test_data=test_data,
-                                      eval_kernel=eval_kernel, timing=timing,
-                                      metadata=meta)
-    elif solver.kind == "sdca":
-        config = SdcaConfig(
-            lam=float(p.get("lambda", str(1.0 / dataset.n))),
-            iterations=int(p.get("iters", "1000")),
-            seed=seed,
-        )
-        model, record = sdca_train(dataset, kernel, config, test_data=test_data,
-                                   eval_kernel=eval_kernel, timing=timing,
-                                   metadata=meta)
-    elif solver.kind == "perceptron":
-        model, record = perceptron_train(dataset, kernel, seed,
-                                         passes=int(p.get("passes", "1")),
-                                         test_data=test_data,
-                                         eval_kernel=eval_kernel, timing=timing,
-                                         metadata=meta)
-    else:
-        raise ValueError(f"unknown solver kind {solver.kind!r}")
-    return model, record
-
-
 def run_plan(plan: BenchPlan, out_dir=None) -> dict:
     """Execute every (solver, seed) pair; write one CSV per run plus
     aggregate.csv with per-sample-index median/IQR of test error.
@@ -222,8 +259,12 @@ def run_plan(plan: BenchPlan, out_dir=None) -> dict:
             seed = plan.seed + r
             key = (solver.name, seed)
             try:
-                _, record = _run_one(solver, dataset, plan.kernel, seed,
-                                     test_data, plan.timing)
+                kernel = kernel_from_spec(plan.kernel)
+                eval_kernel = (kernel_from_spec(plan.kernel)
+                               if test_data is not None else None)
+                _, record = train_solver(solver.kind, solver.params, dataset,
+                                         kernel, seed, test_data, eval_kernel,
+                                         plan.timing, {"dataset_n": dataset.n})
             except (SolverError, DataError, ValueError) as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
                 continue

@@ -10,13 +10,11 @@ import argparse
 import os
 import sys
 
-from .baselines import PegasosConfig, SdcaConfig, pegasos_train, perceptron_train, sdca_train
-from .bench import (calibrate_nu, fourier_plan, load_dataset, parse_plan,
-                    run_plan, write_run_csv)
+from .bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, load_dataset,
+                    parse_plan, run_plan, train_solver, write_run_csv)
 from .data import DataError, parse_libsvm
 from .kernels import kernel_from_spec
 from .model import SolverError, save_model
-from .sbp import SbpConfig, sbp_train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,18 +36,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train one solver on one dataset")
     train.add_argument("data", help="training set (LIBSVM text) or dataset spec")
-    train.add_argument("--solver", choices=("sbp", "pegasos", "sdca", "perceptron"),
-                       default="sbp")
+    train.add_argument("--solver", choices=tuple(SOLVER_KINDS), default="sbp")
     train.add_argument("--kernel", default="linear",
                        help="'linear' or 'gaussian:SIGMA2'")
-    train.add_argument("--nu", type=float, default=0.1,
-                       help="slack budget per example (sbp)")
-    train.add_argument("--lambda", dest="lam", type=float, default=None,
+    # Solver parameters: read like the plan keys of the same name, with the
+    # same defaults; one the chosen solver does not take is a usage error.
+    train.add_argument("--nu", help="slack budget per example (sbp)")
+    train.add_argument("--lambda",
                        help="regularization weight (pegasos/sdca); default 1/n")
-    train.add_argument("--iters", type=int, default=1000)
+    train.add_argument("--iters", help="iterations (sbp/pegasos/sdca)")
+    train.add_argument("--bias", action="store_const", const="1",
+                       help="learn an unregularized bias (sbp)")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--bias", action="store_true",
-                       help="learn an unregularized bias (sbp only)")
     train.add_argument("--test", metavar="FILE", default=None,
                        help="held-out set for test-error curves")
     train.add_argument("--positive-class", default=None, metavar="LABEL",
@@ -101,33 +99,10 @@ def _cmd_train(args) -> int:
     kernel = kernel_from_spec(args.kernel)
     test_data = _load(args.test, args.positive_class) if args.test else None
     eval_kernel = kernel_from_spec(args.kernel) if test_data is not None else None
-    lam = args.lam if args.lam is not None else 1.0 / dataset.n
-
-    if args.bias and args.solver != "sbp":
-        print("slacksvm: error: --bias is only supported by the sbp solver",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.solver == "sbp":
-        config = SbpConfig(nu=args.nu, iterations=args.iters, seed=args.seed,
-                           use_bias=args.bias)
-        model, record = sbp_train(dataset, kernel, config, test_data=test_data,
-                                  eval_kernel=eval_kernel, timing=args.timing)
-    elif args.solver == "pegasos":
-        config = PegasosConfig(lam=lam, iterations=args.iters, seed=args.seed)
-        model, record = pegasos_train(dataset, kernel, config, test_data=test_data,
-                                      eval_kernel=eval_kernel, timing=args.timing)
-    elif args.solver == "sdca":
-        config = SdcaConfig(lam=lam, iterations=args.iters, seed=args.seed)
-        model, record = sdca_train(dataset, kernel, config, test_data=test_data,
-                                   eval_kernel=eval_kernel, timing=args.timing)
-    else:
-        pmodel, record = perceptron_train(dataset, kernel, args.seed,
-                                          test_data=test_data,
-                                          eval_kernel=eval_kernel,
-                                          timing=args.timing)
-        model = pmodel.to_trained_model(dataset, kernel.spec_string,
-                                        kernel_evals=kernel.eval_count)
+    params = {key: getattr(args, key) for key in ("nu", "lambda", "iters", "bias")
+              if getattr(args, key) is not None}
+    model, record = train_solver(args.solver, params, dataset, kernel, args.seed,
+                                 test_data, eval_kernel, args.timing)
 
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, f"{args.solver}_seed{args.seed}.model")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, Dataset, SparseExample
+from .data import Dataset, SparseExample
 
 
 def _sparse_dot(a: SparseExample, b: SparseExample) -> float:
@@ -28,12 +28,17 @@ class KernelOracle:
         self.eval_count += 1
         return self._pair(a, b)
 
-    def row(self, dataset: Dataset, j: int) -> np.ndarray:
-        """[K(x_i, x_j)]_i over the whole dataset; costs n evaluations."""
+    def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
+        """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
+        the indices i in rows only (len(rows) evaluations)."""
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
-        self.eval_count += dataset.n
-        return self._row(dataset, j)
+        if rows is None:
+            self.eval_count += dataset.n
+            return self._row(dataset, j)
+        rows = np.asarray(rows, dtype=np.int64)
+        self.eval_count += int(rows.size)
+        return self._row_at(dataset, j, rows)
 
     def diag(self, dataset: Dataset) -> np.ndarray:
         """[K(x_i, x_i)]_i; costs n evaluations."""
@@ -69,6 +74,9 @@ class LinearKernel(KernelOracle):
     def _row(self, dataset, j):
         xj = dataset.examples[j].dense(dataset.dimension)
         return dataset.matrix @ xj
+
+    def _row_at(self, dataset, j, rows):
+        return dataset.matrix[rows] @ dataset.examples[j].dense(dataset.dimension)
 
     def _diag(self, dataset):
         return dataset.norms.copy()
@@ -107,6 +115,13 @@ class GaussianKernel(KernelOracle):
         d2[j] = 0.0  # self-distance is zero by definition
         return self._gauss(d2)
 
+    def _row_at(self, dataset, j, rows):
+        # Computed like pair and cross: no self-distance override.
+        xj = dataset.examples[j]
+        d2 = (dataset.norms[rows] + xj.norm_sq
+              - 2.0 * (dataset.matrix[rows] @ xj.dense(dataset.dimension)))
+        return self._gauss(d2)
+
     def _diag(self, dataset):
         return np.ones(dataset.n)
 
@@ -118,49 +133,6 @@ class GaussianKernel(KernelOracle):
     @property
     def spec_string(self):
         return f"gaussian:{self.sigma_sq!r}"
-
-
-class PrecomputedGramKernel(KernelOracle):
-    """Gram-matrix lookup, for tests.
-
-    Still counts evaluations so reported costs stay comparable across
-    kernel modes. Examples are identified by object identity within the
-    dataset the Gram matrix was built for.
-    """
-
-    def __init__(self, gram: np.ndarray, dataset: Dataset):
-        super().__init__()
-        gram = np.asarray(gram, dtype=np.float64)
-        if gram.shape != (dataset.n, dataset.n):
-            raise DataError("Gram matrix shape does not match the dataset")
-        self.gram = gram
-        self._index = {id(e): i for i, e in enumerate(dataset.examples)}
-
-    def _lookup(self, example):
-        try:
-            return self._index[id(example)]
-        except KeyError:
-            raise DataError("example is not covered by the precomputed Gram matrix")
-
-    def _pair(self, a, b):
-        return float(self.gram[self._lookup(a), self._lookup(b)])
-
-    def _row(self, dataset, j):
-        cols = [self._lookup(e) for e in dataset.examples]
-        return self.gram[cols, self._lookup(dataset.examples[j])].copy()
-
-    def _diag(self, dataset):
-        idx = [self._lookup(e) for e in dataset.examples]
-        return self.gram[idx, idx].copy()
-
-    def _cross(self, dataset, rows, other):
-        r = [self._lookup(dataset.examples[i]) for i in rows]
-        c = [self._lookup(e) for e in other.examples]
-        return self.gram[np.ix_(r, c)].copy()
-
-    @property
-    def spec_string(self):
-        return "precomputed"
 
 
 def kernel_from_spec(spec: str) -> KernelOracle:

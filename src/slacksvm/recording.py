@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
+
+from .model import TrainedModel, score_batch
+
+RNG_IDENTITY = "numpy-pcg64"
 
 
 class Sample(NamedTuple):
@@ -39,3 +47,63 @@ def geometric_schedule(iterations: int) -> set:
         t *= 2
     sched.add(iterations)
     return sched
+
+
+class Checkpointer:
+    """The run bookkeeping every solver shares.
+
+    Created before a solver spends its first kernel evaluation, it holds the
+    checkpoint schedule over ``steps`` iterations, the counters the run
+    starts from and the RunRecord. At a checkpoint the solver hands over its
+    current predictor; its held-out error costs evaluations on eval_kernel
+    only, and eval_kernel_evals is read after that scoring, so it includes
+    the checkpoint's own cost.
+    """
+
+    def __init__(self, dataset, kernel, steps: int, fields: dict,
+                 test_data=None, eval_kernel=None, timing: bool = False,
+                 metadata: dict | None = None):
+        self.dataset = dataset
+        self.kernel = kernel
+        self.test_data = test_data
+        self.eval_kernel = eval_kernel
+        self.timing = timing
+        self.schedule = geometric_schedule(steps)
+        self.record = RunRecord(metadata={**fields, "rng": RNG_IDENTITY,
+                                          **(metadata or {})})
+        self.start_evals = kernel.eval_count
+        self.start_ns = time.perf_counter_ns()
+
+    def _test_error(self, alpha, bias) -> float:
+        if alpha is None or self.test_data is None or self.eval_kernel is None:
+            return math.nan
+        interim = TrainedModel(alpha=alpha, bias=bias, dataset=self.dataset,
+                               kernel_spec=self.kernel.spec_string,
+                               use_bias=False, kernel_evals=0)
+        scores = score_batch(interim, self.test_data, self.eval_kernel)
+        return float(np.mean(self.test_data.labels * scores <= 0.0))
+
+    def add(self, t: int, hinge: float, alpha, bias: float = 0.0) -> None:
+        """Record iteration t; alpha None means there is no predictor to
+        score (test error nan)."""
+        train_evals = self.kernel.eval_count - self.start_evals
+        test_error = self._test_error(alpha, bias)
+        self.record.add(
+            iteration=t,
+            train_kernel_evals=train_evals,
+            eval_kernel_evals=self.eval_kernel.eval_count if self.eval_kernel else 0,
+            empirical_hinge=hinge,
+            test_zero_one=test_error,
+            wall_clock_ns=(time.perf_counter_ns() - self.start_ns) if self.timing else 0,
+        )
+
+    def model(self, alpha, bias: float = 0.0, use_bias: bool = False,
+              **metadata):
+        """(TrainedModel, RunRecord) of the finished run."""
+        trained = TrainedModel(
+            alpha=alpha, bias=bias, dataset=self.dataset,
+            kernel_spec=self.kernel.spec_string, use_bias=use_bias,
+            kernel_evals=self.kernel.eval_count - self.start_evals,
+            metadata={**self.record.metadata, **metadata},
+        )
+        return trained, self.record

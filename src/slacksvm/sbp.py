@@ -11,17 +11,14 @@ returned model is the averaged iterate rescaled by its own objective value.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .model import SolverError, TrainedModel, score_batch
-from .recording import RunRecord, geometric_schedule
+from .model import SolverError
+from .recording import Checkpointer
 from .waterfill import find_gamma, find_gamma_and_bias, support_set
-
-RNG_IDENTITY = "numpy-pcg64"
 
 
 @dataclass
@@ -149,98 +146,27 @@ def sbp_train(dataset: Dataset, kernel, config: SbpConfig,
               timing: bool = False, metadata: dict | None = None):
     """Run the full training loop; returns (TrainedModel, RunRecord)."""
     rng = np.random.default_rng(config.seed)
-    start_evals = kernel.eval_count
-    start_ns = time.perf_counter_ns()
+    ckpt = Checkpointer(dataset, kernel, config.iterations, {
+        "solver": "sbp", "nu": config.nu, "iterations": config.iterations,
+        "seed": config.seed, "use_bias": config.use_bias,
+    }, test_data, eval_kernel, timing, metadata)
     state = sbp_init(dataset, kernel, config)
-
-    record = RunRecord(metadata={
-        "solver": "sbp",
-        "nu": config.nu,
-        "iterations": config.iterations,
-        "seed": config.seed,
-        "use_bias": config.use_bias,
-        "rng": RNG_IDENTITY,
-        **(metadata or {}),
-    })
-    schedule = geometric_schedule(config.iterations)
     y = dataset.labels
     volume = dataset.n * config.nu
 
     for t in range(1, config.iterations + 1):
         sbp_step(state, dataset, kernel, config, rng)
-        if t in schedule:
+        if t in ckpt.schedule:
             cbar, gamma, bias = _averaged_level(state, y, volume, config.use_bias)
-            hinge = math.nan
-            test_err = math.nan
             if gamma > 0:
                 margins = (cbar + y * bias) / gamma
-                hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
-                if test_data is not None and eval_kernel is not None:
-                    interim = TrainedModel(
-                        alpha=state.alpha_sum / (t * gamma), bias=bias / gamma,
-                        dataset=dataset, kernel_spec=kernel.spec_string,
-                        use_bias=config.use_bias, kernel_evals=0)
-                    scores = score_batch(interim, test_data, eval_kernel)
-                    test_err = float(np.mean(test_data.labels * scores <= 0.0))
-            record.add(
-                iteration=t,
-                train_kernel_evals=kernel.eval_count - start_evals,
-                eval_kernel_evals=(eval_kernel.eval_count if eval_kernel else 0),
-                empirical_hinge=hinge,
-                test_zero_one=test_err,
-                wall_clock_ns=(time.perf_counter_ns() - start_ns) if timing else 0,
-            )
+                ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - margins))),
+                         state.alpha_sum / (t * gamma), bias / gamma)
+            else:
+                ckpt.add(t, math.nan, None)
 
     cbar, gamma, bias = _averaged_level(state, y, volume, config.use_bias)
     if not gamma > 0:
         raise SolverError("no positive margin achieved; solution not rescalable")
-    model = TrainedModel(
-        alpha=state.alpha_sum / (config.iterations * gamma),
-        bias=bias / gamma,
-        dataset=dataset,
-        kernel_spec=kernel.spec_string,
-        use_bias=config.use_bias,
-        kernel_evals=kernel.eval_count - start_evals,
-        metadata=dict(record.metadata),
-    )
-    return model, record
-
-
-@dataclass(frozen=True)
-class RescaleReport:
-    norm: float
-    hinge: float
-    norm_bound: float
-    loss_bound: float
-    norm_ok: bool
-    loss_ok: bool
-
-
-def rescale_check(model: TrainedModel, dataset: Dataset, kernel,
-                  reference_norm: float, reference_loss: float,
-                  eps_bar: float) -> RescaleReport:
-    """Check the rescaled model against the suboptimality bounds
-    ||w|| <= ||u||/(1 - eps*||u||), L(w) <= L(u)/(1 - eps*||u||).
-
-    Computes the exact norm and empirical hinge loss of the model, costing
-    n^2 kernel evaluations; test-only.
-    """
-    denom = 1.0 - eps_bar * reference_norm
-    if denom <= 0:
-        raise ValueError("eps_bar * reference_norm must be below 1")
-    n = dataset.n
-    gram = np.empty((n, n))
-    for j in range(n):
-        gram[:, j] = kernel.row(dataset, j)
-    ay = model.alpha * dataset.labels
-    norm = math.sqrt(max(0.0, float(ay @ gram @ ay)))
-    margins = dataset.labels * (gram @ ay + model.bias)
-    hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
-    norm_bound = reference_norm / denom
-    loss_bound = reference_loss / denom
-    return RescaleReport(
-        norm=norm, hinge=hinge,
-        norm_bound=norm_bound, loss_bound=loss_bound,
-        norm_ok=norm <= norm_bound + 1e-12,
-        loss_ok=hinge <= loss_bound + 1e-12,
-    )
+    return ckpt.model(state.alpha_sum / (config.iterations * gamma),
+                      bias / gamma, config.use_bias)

@@ -4,8 +4,13 @@ Everything here is deliberately naive: sorting, dense grids, brute force.
 Production code must match these, never the other way around.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from slacksvm.data import DataError
+from slacksvm.kernels import KernelOracle
 from slacksvm.waterfill import WaterLevelBias, find_gamma, support_set
 
 
@@ -208,3 +213,81 @@ def sdca_delta_oracle(c_i, alpha_i, k_ii, box, grid_size=None):
         return 0.0
     vertex = (1.0 - c_i) / k_ii
     return min(max(vertex, lo), hi)
+
+
+class PrecomputedGramKernel(KernelOracle):
+    """Gram-matrix lookup.
+
+    Still counts evaluations so reported costs stay comparable across
+    kernel modes. Examples are identified by object identity within the
+    dataset the Gram matrix was built for.
+    """
+
+    def __init__(self, gram: np.ndarray, dataset):
+        super().__init__()
+        gram = np.asarray(gram, dtype=np.float64)
+        if gram.shape != (dataset.n, dataset.n):
+            raise DataError("Gram matrix shape does not match the dataset")
+        self.gram = gram
+        self._index = {id(e): i for i, e in enumerate(dataset.examples)}
+
+    def _lookup(self, example):
+        try:
+            return self._index[id(example)]
+        except KeyError:
+            raise DataError("example is not covered by the precomputed Gram matrix")
+
+    def _pair(self, a, b):
+        return float(self.gram[self._lookup(a), self._lookup(b)])
+
+    def _row(self, dataset, j):
+        cols = [self._lookup(e) for e in dataset.examples]
+        return self.gram[cols, self._lookup(dataset.examples[j])].copy()
+
+    def _cross(self, dataset, rows, other):
+        r = [self._lookup(dataset.examples[i]) for i in rows]
+        c = [self._lookup(e) for e in other.examples]
+        return self.gram[np.ix_(r, c)].copy()
+
+    @property
+    def spec_string(self):
+        return "precomputed"
+
+
+@dataclass(frozen=True)
+class RescaleReport:
+    norm: float
+    hinge: float
+    norm_bound: float
+    loss_bound: float
+    norm_ok: bool
+    loss_ok: bool
+
+
+def rescale_check(model, dataset, kernel, reference_norm: float,
+                  reference_loss: float, eps_bar: float) -> RescaleReport:
+    """Check the rescaled model against the suboptimality bounds
+    ||w|| <= ||u||/(1 - eps*||u||), L(w) <= L(u)/(1 - eps*||u||).
+
+    Computes the exact norm and empirical hinge loss of the model, costing
+    n^2 kernel evaluations.
+    """
+    denom = 1.0 - eps_bar * reference_norm
+    if denom <= 0:
+        raise ValueError("eps_bar * reference_norm must be below 1")
+    n = dataset.n
+    gram = np.empty((n, n))
+    for j in range(n):
+        gram[:, j] = kernel.row(dataset, j)
+    ay = model.alpha * dataset.labels
+    norm = math.sqrt(max(0.0, float(ay @ gram @ ay)))
+    margins = dataset.labels * (gram @ ay + model.bias)
+    hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
+    norm_bound = reference_norm / denom
+    loss_bound = reference_loss / denom
+    return RescaleReport(
+        norm=norm, hinge=hinge,
+        norm_bound=norm_bound, loss_bound=loss_bound,
+        norm_ok=norm <= norm_bound + 1e-12,
+        loss_ok=hinge <= loss_bound + 1e-12,
+    )

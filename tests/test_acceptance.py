@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from slacksvm.baselines import _sdca_loop, pegasos_train, perceptron_train
-from slacksvm.baselines import PegasosConfig, sdca_dual_value
+from slacksvm.baselines import PegasosConfig, PerceptronConfig, sdca_dual_value
 from slacksvm.data import SyntheticSpec, generate
-from slacksvm.kernels import (GaussianKernel, LinearKernel,
-                              PrecomputedGramKernel, kernel_from_spec)
+from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
 from slacksvm.model import TrainedModel, score_batch
 from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
 from slacksvm.waterfill import find_gamma, find_gamma_and_bias, support_set
 
-from oracles import (sdca_delta_oracle, water_level_rows,
-                     water_level_sorted_fast)
+from oracles import (PrecomputedGramKernel, sdca_delta_oracle,
+                     water_level_rows, water_level_sorted_fast)
 
 
 def report(number, name, ok):
@@ -238,8 +237,8 @@ def test_criterion_09_perceptron_mistake_bound():
         x = np.abs(ds.matrix.toarray()[:, 0])
         gamma_star = float(x.min())   # optimal 1-D margin, exact
         radius = float(x.max())
-        model, _ = perceptron_train(ds, LinearKernel(), seed=seed)
-        if model.mistake_count > (radius / gamma_star) ** 2 + 1e-9:
+        model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=seed))
+        if model.metadata["mistakes"] > (radius / gamma_star) ** 2 + 1e-9:
             ok = False
     report(9, "perceptron mistakes within (r/gamma*)^2 on 100 instances", ok)
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from slacksvm.baselines import (PegasosConfig, SdcaConfig, pegasos_train,
-                                perceptron_train, predict, sdca_dual_value,
-                                sdca_train)
+from slacksvm.baselines import (PegasosConfig, PerceptronConfig, SdcaConfig,
+                                pegasos_train, perceptron_train,
+                                sdca_dual_value, sdca_train)
 from slacksvm.data import SyntheticSpec, generate, parse_libsvm
-from slacksvm.kernels import LinearKernel, PrecomputedGramKernel
-from slacksvm.model import TrainedModel
+from slacksvm.kernels import LinearKernel
+from slacksvm.model import TrainedModel, score
 
-from oracles import sdca_delta_oracle
+from oracles import PrecomputedGramKernel, sdca_delta_oracle
 
 
 def margin_instance(n=80, seed=0, margin=0.3):
@@ -132,37 +132,39 @@ class TestSdca:
 class TestPerceptron:
     def test_first_example_is_always_a_mistake(self):
         ds = parse_libsvm("+1 1:1\n-1 1:-1\n")
-        model, _ = perceptron_train(ds, LinearKernel(), seed=0)
-        assert model.mistake_count >= 1
-        assert np.count_nonzero(model.alpha) == model.mistake_count
+        model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=0))
+        assert model.metadata["mistakes"] >= 1
+        assert np.count_nonzero(model.alpha) == model.metadata["mistakes"]
 
     def test_cost_tracks_support_size(self):
         ds = margin_instance(n=30, seed=1)
         kernel = LinearKernel()
-        model, record = perceptron_train(ds, kernel, seed=0)
+        model, record = perceptron_train(ds, kernel, PerceptronConfig(seed=0))
         # Total cost = sum over examples of support size at visit time,
         # which is at most M * n.
-        assert kernel.eval_count <= model.mistake_count * ds.n
+        assert kernel.eval_count <= model.metadata["mistakes"] * ds.n
+        assert model.kernel_evals == kernel.eval_count
 
     def test_mistake_bound_on_separable_data(self):
         for seed in range(10):
             ds = margin_instance(n=60, seed=seed, margin=0.4)
-            model, _ = perceptron_train(ds, LinearKernel(), seed=seed)
+            model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=seed))
             radius = float(np.sqrt(ds.norms.max()))
-            assert model.mistake_count <= (radius / 0.4) ** 2 + 1e-9
+            assert model.metadata["mistakes"] <= (radius / 0.4) ** 2 + 1e-9
 
     def test_determinism(self):
         ds = margin_instance(n=40, seed=3)
-        m1, _ = perceptron_train(ds, LinearKernel(), seed=7)
-        m2, _ = perceptron_train(ds, LinearKernel(), seed=7)
+        m1, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=7))
+        m2, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=7))
         assert np.array_equal(m1.alpha, m2.alpha)
 
     def test_multi_pass_flagged(self):
         ds = margin_instance(n=20, seed=0)
-        _, record = perceptron_train(ds, LinearKernel(), seed=0, passes=3)
+        _, record = perceptron_train(ds, LinearKernel(),
+                                     PerceptronConfig(passes=3, seed=0))
         assert record.metadata["beyond_single_pass"] is True
         with pytest.raises(ValueError):
-            perceptron_train(ds, LinearKernel(), seed=0, passes=0)
+            PerceptronConfig(passes=0)
 
 
 class TestPredict:
@@ -170,18 +172,17 @@ class TestPredict:
         ds = parse_libsvm("+1 1:1\n")
         model = TrainedModel(alpha=np.zeros(1), bias=0.25, dataset=ds,
                              kernel_spec="linear", use_bias=True, kernel_evals=0)
-        assert predict(model, ds.examples[0], LinearKernel()) == 0.25
+        assert score(model, ds.examples[0], LinearKernel()) == 0.25
 
     def test_single_support_vector(self):
         ds = parse_libsvm("+1 1:0.5\n")
         model = TrainedModel(alpha=np.array([1.0]), bias=0.0, dataset=ds,
                              kernel_spec="linear", use_bias=False, kernel_evals=0)
-        assert predict(model, ds.examples[0], LinearKernel()) == pytest.approx(0.25)
+        assert score(model, ds.examples[0], LinearKernel()) == pytest.approx(0.25)
 
     def test_cost_is_support_size(self):
         ds = margin_instance(n=20, seed=0)
-        model, _ = perceptron_train(ds, LinearKernel(), seed=0)
-        tm = model.to_trained_model(ds, "linear")
+        model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=0))
         k = LinearKernel()
-        predict(tm, ds.examples[0], k)
-        assert k.eval_count == tm.support_size
+        score(model, ds.examples[0], k)
+        assert k.eval_count == model.support_size

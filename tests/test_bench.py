@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from slacksvm.bench import (calibrate_nu, fourier_plan, load_dataset,
-                            parse_plan, run_plan, write_run_csv)
+from slacksvm.bench import (SOLVER_KINDS, calibrate_nu, fourier_plan,
+                            load_dataset, parse_plan, run_plan, train_solver,
+                            write_run_csv)
 from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
 from slacksvm.kernels import LinearKernel, kernel_from_spec
 from slacksvm.model import SolverError
@@ -39,18 +40,38 @@ class TestPlanParsing:
         assert [s.name for s in plan.solvers] == ["peg", "sbp"]
         assert plan.solvers[1].params["nu"] == "0.1"
 
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_plan("dataset synthetic\n")
-        with pytest.raises(ValueError):
-            parse_plan("kernel = linear\nsolver.a.kind = sbp\n")  # no dataset
-        with pytest.raises(ValueError):
-            parse_plan("dataset = x\nkernel = linear\n"
-                       "solver.a.kind = magic\n")
-        with pytest.raises(ValueError):
-            parse_plan("dataset = x\nkernel = linear\n")  # no solvers
-        with pytest.raises(ValueError):
-            parse_plan(PLAN + "solver.bad.extra.deep = 1\n")
+    @pytest.mark.parametrize("text, message", [
+        ("dataset synthetic\n", "line 1: expected key = value"),
+        ("kernel = linear\nsolver.a.kind = sbp\n", "must set dataset"),
+        ("dataset = x\nkernel = linear\nsolver.a.kind = magic\n",
+         "line 3: .*unknown solver kind 'magic'"),
+        ("dataset = x\nkernel = linear\n", "at least one solver"),
+        (PLAN + "solver.bad.extra.deep = 1\n", "line 16: use solver.NAME.KEY"),
+        (PLAN + "reapet = 5\n", "line 16: unknown key 'reapet'"),
+        (PLAN + "solver.sbp.itres = 7\n", "line 16: .*no parameter 'itres'"),
+        (PLAN + "solver.peg.bias = 1\n", "line 16: .*pegasos takes no parameter 'bias'"),
+        (PLAN + "solver.peg.nu = abc\n", "line 16: .*no parameter 'nu'"),
+        (PLAN + "solver.sbp.nu = abc\n", "line 16: .*unreadable value 'abc'"),
+        (PLAN + "solver.sbp.bias = maybe\n", "line 16: .*unreadable value 'maybe'"),
+        (PLAN + "solver.p.kind = perceptron\nsolver.p.iters = 5\n",
+         "line 17: .*perceptron takes no parameter 'iters'"),
+        (PLAN.replace("repeat = 3", "repeat = three"), "line 6: unreadable value 'three'"),
+        (PLAN + "timing = sometimes\n", "line 16: unreadable value 'sometimes'"),
+    ], ids=["no-equals", "no-dataset", "unknown-kind", "no-solvers",
+            "deep-solver-key", "top-level-typo", "solver-key-typo",
+            "key-of-other-kind", "other-kind-key-unreadable", "unreadable-value",
+            "unreadable-flag", "perceptron-iters", "unreadable-repeat",
+            "unreadable-timing"])
+    def test_rejects_garbage(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_plan(text)
+
+    def test_range_errors_stay_per_run_failures(self, tmp_path):
+        plan = parse_plan(PLAN.replace("solver.sbp.iters = 60",
+                                       "solver.sbp.iters = 0"))
+        result = run_plan(plan, out_dir=str(tmp_path))
+        assert set(result["failures"]) == {("sbp", 10), ("sbp", 11), ("sbp", 12)}
+        assert "iterations must be at least 1" in result["failures"][("sbp", 10)]
 
 
 class TestDatasetSpecs:
@@ -123,6 +144,20 @@ solver.sdca.iters = 30
         assert ("sdca", 0) in result["runs"]
         if result["failures"]:
             assert (tmp_path / "failures.txt").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
+def test_last_sample_counts_every_held_out_eval(kind):
+    # eval_kernel_evals is read after the checkpoint is scored, so the last
+    # sample of a run covers every held-out evaluation the run made.
+    train = generate(SyntheticSpec(kind="two_gaussians", n=60, seed=1))
+    test = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=2))
+    params = {} if kind == "perceptron" else {"iters": "40"}
+    eval_kernel = LinearKernel()
+    _, record = train_solver(kind, params, train, LinearKernel(), 0,
+                             test, eval_kernel)
+    assert eval_kernel.eval_count > 0
+    assert record.samples[-1].eval_kernel_evals == eval_kernel.eval_count
 
 
 def test_run_csv_schema(tmp_path):
@@ -285,6 +320,26 @@ class TestCli:
                          "--iters", "50", "--out", str(tmp_path / "f"))
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "f" / "fourier.csv").exists()
+
+    @pytest.mark.parametrize("flags", [("--solver", "pegasos", "--bias"),
+                                       ("--solver", "perceptron", "--iters", "5"),
+                                       ("--solver", "sbp", "--lambda", "0.1"),
+                                       ("--solver", "sbp", "--nu", "abc")])
+    def test_flag_the_solver_does_not_take_is_2(self, tmp_path, flags):
+        out = tmp_path / "out"
+        r = self.run_cli("train", "synthetic:two_gaussians:n=20,seed=1",
+                         *flags, "--out", str(out))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and "error" in r.stderr
+        assert not out.exists()
+
+    def test_plan_typo_is_2(self, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(PLAN + "solver.sbp.itres = 7\n")
+        r = self.run_cli("bench", str(plan), "--out", str(tmp_path / "bench"))
+        assert r.returncode == 2
+        assert "line 16" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "bench").exists()
 
     def test_fourier_rejects_linear_kernel(self, tmp_path):
         f = tmp_path / "d.txt"

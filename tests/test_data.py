@@ -3,8 +3,10 @@ import pytest
 
 from slacksvm.data import (DataError, Dataset, SparseExample, SyntheticSpec,
                            evaluate, generate, parse_libsvm, serialize_libsvm)
-from slacksvm.kernels import LinearKernel, PrecomputedGramKernel
+from slacksvm.kernels import LinearKernel
 from slacksvm.model import TrainedModel
+
+from oracles import PrecomputedGramKernel
 
 
 class TestParse:

@@ -7,8 +7,10 @@ from slacksvm.data import SyntheticSpec, generate, parse_libsvm
 from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
 from slacksvm.model import (SolverError, deserialize_model, load_model,
                             save_model, score_batch, serialize_model)
-from slacksvm.sbp import SbpConfig, rescale_check, sbp_init, sbp_step, sbp_train
+from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
 from slacksvm.waterfill import find_gamma
+
+from oracles import rescale_check
 
 
 def train_pair(n=60, seed=0, **cfg):
