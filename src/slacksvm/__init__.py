@@ -16,8 +16,7 @@ from .model import (SolverError, TrainedModel, load_model, save_model, score,
                     score_batch, serialize_model, deserialize_model)
 from .recording import Checkpointer, RunRecord, Sample, geometric_schedule
 from .sbp import SbpConfig, SbpState, sbp_init, sbp_step, sbp_train
-from .waterfill import (WaterLevel, WaterLevelBias, find_gamma,
-                        find_gamma_and_bias, objective_value, support_set)
+from .waterfill import find_gamma, find_gamma_and_bias, support_set
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,10 +16,11 @@ import numpy as np
 from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_loop,
                         pegasos_train, perceptron_train, sdca_dual_value,
                         sdca_train)
-from .data import DataError, Dataset, SyntheticSpec, generate, parse_libsvm
+from .data import (DataError, Dataset, SyntheticSpec, evaluate, generate,
+                   parse_libsvm)
 from .fourier import linearize, make_fourier_map
 from .kernels import kernel_from_spec
-from .model import SolverError, score_batch
+from .model import SolverError
 from .recording import RunRecord
 from .sbp import SbpConfig, sbp_train
 
@@ -350,16 +351,14 @@ def calibrate_nu(dataset: Dataset, kernel, lam: float, budget: int,
 
 
 def fourier_plan(dataset: Dataset, sigma_sq: float, k_list, lam: float,
-                 iterations: int, test_data: Dataset, seed: int = 0,
-                 kernel_records=None) -> str:
-    """CSV comparing linearized-feature training against kernel solvers on a
-    shared cost axis of d-dimensional inner products.
+                 iterations: int, test_data: Dataset, seed: int = 0) -> str:
+    """CSV of linearized-feature training on a cost axis of d-dimensional
+    inner products, the unit of one Gaussian kernel evaluation (thanks to
+    cached self-norms).
 
     For each k: build the map, linearize train and test sets (k inner
     products per example), train linear Pegasos on the features, report
-    held-out error. Kernel-solver curves passed via kernel_records are
-    emitted in the same unit (one Gaussian kernel evaluation costs one inner
-    product thanks to cached self-norms).
+    held-out error.
     """
     k_list = list(k_list)
     if not k_list:
@@ -377,19 +376,10 @@ def fourier_plan(dataset: Dataset, sigma_sq: float, k_list, lam: float,
         lin_kernel = kernel_from_spec("linear")
         config = PegasosConfig(lam=lam, iterations=iterations, seed=seed)
         model, _ = pegasos_train(lin_train, lin_kernel, config)
-        eval_kernel = kernel_from_spec("linear")
-        scores = score_batch(model, lin_test, eval_kernel)
-        err = float(np.mean(lin_test.labels * scores <= 0.0))
+        err = evaluate(model, lin_test, kernel_from_spec("linear"))[1]
         lines.append(",".join((
             "fourier", str(int(k)),
             str(fmap.inner_product_count),
             _fmt(err),
         )))
-    for name, record in (kernel_records or {}).items():
-        for s in record.samples:
-            lines.append(",".join((
-                name, "0",
-                str(s.train_kernel_evals),
-                _fmt(float(s.test_zero_one)),
-            )))
     return "\n".join(lines) + "\n"

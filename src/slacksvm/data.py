@@ -19,7 +19,8 @@ class SparseExample:
 
     Indices are 0-based and strictly ascending; explicit zeros are never
     stored; the label is -1 or +1. The squared norm is cached at
-    construction so kernels never pay for it.
+    construction so kernels never pay for it, and must be finite: that
+    rejects nan and inf values, and values whose squares overflow.
     """
 
     __slots__ = ("indices", "values", "label", "norm_sq")
@@ -42,6 +43,8 @@ class SparseExample:
         self.values = values
         self.label = int(label)
         self.norm_sq = float(values @ values)
+        if not math.isfinite(self.norm_sq):
+            raise DataError("feature values must be finite with a finite squared norm")
 
     def dense(self, dimension: int) -> np.ndarray:
         out = np.zeros(dimension)
@@ -167,7 +170,10 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
             if val != 0.0:
                 indices.append(idx - 1)
                 values.append(val)
-        examples.append(SparseExample(indices, values, label))
+        try:
+            examples.append(SparseExample(indices, values, label))
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
     if not examples:
         raise DataError("no examples found")
     return Dataset(examples)

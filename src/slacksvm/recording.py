@@ -7,9 +7,8 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
-from .model import TrainedModel, score_batch
+from .data import evaluate
+from .model import TrainedModel
 
 RNG_IDENTITY = "numpy-pcg64"
 
@@ -80,8 +79,7 @@ class Checkpointer:
         interim = TrainedModel(alpha=alpha, bias=bias, dataset=self.dataset,
                                kernel_spec=self.kernel.spec_string,
                                use_bias=False, kernel_evals=0)
-        scores = score_batch(interim, self.test_data, self.eval_kernel)
-        return float(np.mean(self.test_data.labels * scores <= 0.0))
+        return evaluate(interim, self.test_data, self.eval_kernel)[1]
 
     def add(self, t: int, hinge: float, alpha, bias: float = 0.0) -> None:
         """Record iteration t; alpha None means there is no predictor to

@@ -20,6 +20,9 @@ from .model import SolverError
 from .recording import Checkpointer
 from .waterfill import find_gamma, find_gamma_and_bias, support_set
 
+# Steps between recomputations of the tracked norm from alpha and responses.
+_NORM_RECOMPUTE_PERIOD = 1000
+
 
 @dataclass
 class SbpConfig:
@@ -27,16 +30,12 @@ class SbpConfig:
     iterations: int
     seed: int = 0
     use_bias: bool = False
-    eta0_override: float | None = None
-    norm_recompute_period: int = 1000
 
     def __post_init__(self):
         if not self.nu >= 0:
             raise ValueError("nu must be non-negative")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.norm_recompute_period < 1:
-            raise ValueError("norm_recompute_period must be positive")
 
 
 @dataclass
@@ -54,15 +53,11 @@ class SbpState:
 
 
 def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
-    """Zero state; eta0 = 1/sqrt(max_i K(x_i, x_i)) (n kernel evaluations)
-    unless overridden."""
+    """Zero state; eta0 = 1/sqrt(max_i K(x_i, x_i)) (n kernel evaluations)."""
     n = dataset.n
     if config.use_bias and (np.all(dataset.labels > 0) or np.all(dataset.labels < 0)):
         raise SolverError("bias mode requires both classes in the training set")
-    if config.eta0_override is not None:
-        eta0 = float(config.eta0_override)
-    else:
-        eta0 = 1.0 / math.sqrt(float(kernel.diag(dataset).max()))
+    eta0 = 1.0 / math.sqrt(float(kernel.diag(dataset).max()))
     return SbpState(
         alpha=np.zeros(n),
         responses=np.zeros(n),
@@ -75,22 +70,16 @@ def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
     )
 
 
-def _sample_covered(shifted, gamma, y, use_bias, rng):
-    """Pick the update index from the water-covered set.
+def _sample_covered(shifted, gamma, y, rng):
+    """Pick the bias-mode update index from a class's covered basin.
 
-    Bias mode first flips a fair coin for the class, then samples uniformly
-    within that class's covered basin, so the sampling distribution places
-    equal mass on the two classes.
+    A fair coin picks the class, then the index is uniform within that
+    class's covered set, so the sampling distribution places equal mass on
+    the two classes.
     """
-    if not use_bias:
-        idx = support_set(shifted, gamma)
-        return int(idx[rng.integers(idx.size)])
     sign = 1.0 if rng.integers(2) == 0 else -1.0
     cls = np.flatnonzero(y == sign)
-    tol = 1e-12 * max(1.0, abs(gamma.gamma))
-    idx = cls[shifted[cls] < gamma.gamma - tol]
-    if idx.size == 0:
-        idx = cls[shifted[cls] <= gamma.gamma + tol]
+    idx = cls[support_set(shifted[cls], gamma)]
     if idx.size == 0:
         # Basin entirely dry: fall back to the class argmin.
         idx = cls[shifted[cls] == shifted[cls].min()]
@@ -105,14 +94,12 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     volume = dataset.n * config.nu
 
     if config.use_bias:
-        wlb = find_gamma_and_bias(state.responses, y, volume)
-        state.bias = wlb.bias
-        shifted = state.responses + y * wlb.bias
-        i = _sample_covered(shifted, wlb, y, True, rng)
+        gamma, state.bias = find_gamma_and_bias(state.responses, y, volume)
+        i = _sample_covered(state.responses + y * state.bias, gamma, y, rng)
     else:
-        wl = find_gamma(state.responses, volume, start=state.level)
-        state.level = wl.gamma
-        i = _sample_covered(state.responses, wl, y, False, rng)
+        state.level = find_gamma(state.responses, volume, start=state.level)
+        idx = support_set(state.responses, state.level)
+        i = int(idx[rng.integers(idx.size)])
 
     row = kernel.row(dataset, i)  # n evaluations
     c_old_i = state.responses[i]
@@ -125,7 +112,7 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
         state.responses /= r
         state.norm_sq = 1.0
     state.t = t
-    if t % config.norm_recompute_period == 0:
+    if t % _NORM_RECOMPUTE_PERIOD == 0:
         # Reset accumulated floating-point drift in the tracked norm.
         state.norm_sq = float(state.alpha @ state.responses)
     state.alpha_sum += state.alpha
@@ -136,9 +123,8 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
 def _averaged_level(state: SbpState, y, volume, use_bias):
     cbar = state.response_sum / state.t
     if use_bias:
-        wlb = find_gamma_and_bias(cbar, y, volume)
-        return cbar, wlb.gamma, wlb.bias
-    return cbar, find_gamma(cbar, volume).gamma, 0.0
+        return cbar, *find_gamma_and_bias(cbar, y, volume)
+    return cbar, find_gamma(cbar, volume), 0.0
 
 
 def sbp_train(dataset: Dataset, kernel, config: SbpConfig,

@@ -30,7 +30,6 @@ midpoint is taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +40,6 @@ _PIVOT_SEED = 0x5EED
 # selection. Starts from the previous SBP iteration need 3-6; far starts
 # on floors spread over many orders of magnitude can need hundreds.
 _MAX_NEWTON_PASSES = 16
-
-
-@dataclass(frozen=True)
-class WaterLevel:
-    gamma: float
-    covered_count: int
-    covered_sum: float
-
-
-@dataclass(frozen=True)
-class WaterLevelBias:
-    gamma: float
-    bias: float
-    covered_pos: int
-    covered_neg: int
 
 
 def _water_level(c: np.ndarray, volume: float) -> float:
@@ -107,15 +91,6 @@ def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
     return None
 
 
-def _covered(c: np.ndarray, gamma: float, volume: float):
-    if volume > 0.0:
-        mask = c < gamma
-    else:
-        tol = 1e-12 * max(1.0, abs(gamma))
-        mask = np.abs(c - gamma) <= tol
-    return int(np.count_nonzero(mask)), float(c[mask].sum())
-
-
 def _responses(c) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1 or c.size == 0:
@@ -130,7 +105,7 @@ def _check_volume(volume: float) -> None:
         raise ValueError("volume must be finite and non-negative")
 
 
-def find_gamma(c, volume: float, start: float | None = None) -> WaterLevel:
+def find_gamma(c, volume: float, start: float | None = None) -> float:
     """Find the water level for responses c and slack volume >= 0.
 
     Without start, a randomized quickselect on a fixed-seed pivot stream
@@ -145,35 +120,26 @@ def find_gamma(c, volume: float, start: float | None = None) -> WaterLevel:
     if start is not None and not math.isfinite(start):
         raise ValueError("start level must be finite")
     if volume == 0.0:
-        gamma = float(c.min())
-    else:
-        gamma = None if start is None else _newton_level(c, float(volume), float(start))
-        if gamma is None:
-            gamma = _water_level(c, float(volume))
-    count, total = _covered(c, gamma, volume)
-    return WaterLevel(gamma=gamma, covered_count=count, covered_sum=total)
+        return float(c.min())
+    gamma = None if start is None else _newton_level(c, float(volume), float(start))
+    if gamma is None:
+        gamma = _water_level(c, float(volume))
+    return gamma
 
 
-def support_set(c, level: WaterLevel, tol: float | None = None) -> np.ndarray:
-    """Indices to sample supergradients from: strictly-below-level points,
-    or the at-level set when nothing is strictly below (separable case)."""
+def support_set(c, gamma: float) -> np.ndarray:
+    """Indices to sample supergradients from: the covered set of level gamma.
+
+    These are the points strictly below the level, or the at-level set when
+    nothing is strictly below (separable case); both within a tolerance of
+    1e-12 relative to the level.
+    """
     c = np.asarray(c, dtype=np.float64)
-    gamma = level.gamma
-    if tol is None:
-        tol = 1e-12 * max(1.0, abs(gamma))
+    tol = 1e-12 * max(1.0, abs(gamma))
     strict = np.flatnonzero(c < gamma - tol)
     if strict.size:
         return strict
     return np.flatnonzero(c <= gamma + tol)
-
-
-def objective_value(c, volume: float) -> float:
-    """Slack-constrained objective at the predictor producing responses c.
-
-    Equals the water level: the optimal slack fills the lowest responses to
-    a common level and the adversarial distribution concentrates there.
-    """
-    return find_gamma(c, volume).gamma
 
 
 def _midpoint_level(a: np.ndarray, b: np.ndarray, k: int, s: float) -> float:
@@ -189,7 +155,7 @@ def _midpoint_level(a: np.ndarray, b: np.ndarray, k: int, s: float) -> float:
     return 0.5 * float(lo + hi)
 
 
-def find_gamma_and_bias(c, y, volume: float) -> WaterLevelBias:
+def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
     """Jointly find the water level and the unregularized bias.
 
     Maximizes gamma(b), the water level of the shifted responses
@@ -199,9 +165,8 @@ def find_gamma_and_bias(c, y, volume: float) -> WaterLevelBias:
     optimal bias b = gamma - u = v - gamma, where u and v = s - u are the
     two class levels, fills an interval; b is taken from the midpoints of
     u's and v's intervals, which keeps b deterministic, equalizes two-point
-    instances and negates b exactly under a label flip. The covered counts
-    follow support_set's rule: strictly below the level, or at it when
-    nothing is strictly below.
+    instances and negates b exactly under a label flip. Returns
+    (gamma, b).
     """
     c = _responses(c)
     y = np.asarray(y, dtype=np.float64)
@@ -217,17 +182,8 @@ def find_gamma_and_bias(c, y, volume: float) -> WaterLevelBias:
 
     m = min(p.size, q.size)
     floors = p[:m] + q[:m]
-    s = find_gamma(floors, volume).gamma
+    s = find_gamma(floors, volume)
     k = int(np.searchsorted(floors, s))
     u = _midpoint_level(p, q, k, s)
     v = _midpoint_level(q, p, k, s)
-    gamma = 0.5 * s
-
-    tol = 1e-12 * max(1.0, abs(gamma))
-    pos = int(np.searchsorted(p, u - tol))
-    neg = int(np.searchsorted(q, v - tol))
-    if pos + neg == 0:
-        pos = int(np.searchsorted(p, u + tol, side="right"))
-        neg = int(np.searchsorted(q, v + tol, side="right"))
-    return WaterLevelBias(gamma=gamma, bias=0.5 * (v - u),
-                          covered_pos=pos, covered_neg=neg)
+    return 0.5 * s, 0.5 * (v - u)

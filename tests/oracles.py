@@ -11,7 +11,7 @@ import numpy as np
 
 from slacksvm.data import DataError
 from slacksvm.kernels import KernelOracle
-from slacksvm.waterfill import WaterLevelBias, find_gamma, support_set
+from slacksvm.waterfill import find_gamma, support_set
 
 
 def water_level_sorted(c, volume):
@@ -101,14 +101,14 @@ def bias_grid_values(c, y, volume, grid):
 def _slope_counts(c, y, b, volume):
     """Covered counts per class at bias b (d gamma / d b has sign k+ - k-)."""
     shifted = c + y * b
-    level = find_gamma(shifted, volume)
-    idx = support_set(shifted, level)
+    idx = support_set(shifted, find_gamma(shifted, volume))
     pos = int(np.count_nonzero(y[idx] > 0))
     return pos, idx.size - pos
 
 
-def bias_level_bisection(c, y, volume: float, max_iter: int = 200) -> WaterLevelBias:
-    """Jointly find the water level and the unregularized bias by bisection.
+def bias_level_bisection(c, y, volume: float, max_iter: int = 200):
+    """Jointly find the water level and the unregularized bias by bisection;
+    returns (gamma, bias).
 
     Maximizes gamma(b), the water level of the shifted responses
     c_i + y_i * b, over b. gamma(b) is concave with slope of the same sign
@@ -154,12 +154,7 @@ def bias_level_bisection(c, y, volume: float, max_iter: int = 200) -> WaterLevel
             b = 0.5 * (lo + hi)
             break
 
-    shifted = c + y * b
-    level = find_gamma(shifted, volume)
-    idx = support_set(shifted, level)
-    pos = int(np.count_nonzero(y[idx] > 0))
-    return WaterLevelBias(gamma=level.gamma, bias=float(b),
-                          covered_pos=pos, covered_neg=idx.size - pos)
+    return find_gamma(c + y * b, volume), float(b)
 
 
 def slack_objective_dense(w, x, labels, nu):

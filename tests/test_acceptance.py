@@ -40,7 +40,7 @@ def test_criterion_01_waterfill_oracle_equivalence():
         n = int(rng.integers(1, 201))
         c = rng.standard_normal(n)
         volume = float(rng.uniform(0.0, 2.0 * n))
-        got = find_gamma(c, volume).gamma
+        got = find_gamma(c, volume)
         want = water_level_sorted_fast(c, volume)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     elapsed = time.perf_counter() - start
@@ -77,11 +77,11 @@ def test_criterion_03_bias_waterfill_optimality():
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         y[0], y[-1] = 1.0, -1.0
         volume = float(rng.uniform(0.0, n))
-        wlb = find_gamma_and_bias(c, y, volume)
+        gamma, _ = find_gamma_and_bias(c, y, volume)
         grid = np.linspace(-8.0, 8.0, 1000)
         shifted = c[None, :] + np.outer(grid, np.ones(n)) * y[None, :]
         best = water_level_rows(shifted, volume).max()
-        gap = best - wlb.gamma
+        gap = best - gamma
         worst_gap = max(worst_gap, gap)
         if gap > 1e-6:
             ok = False
@@ -97,7 +97,7 @@ def test_criterion_04_supergradient_inequality():
     volume = n * nu
 
     def f(w):
-        return find_gamma(y * (x @ w), volume).gamma
+        return find_gamma(y * (x @ w), volume)
 
     ok = True
     for _ in range(10):
@@ -158,7 +158,7 @@ def test_criterion_06_convergence_rate():
         sbp_step(state, ds, kernel, config, rng)
         if t in (100, 400, 1600):
             cbar = state.response_sum / t
-            eps[t] = f_star - find_gamma(cbar, 0.0).gamma
+            eps[t] = f_star - find_gamma(cbar, 0.0)
     decreasing = eps[100] > eps[400] > eps[1600] > 0
     c_fit = eps[100] * math.sqrt(100)
     ratios = [eps[t] * math.sqrt(t) / c_fit for t in (400, 1600)]

@@ -271,6 +271,13 @@ class TestCli:
         assert r.returncode == 3
         assert "line 1" in r.stderr and "Traceback" not in r.stderr
 
+    def test_overflowing_square_is_3(self, tmp_path):
+        bad = tmp_path / "big.txt"
+        bad.write_text("-1 1:1\n+1 1:1e200\n")
+        r = self.run_cli("train", str(bad), "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert "line 2" in r.stderr and "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("spec", ["synthetic:two_gaussians:n=10,foo=1",
                                       "synthetic:nope",
                                       "synthetic:two_gaussians:n=ten"])

@@ -69,6 +69,14 @@ class TestSparseExample:
         with pytest.raises(DataError):
             SparseExample([0], [1.0], 2)  # bad label
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e200],
+                             ids=["nan", "neg-inf", "square-overflows"])
+    def test_non_finite_rejected(self, value):
+        # 1e200 is finite, but its square is not: K(x, x) would be inf and
+        # the Gaussian kernel nan.
+        with pytest.raises(DataError, match="finite"):
+            SparseExample([0, 1], [1.0, value], 1)
+
     def test_norm_cached(self):
         e = SparseExample([0, 2], [3.0, 4.0], -1)
         assert e.norm_sq == 25.0

@@ -33,12 +33,6 @@ class TestInit:
         state = sbp_init(ds, LinearKernel(), SbpConfig(nu=0.1, iterations=1))
         assert state.eta0 == 0.5
 
-    def test_eta0_override(self):
-        ds = parse_libsvm("+1 1:2\n")
-        state = sbp_init(ds, LinearKernel(),
-                         SbpConfig(nu=0.1, iterations=1, eta0_override=0.1))
-        assert state.eta0 == 0.1
-
     def test_init_costs_n_evals(self):
         ds = parse_libsvm("+1 1:1\n-1 1:-1\n+1 2:1\n")
         k = LinearKernel()

@@ -48,3 +48,8 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     # Pegasos's span work is read from args[2].iterations: the config stays
     # the third positional argument.
     assert tracer.stats["baselines.pegasos_train"].work == 20
+    # The water-level metrics read these spans: every SBP step takes its
+    # covered set from waterfill.support_set and its level from find_gamma
+    # (the checkpoints add more find_gamma calls).
+    assert tracer.stats["waterfill.support_set"].calls == 20
+    assert tracer.stats["waterfill.find_gamma"].calls >= 20

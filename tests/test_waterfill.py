@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slacksvm.waterfill import (_newton_level, find_gamma, find_gamma_and_bias,
-                                objective_value, support_set)
+                                support_set)
 
 from oracles import bias_grid_values, bias_level_bisection, water_level_sorted
 
@@ -16,29 +16,32 @@ response_vectors = hnp.arrays(np.float64, st.integers(1, 120),
 
 
 def test_two_units_of_water():
-    wl = find_gamma([0.0, 1.0, 5.0], 2.0)
-    assert wl.gamma == pytest.approx(1.5)
-    assert wl.covered_count == 2
-    assert wl.covered_sum == pytest.approx(1.0)
+    c = [0.0, 1.0, 5.0]
+    gamma = find_gamma(c, 2.0)
+    assert gamma == pytest.approx(1.5)
+    assert support_set(c, gamma).tolist() == [0, 1]
 
 
 def test_everything_submerged():
     # 20 units cover all three floors: gamma = (20 + 6) / 3.
-    wl = find_gamma([0.0, 1.0, 5.0], 20.0)
-    assert wl.gamma == pytest.approx(26.0 / 3.0)
-    assert wl.covered_count == 3
+    c = [0.0, 1.0, 5.0]
+    gamma = find_gamma(c, 20.0)
+    assert gamma == pytest.approx(26.0 / 3.0)
+    assert support_set(c, gamma).tolist() == [0, 1, 2]
 
 
 def test_zero_volume_is_the_minimum():
-    wl = find_gamma([3.0, 1.0, 2.0], 0.0)
-    assert wl.gamma == 1.0
-    assert wl.covered_count == 1
+    c = [3.0, 1.0, 2.0]
+    gamma = find_gamma(c, 0.0)
+    assert gamma == 1.0
+    assert support_set(c, gamma).tolist() == [1]
 
 
 def test_all_equal_floors():
-    wl = find_gamma([2.0, 2.0, 2.0, 2.0], 4.0)
-    assert wl.gamma == pytest.approx(3.0)
-    assert wl.covered_count == 4
+    c = [2.0, 2.0, 2.0, 2.0]
+    gamma = find_gamma(c, 4.0)
+    assert gamma == pytest.approx(3.0)
+    assert support_set(c, gamma).tolist() == [0, 1, 2, 3]
 
 
 def test_rejects_bad_input():
@@ -73,7 +76,7 @@ def test_rejects_non_finite(call):
 @given(response_vectors, st.floats(min_value=0.0, max_value=500.0))
 @settings(max_examples=300, deadline=None)
 def test_matches_sorted_oracle(c, volume):
-    got = find_gamma(c, volume).gamma
+    got = find_gamma(c, volume)
     want = water_level_sorted(c, volume)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -81,7 +84,7 @@ def test_matches_sorted_oracle(c, volume):
 @given(response_vectors, st.floats(min_value=1e-9, max_value=500.0))
 @settings(max_examples=300, deadline=None)
 def test_volume_conservation(c, volume):
-    gamma = find_gamma(c, volume).gamma
+    gamma = find_gamma(c, volume)
     filled = np.maximum(0.0, gamma - c).sum()
     assert filled == pytest.approx(volume, rel=1e-9, abs=1e-9 * max(1.0, volume))
 
@@ -91,15 +94,15 @@ def test_volume_conservation(c, volume):
 @settings(max_examples=200, deadline=None)
 def test_monotone_in_volume(c, v1, v2):
     lo, hi = sorted((v1, v2))
-    assert find_gamma(c, lo).gamma <= find_gamma(c, hi).gamma + 1e-12
+    assert find_gamma(c, lo) <= find_gamma(c, hi) + 1e-12
 
 
 @given(response_vectors, st.floats(min_value=0.0, max_value=100.0),
        finite_floats)
 @settings(max_examples=200, deadline=None)
 def test_shift_equivariance(c, volume, shift):
-    base = find_gamma(c, volume).gamma
-    shifted = find_gamma(c + shift, volume).gamma
+    base = find_gamma(c, volume)
+    shifted = find_gamma(c + shift, volume)
     assert shifted == pytest.approx(base + shift, rel=1e-9, abs=1e-9)
 
 
@@ -108,9 +111,9 @@ def test_shift_equivariance(c, volume, shift):
 def test_flood_limit(c):
     # With enough water everything is covered: gamma = (v + sum) / n.
     v = float(np.abs(c).sum() + c.size * 100.0)
-    wl = find_gamma(c, v)
-    assert wl.covered_count == c.size
-    assert wl.gamma == pytest.approx((v + c.sum()) / c.size, rel=1e-9)
+    gamma = find_gamma(c, v)
+    assert support_set(c, gamma).size == c.size
+    assert gamma == pytest.approx((v + c.sum()) / c.size, rel=1e-9)
 
 
 @st.composite
@@ -128,17 +131,14 @@ def test_warm_start_matches_cold(instance):
     c, volume, start = instance
     got = find_gamma(c, volume, start=start)
     want = find_gamma(c, volume)
-    tol = 1e-12 * max(1.0, abs(want.gamma), float(np.abs(c).max()))
-    assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=tol)
-    if got.gamma == want.gamma:
-        assert got == want
-    else:
-        # Levels a rounding apart can disagree only on a floor tied with the
-        # level: it holds no water, and the last bit decides if it counts.
-        lo = int(np.count_nonzero(c < want.gamma - tol))
-        hi = int(np.count_nonzero(c < want.gamma + tol))
-        assert lo <= got.covered_count <= hi
-        assert lo <= want.covered_count <= hi
+    tol = 1e-12 * max(1.0, abs(want), float(np.abs(c).max()))
+    assert got == pytest.approx(want, rel=1e-12, abs=tol)
+    # Levels a rounding apart can disagree only on a floor tied with the
+    # level: it holds no water, and the last bit decides if it is covered.
+    differ = np.setxor1d(support_set(c, got), support_set(c, want))
+    if got == want:
+        assert differ.size == 0
+    assert (np.abs(c[differ] - want) <= 2.0 * tol).all()
 
 
 def test_warm_start_falls_back_to_selection():
@@ -149,7 +149,7 @@ def test_warm_start_falls_back_to_selection():
     assert _newton_level(c, 1.0, float(c.max())) is None
     got = find_gamma(c, 1.0, start=float(c.max()))
     assert got == find_gamma(c, 1.0)
-    assert got.gamma == pytest.approx(1.75)
+    assert got == pytest.approx(1.75)
 
 
 class TestSupportSet:
@@ -171,16 +171,18 @@ class TestSupportSet:
 
 class TestBias:
     def test_two_point_equalization(self):
-        wlb = find_gamma_and_bias([-1.0, 1.0], [1.0, -1.0], 0.0)
-        assert wlb.bias == pytest.approx(1.0, abs=1e-6)
-        assert wlb.gamma == pytest.approx(0.0, abs=1e-6)
+        gamma, bias = find_gamma_and_bias([-1.0, 1.0], [1.0, -1.0], 0.0)
+        assert bias == pytest.approx(1.0, abs=1e-6)
+        assert gamma == pytest.approx(0.0, abs=1e-6)
 
     def test_four_point_instance(self):
-        wlb = find_gamma_and_bias([0.0, 0.0, 2.0, 2.0],
-                                  [1.0, 1.0, -1.0, -1.0], 0.0)
-        assert wlb.bias == pytest.approx(1.0, abs=1e-6)
-        assert wlb.gamma == pytest.approx(1.0, abs=1e-6)
-        assert wlb.covered_pos == wlb.covered_neg
+        c = np.array([0.0, 0.0, 2.0, 2.0])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        gamma, bias = find_gamma_and_bias(c, y, 0.0)
+        assert bias == pytest.approx(1.0, abs=1e-6)
+        assert gamma == pytest.approx(1.0, abs=1e-6)
+        # Both basins stand at the level, each covered in full.
+        assert support_set(c + y * bias, gamma).tolist() == [0, 1, 2, 3]
 
     def test_label_flip_negates_bias(self):
         rng = np.random.default_rng(5)
@@ -189,8 +191,8 @@ class TestBias:
         y[0], y[1] = 1.0, -1.0  # keep both classes
         a = find_gamma_and_bias(c, y, 3.0)
         b = find_gamma_and_bias(c, -y, 3.0)
-        assert a.gamma == pytest.approx(b.gamma, abs=1e-9)
-        assert a.bias == pytest.approx(-b.bias, abs=1e-6)
+        assert a[0] == pytest.approx(b[0], abs=1e-9)
+        assert a[1] == pytest.approx(-b[1], abs=1e-6)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -204,9 +206,9 @@ class TestBias:
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             y[0], y[-1] = 1.0, -1.0
             volume = float(rng.uniform(0.0, n))
-            wlb = find_gamma_and_bias(c, y, volume)
+            gamma, _ = find_gamma_and_bias(c, y, volume)
             grid = np.linspace(-10.0, 10.0, 1000)
-            assert wlb.gamma >= bias_grid_values(c, y, volume, grid).max() - 1e-6
+            assert gamma >= bias_grid_values(c, y, volume, grid).max() - 1e-6
 
 
 @st.composite
@@ -231,23 +233,13 @@ def bias_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_bias_closed_form_matches_bisection(instance):
     c, y, volume = instance
-    got = find_gamma_and_bias(c, y, volume)
-    want = bias_level_bisection(c, y, volume)
-    scale = max(1.0, abs(want.gamma))
-    assert got.gamma >= want.gamma - 1e-9 * scale
-    assert got.gamma == pytest.approx(want.gamma, rel=1e-9, abs=1e-9)
-    # The returned bias attains the returned level, and the covered counts
-    # are support_set's at that bias.
-    shifted = c + y * got.bias
-    assert find_gamma(shifted, volume).gamma == pytest.approx(got.gamma, rel=1e-9, abs=1e-9)
-    idx = support_set(shifted, got)
-    pos = int(np.count_nonzero(y[idx] > 0))
-    assert (got.covered_pos, got.covered_neg) == (pos, idx.size - pos)
-    flipped = find_gamma_and_bias(c, -y, volume)
-    assert abs(flipped.gamma - got.gamma) <= 1e-12 * scale
-    assert abs(flipped.bias + got.bias) <= 1e-12 * max(1.0, abs(got.bias))
-
-
-def test_objective_value_is_gamma():
-    c = [0.0, 1.0, 5.0]
-    assert objective_value(c, 2.0) == find_gamma(c, 2.0).gamma
+    gamma, bias = find_gamma_and_bias(c, y, volume)
+    want, _ = bias_level_bisection(c, y, volume)
+    scale = max(1.0, abs(want))
+    assert gamma >= want - 1e-9 * scale
+    assert gamma == pytest.approx(want, rel=1e-9, abs=1e-9)
+    # The returned bias attains the returned level.
+    assert find_gamma(c + y * bias, volume) == pytest.approx(gamma, rel=1e-9, abs=1e-9)
+    flipped_gamma, flipped_bias = find_gamma_and_bias(c, -y, volume)
+    assert abs(flipped_gamma - gamma) <= 1e-12 * scale
+    assert abs(flipped_bias + bias) <= 1e-12 * max(1.0, abs(bias))
