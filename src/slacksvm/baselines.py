@@ -120,7 +120,7 @@ def _sdca_loop(dataset, kernel, lam, rng, *, iterations=None, eval_budget=None,
             break
         t += 1
         i = int(rng.integers(n))
-        kii = kernel.pair(dataset.examples[i], dataset.examples[i])
+        kii = kernel.pair(dataset, i, dataset, i)
         if kii == 0.0:
             delta = 0.0  # flat direction, skip
         else:

@@ -11,106 +11,98 @@ import scipy.sparse as sp
 
 
 class DataError(ValueError):
-    """Malformed input data or an infeasible synthetic specification."""
+    """Malformed input data or an infeasible synthetic specification.
 
-
-class SparseExample:
-    """A labeled sparse feature vector.
-
-    Indices are 0-based and strictly ascending; explicit zeros are never
-    stored; the label is -1 or +1. The squared norm is cached at
-    construction so kernels never pay for it, and must be finite: that
-    rejects nan and inf values, and values whose squares overflow.
+    ``row`` is the index of the offending dataset row when there is one, and
+    ``reason`` the message without its row prefix.
     """
 
-    __slots__ = ("indices", "values", "label", "norm_sq")
+    def __init__(self, reason, row=None):
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason = reason
+        self.row = row
 
-    def __init__(self, indices, values, label):
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.ndim != 1 or indices.shape != values.shape:
-            raise DataError("indices and values must be 1-D and the same length")
-        if indices.size:
-            if indices[0] < 0:
-                raise DataError("feature indices must be non-negative")
-            if np.any(np.diff(indices) <= 0):
-                raise DataError("feature indices must be strictly ascending")
-        if np.any(values == 0.0):
-            raise DataError("explicit zero values must not be stored")
-        if label not in (-1, 1):
-            raise DataError(f"label must be -1 or +1, got {label!r}")
-        self.indices = indices
-        self.values = values
-        self.label = int(label)
-        self.norm_sq = float(values @ values)
-        if not math.isfinite(self.norm_sq):
-            raise DataError("feature values must be finite with a finite squared norm")
 
-    def dense(self, dimension: int) -> np.ndarray:
-        out = np.zeros(dimension)
-        out[self.indices] = self.values
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseExample)
-            and self.label == other.label
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __repr__(self):
-        return f"SparseExample(nnz={self.indices.size}, label={self.label:+d})"
+def _first(bad, rows, reason):
+    """Raise reason for the row of the first True entry of bad, if any."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise DataError(reason, int(rows[hits[0]]))
 
 
 class Dataset:
-    """An ordered, nonempty collection of SparseExamples."""
+    """A nonempty, ordered set of labeled sparse rows held as CSR arrays.
 
-    def __init__(self, examples, dimension=None):
-        examples = list(examples)
-        if not examples:
+    Row i has the values ``values[indptr[i]:indptr[i + 1]]`` at the 0-based
+    feature indices ``indices[indptr[i]:indptr[i + 1]]``. The constructor
+    checks that indices are non-negative and strictly ascending within each
+    row, that no explicit zero is stored, that labels are -1 or +1, and that
+    ``dimension`` is above the largest index. ``norms[i]``, the squared norm
+    of row i, is cached so kernels never pay for it, and must be finite:
+    that rejects nan and inf values, and values whose squares overflow.
+    """
+
+    def __init__(self, indptr, indices, values, labels, dimension=None):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        labels = np.array(labels, dtype=np.float64)  # a copy: it may be another dataset's
+        n = labels.size
+        if n == 0:
             raise DataError("dataset must be nonempty")
-        max_id = -1
-        for e in examples:
-            if e.indices.size:
-                max_id = max(max_id, int(e.indices[-1]))
-        self.examples = examples
+        if (labels.ndim != 1 or indptr.shape != (n + 1,) or indices.ndim != 1
+                or indices.shape != values.shape or indptr[0] != 0
+                or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
+            raise DataError("indptr, indices, values and labels do not form CSR rows")
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        _first(indices < 0, rows, "feature indices must be non-negative")
+        _first((np.diff(indices) <= 0) & (rows[1:] == rows[:-1]), rows,
+               "feature indices must be strictly ascending")
+        _first(values == 0.0, rows, "explicit zero values must not be stored")
+        bad = np.flatnonzero((labels != 1.0) & (labels != -1.0))
+        if bad.size:
+            raise DataError(f"label must be -1 or +1, got {float(labels[bad[0]])!r}",
+                            int(bad[0]))
+        # One dot per row, as for a standalone vector: a vectorized sum
+        # rounds differently, and Gaussian rows depend on these bits.
+        bounds = indptr.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.array([values[lo:hi] @ values[lo:hi]
+                              for lo, hi in zip(bounds[:-1], bounds[1:])], dtype=np.float64)
+        _first(~np.isfinite(norms), np.arange(n),
+               "feature values must be finite with a finite squared norm")
+        max_id = int(indices.max()) if indices.size else -1
         self.dimension = int(dimension) if dimension is not None else max(max_id + 1, 1)
         if self.dimension < max_id + 1:
             raise DataError("dimension smaller than the largest feature index")
-        self.labels = np.array([e.label for e in examples], dtype=np.float64)
-        self.norms = np.array([e.norm_sq for e in examples], dtype=np.float64)
+        self.indptr, self.indices, self.values = indptr, indices, values
+        self.labels, self.norms = labels, norms
         self._matrix = None
+
+    @classmethod
+    def from_dense(cls, x, labels) -> Dataset:
+        """The rows of the 2-D array x with their zeros dropped."""
+        x = np.asarray(x, dtype=np.float64)
+        stored = x != 0.0
+        indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
+        np.cumsum(stored.sum(axis=1), out=indptr[1:])
+        return cls(indptr, np.nonzero(stored)[1], x[stored], labels, dimension=x.shape[1])
 
     @property
     def n(self) -> int:
-        return len(self.examples)
-
-    def __len__(self):
-        return len(self.examples)
+        return self.labels.size
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Dataset)
-            and len(self) == len(other)
-            and all(a == b for a, b in zip(self.examples, other.examples))
-        )
-
-    @property
-    def class_counts(self):
-        pos = int(np.sum(self.labels > 0))
-        return {+1: pos, -1: self.n - pos}
+        return isinstance(other, Dataset) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("labels", "indptr", "indices", "values"))
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        """CSR matrix of the feature vectors, built once on first use."""
+        """The arrays as a scipy CSR matrix, wrapped once on first use."""
         if self._matrix is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for i, e in enumerate(self.examples):
-                indptr[i + 1] = indptr[i] + e.indices.size
-            idx = np.concatenate([e.indices for e in self.examples]) if indptr[-1] else np.empty(0, np.int64)
-            val = np.concatenate([e.values for e in self.examples]) if indptr[-1] else np.empty(0, np.float64)
-            self._matrix = sp.csr_matrix((val, idx, indptr), shape=(self.n, self.dimension))
+            self._matrix = sp.csr_matrix((self.values, self.indices, self.indptr),
+                                         shape=(self.n, self.dimension))
         return self._matrix
 
 
@@ -129,7 +121,7 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
     one-vs-rest mapping. Blank lines and ``#`` comments are skipped; CRLF
     is accepted.
     """
-    examples = []
+    indptr, indices, values, labels, linenos = [0], [], [], [], []
     target = float(positive_class) if positive_class is not None else None
     for lineno, raw in enumerate(_as_lines(source), start=1):
         line = raw.strip()
@@ -151,7 +143,6 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
                 f"line {lineno}: label {tokens[0]!r} is not binary; "
                 "use positive_class for one-vs-rest mapping"
             )
-        indices, values = [], []
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -170,21 +161,29 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
             if val != 0.0:
                 indices.append(idx - 1)
                 values.append(val)
-        try:
-            examples.append(SparseExample(indices, values, label))
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-    if not examples:
+        indptr.append(len(indices))
+        labels.append(label)
+        linenos.append(lineno)
+    if not labels:
         raise DataError("no examples found")
-    return Dataset(examples)
+    try:
+        return Dataset(indptr, indices, values, labels)
+    except DataError as exc:
+        if exc.row is None:
+            raise
+        raise DataError(f"line {linenos[exc.row]}: {exc.reason}") from None
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
     """Inverse of parse_libsvm; floats use shortest round-trip decimals."""
+    bounds = dataset.indptr.tolist()
+    ids = (dataset.indices + 1).tolist()
+    vals = dataset.values.tolist()
     lines = []
-    for e in dataset.examples:
-        feats = " ".join(f"{i + 1}:{float(v)!r}" for i, v in zip(e.indices, e.values))
-        label = "+1" if e.label > 0 else "-1"
+    for i, y in enumerate(dataset.labels.tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
+        feats = " ".join(f"{k}:{v!r}" for k, v in zip(ids[lo:hi], vals[lo:hi]))
+        label = "+1" if y > 0 else "-1"
         lines.append(f"{label} {feats}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -208,11 +207,6 @@ class SyntheticSpec:
     radius: float = 1.0
 
 
-def _to_sparse(row: np.ndarray, label: int) -> SparseExample:
-    nz = np.flatnonzero(row)
-    return SparseExample(nz, row[nz], label)
-
-
 def generate(spec: SyntheticSpec) -> Dataset:
     """Build the dataset described by spec, deterministically in the seed."""
     if spec.n < 1 or spec.dimension < 1:
@@ -226,8 +220,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         x[:, 0] += labels * (spec.separation / 2.0)
         flip = rng.random(spec.n) < spec.noise_rate
         labels = np.where(flip, -labels, labels)
-        return Dataset([_to_sparse(x[i], int(labels[i])) for i in range(spec.n)],
-                       dimension=spec.dimension)
+        return Dataset.from_dense(x, labels)
     if spec.kind == "xor_ring":
         if spec.dimension < 2:
             raise DataError("xor_ring needs dimension >= 2")
@@ -238,8 +231,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         x[:, 1] += radius * np.sin(theta)
         prods = x[:, 0] * x[:, 1]
         labels = np.where(prods > 0, 1, -1)
-        return Dataset([_to_sparse(x[i], int(labels[i])) for i in range(spec.n)],
-                       dimension=spec.dimension)
+        return Dataset.from_dense(x, labels)
     if spec.kind == "margin_separable":
         if not 0 < spec.margin < spec.radius:
             raise DataError("margin_separable needs 0 < margin < radius")
@@ -259,8 +251,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         margins = labels * (x @ u)
         if margins.min() < spec.margin - 1e-9:
             raise DataError("margin construction failed verification")
-        return Dataset([_to_sparse(x[i], int(labels[i])) for i in range(spec.n)],
-                       dimension=spec.dimension)
+        return Dataset.from_dense(x, labels)
     raise DataError(f"unknown synthetic kind {spec.kind!r}")
 
 
@@ -268,7 +259,7 @@ def evaluate(model, dataset: Dataset, kernel):
     """Mean hinge loss and 0/1 error of model on dataset.
 
     A score of exactly zero counts as an error. Kernel cost is
-    support_size * len(dataset) on the supplied oracle's counter.
+    support_size * dataset.n on the supplied oracle's counter.
     """
     from .model import score_batch
 

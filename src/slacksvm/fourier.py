@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, SparseExample
+from .data import Dataset
 
 
 @dataclass
@@ -65,14 +65,6 @@ def _interleave(proj: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def fourier_features(fmap: FourierMap, example: SparseExample) -> np.ndarray:
-    """Map one example to its 2k-vector; costs k inner products."""
-    fmap.inner_product_count += fmap.k
-    x = example.dense(fmap.directions.shape[1])
-    proj = (fmap.directions @ x) / np.sqrt(fmap.sigma_sq)
-    return _interleave(proj, fmap.k)
-
-
 def fourier_features_batch(fmap: FourierMap, dataset: Dataset) -> np.ndarray:
     """Map every example at once; costs k inner products per example."""
     fmap.inner_product_count += fmap.k * dataset.n
@@ -82,10 +74,4 @@ def fourier_features_batch(fmap: FourierMap, dataset: Dataset) -> np.ndarray:
 
 def linearize(fmap: FourierMap, dataset: Dataset) -> Dataset:
     """Mapped copy of the dataset, ready for any linear-kernel solver."""
-    feats = fourier_features_batch(fmap, dataset)
-    examples = []
-    for i in range(dataset.n):
-        row = feats[i]
-        nz = np.flatnonzero(row)
-        examples.append(SparseExample(nz, row[nz], int(dataset.labels[i])))
-    return Dataset(examples, dimension=feats.shape[1])
+    return Dataset.from_dense(fourier_features_batch(fmap, dataset), dataset.labels)

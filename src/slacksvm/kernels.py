@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, SparseExample
+from .data import Dataset
 
 
-def _sparse_dot(a: SparseExample, b: SparseExample) -> float:
-    _, ca, cb = np.intersect1d(a.indices, b.indices, assume_unique=True,
-                               return_indices=True)
-    return float(a.values[ca] @ b.values[cb])
+def _dense(dataset: Dataset, j: int) -> np.ndarray:
+    """Row j of dataset as a dense vector of length dataset.dimension."""
+    lo, hi = dataset.indptr[j], dataset.indptr[j + 1]
+    out = np.zeros(dataset.dimension)
+    out[dataset.indices[lo:hi]] = dataset.values[lo:hi]
+    return out
+
+
+def _dot(a: Dataset, i: int, b: Dataset, j: int) -> float:
+    """Inner product of row i of a and row j of b; features past either
+    dimension contribute zero."""
+    lo, hi = a.indptr[i], a.indptr[i + 1]
+    idx = a.indices[lo:hi]
+    keep = idx < b.dimension
+    return float(a.values[lo:hi][keep] @ _dense(b, j)[idx[keep]])
 
 
 class KernelOracle:
@@ -24,9 +35,14 @@ class KernelOracle:
     def __init__(self):
         self.eval_count = 0
 
-    def pair(self, a: SparseExample, b: SparseExample) -> float:
+    def pair(self, dataset: Dataset, i: int, other: Dataset, j: int) -> float:
+        """K(row i of dataset, row j of other); one evaluation. A self-pair,
+        the same row of the same dataset, needs no arithmetic: it is the
+        cached squared norm (linear) or 1 (Gaussian)."""
+        if not (0 <= i < dataset.n and 0 <= j < other.n):
+            raise IndexError(f"row index {i} or {j} out of range")
         self.eval_count += 1
-        return self._pair(a, b)
+        return self._pair(dataset, i, other, j)
 
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
@@ -48,7 +64,7 @@ class KernelOracle:
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
         """K between dataset[rows] and every example of other.
 
-        Costs len(rows) * len(other) evaluations. Shape (len(rows), other.n).
+        Costs len(rows) * other.n evaluations. Shape (len(rows), other.n).
         """
         rows = np.asarray(rows, dtype=np.int64)
         self.eval_count += int(rows.size) * other.n
@@ -68,15 +84,16 @@ def _aligned_products(a, rows, b):
 
 
 class LinearKernel(KernelOracle):
-    def _pair(self, a, b):
-        return _sparse_dot(a, b)
+    def _pair(self, a, i, b, j):
+        if a is b and i == j:
+            return float(a.norms[i])
+        return _dot(a, i, b, j)
 
     def _row(self, dataset, j):
-        xj = dataset.examples[j].dense(dataset.dimension)
-        return dataset.matrix @ xj
+        return dataset.matrix @ _dense(dataset, j)
 
     def _row_at(self, dataset, j, rows):
-        return dataset.matrix[rows] @ dataset.examples[j].dense(dataset.dimension)
+        return dataset.matrix[rows] @ _dense(dataset, j)
 
     def _diag(self, dataset):
         return dataset.norms.copy()
@@ -105,21 +122,21 @@ class GaussianKernel(KernelOracle):
     def _gauss(self, d2):
         return np.exp(-np.maximum(d2, 0.0) / (2.0 * self.sigma_sq))
 
-    def _pair(self, a, b):
-        d2 = a.norm_sq + b.norm_sq - 2.0 * _sparse_dot(a, b)
+    def _pair(self, a, i, b, j):
+        if a is b and i == j:
+            return 1.0  # self-distance is zero by definition
+        d2 = a.norms[i] + b.norms[j] - 2.0 * _dot(a, i, b, j)
         return float(self._gauss(d2))
 
     def _row(self, dataset, j):
-        xj = dataset.examples[j]
-        d2 = dataset.norms + xj.norm_sq - 2.0 * (dataset.matrix @ xj.dense(dataset.dimension))
+        d2 = dataset.norms + dataset.norms[j] - 2.0 * (dataset.matrix @ _dense(dataset, j))
         d2[j] = 0.0  # self-distance is zero by definition
         return self._gauss(d2)
 
     def _row_at(self, dataset, j, rows):
-        # Computed like pair and cross: no self-distance override.
-        xj = dataset.examples[j]
-        d2 = (dataset.norms[rows] + xj.norm_sq
-              - 2.0 * (dataset.matrix[rows] @ xj.dense(dataset.dimension)))
+        # Computed like cross: no self-distance override.
+        d2 = (dataset.norms[rows] + dataset.norms[j]
+              - 2.0 * (dataset.matrix[rows] @ _dense(dataset, j)))
         return self._gauss(d2)
 
     def _diag(self, dataset):

@@ -45,13 +45,13 @@ def score_batch(model: TrainedModel, dataset, kernel) -> np.ndarray:
     return coef @ g + model.bias
 
 
-def score(model: TrainedModel, example, kernel) -> float:
-    """Score a single example; costs support_size evaluations."""
+def score(model: TrainedModel, dataset, i: int, kernel) -> float:
+    """Score row i of dataset; costs support_size evaluations."""
     sv = model.support_indices()
     total = model.bias
     for j in sv:
         total += model.alpha[j] * model.dataset.labels[j] * kernel.pair(
-            model.dataset.examples[j], example)
+            model.dataset, j, dataset, i)
     return float(total)
 
 

@@ -214,8 +214,8 @@ class PrecomputedGramKernel(KernelOracle):
     """Gram-matrix lookup.
 
     Still counts evaluations so reported costs stay comparable across
-    kernel modes. Examples are identified by object identity within the
-    dataset the Gram matrix was built for.
+    kernel modes. Rows are identified by their index within the one dataset
+    the Gram matrix was built for.
     """
 
     def __init__(self, gram: np.ndarray, dataset):
@@ -224,25 +224,23 @@ class PrecomputedGramKernel(KernelOracle):
         if gram.shape != (dataset.n, dataset.n):
             raise DataError("Gram matrix shape does not match the dataset")
         self.gram = gram
-        self._index = {id(e): i for i, e in enumerate(dataset.examples)}
+        self.dataset = dataset
 
-    def _lookup(self, example):
-        try:
-            return self._index[id(example)]
-        except KeyError:
-            raise DataError("example is not covered by the precomputed Gram matrix")
+    def _check(self, *datasets):
+        if any(ds is not self.dataset for ds in datasets):
+            raise DataError("dataset is not covered by the precomputed Gram matrix")
 
-    def _pair(self, a, b):
-        return float(self.gram[self._lookup(a), self._lookup(b)])
+    def _pair(self, a, i, b, j):
+        self._check(a, b)
+        return float(self.gram[i, j])
 
     def _row(self, dataset, j):
-        cols = [self._lookup(e) for e in dataset.examples]
-        return self.gram[cols, self._lookup(dataset.examples[j])].copy()
+        self._check(dataset)
+        return self.gram[:, j].copy()
 
     def _cross(self, dataset, rows, other):
-        r = [self._lookup(dataset.examples[i]) for i in rows]
-        c = [self._lookup(e) for e in other.examples]
-        return self.gram[np.ix_(r, c)].copy()
+        self._check(dataset, other)
+        return self.gram[rows]
 
     @property
     def spec_string(self):

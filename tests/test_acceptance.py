@@ -287,8 +287,8 @@ def test_criterion_10_comparative_trend():
 
 
 def test_criterion_11_fourier_fidelity():
-    from slacksvm.data import SparseExample
-    from slacksvm.fourier import fourier_features, make_fourier_map
+    from slacksvm.data import Dataset
+    from slacksvm.fourier import fourier_features_batch, make_fourier_map
 
     fmap = make_fourier_map(4096, 5, 1.0, seed=0)
     kernel = GaussianKernel(1.0)
@@ -296,10 +296,9 @@ def test_criterion_11_fourier_fidelity():
     close, norm_ok = 0, True
     for _ in range(100):
         av, bv = rng.standard_normal(5), rng.standard_normal(5)
-        a = SparseExample(np.arange(5), av, 1)
-        b = SparseExample(np.arange(5), bv, 1)
-        pa, pb = fourier_features(fmap, a), fourier_features(fmap, b)
-        if abs(pa @ pb - kernel.pair(a, b)) <= 0.05:
+        ds = Dataset.from_dense(np.vstack([av, bv]), [1, 1])
+        pa, pb = fourier_features_batch(fmap, ds)
+        if abs(pa @ pb - kernel.pair(ds, 0, ds, 1)) <= 0.05:
             close += 1
         if abs(pa @ pa - 1.0) > 1e-12 or abs(pb @ pb - 1.0) > 1e-12:
             norm_ok = False

@@ -18,7 +18,7 @@ def margin_instance(n=80, seed=0, margin=0.3):
 
 def dense_gram(ds):
     k = LinearKernel()
-    return np.array([[k._pair(a, b) for b in ds.examples] for a in ds.examples])
+    return np.array([[k._pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
 
 
 class TestPegasos:
@@ -172,17 +172,17 @@ class TestPredict:
         ds = parse_libsvm("+1 1:1\n")
         model = TrainedModel(alpha=np.zeros(1), bias=0.25, dataset=ds,
                              kernel_spec="linear", use_bias=True, kernel_evals=0)
-        assert score(model, ds.examples[0], LinearKernel()) == 0.25
+        assert score(model, ds, 0, LinearKernel()) == 0.25
 
     def test_single_support_vector(self):
         ds = parse_libsvm("+1 1:0.5\n")
         model = TrainedModel(alpha=np.array([1.0]), bias=0.0, dataset=ds,
                              kernel_spec="linear", use_bias=False, kernel_evals=0)
-        assert score(model, ds.examples[0], LinearKernel()) == pytest.approx(0.25)
+        assert score(model, ds, 0, LinearKernel()) == pytest.approx(0.25)
 
     def test_cost_is_support_size(self):
         ds = margin_instance(n=20, seed=0)
         model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=0))
         k = LinearKernel()
-        score(model, ds.examples[0], k)
+        score(model, ds, 0, k)
         assert k.eval_count == model.support_size

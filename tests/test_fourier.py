@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from slacksvm.data import Dataset, SparseExample, SyntheticSpec, generate
-from slacksvm.fourier import (fourier_features, fourier_features_batch,
-                              linearize, make_fourier_map)
+from slacksvm.data import Dataset, SyntheticSpec, generate
+from slacksvm.fourier import fourier_features_batch, linearize, make_fourier_map
 from slacksvm.kernels import GaussianKernel
 
 
-def dense_example(values, label=1):
-    values = np.asarray(values, dtype=np.float64)
-    nz = np.flatnonzero(values)
-    return SparseExample(nz, values[nz], label)
+def dense_rows(*rows):
+    """A dataset holding the given dense vectors as its rows."""
+    return Dataset.from_dense(np.vstack(rows), np.ones(len(rows)))
 
 
 def test_map_shape_and_determinism():
@@ -35,15 +33,15 @@ def test_bad_parameters():
 def test_unit_norm_exact():
     fmap = make_fourier_map(64, 3, 0.7, seed=1)
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        p = fourier_features(fmap, dense_example(rng.standard_normal(3)))
+    feats = fourier_features_batch(fmap, dense_rows(*rng.standard_normal((20, 3))))
+    for p in feats:
         assert abs(p @ p - 1.0) < 1e-12
 
 
 def test_same_point_gives_kernel_one():
     fmap = make_fourier_map(32, 4, 1.0, seed=0)
-    x = dense_example([0.3, -1.0, 0.0, 2.0])
-    assert fourier_features(fmap, x) @ fourier_features(fmap, x) == pytest.approx(1.0)
+    (p,) = fourier_features_batch(fmap, dense_rows([0.3, -1.0, 0.0, 2.0]))
+    assert p @ p == pytest.approx(1.0)
 
 
 def test_inner_products_approximate_gaussian():
@@ -52,31 +50,29 @@ def test_inner_products_approximate_gaussian():
     rng = np.random.default_rng(9)
     bad = 0
     for _ in range(100):
-        a = dense_example(rng.standard_normal(5))
-        b = dense_example(rng.standard_normal(5))
-        approx = fourier_features(fmap, a) @ fourier_features(fmap, b)
-        if abs(approx - kernel.pair(a, b)) > 0.05:
+        ds = dense_rows(rng.standard_normal(5), rng.standard_normal(5))
+        pa, pb = fourier_features_batch(fmap, ds)
+        if abs(pa @ pb - kernel.pair(ds, 0, ds, 1)) > 0.05:
             bad += 1
     assert bad <= 1
 
 
 def test_unbiasedness():
-    a = dense_example([0.5, -0.2, 1.0])
-    b = dense_example([-0.3, 0.8, 0.1])
-    exact = GaussianKernel(1.0).pair(a, b)
+    ds = dense_rows([0.5, -0.2, 1.0], [-0.3, 0.8, 0.1])
+    exact = GaussianKernel(1.0).pair(ds, 0, ds, 1)
     k = 64
-    estimates = np.array([
-        fourier_features(make_fourier_map(k, 3, 1.0, seed=s), a)
-        @ fourier_features(make_fourier_map(k, 3, 1.0, seed=s), b)
-        for s in range(200)
-    ])
+    estimates = []
+    for s in range(200):
+        pa, pb = fourier_features_batch(make_fourier_map(k, 3, 1.0, seed=s), ds)
+        estimates.append(pa @ pb)
+    estimates = np.array(estimates)
     se = estimates.std(ddof=1) / np.sqrt(estimates.size)
     assert abs(estimates.mean() - exact) <= 3.0 * se
 
 
 def test_cost_accounting():
     fmap = make_fourier_map(8, 3, 1.0, seed=0)
-    fourier_features(fmap, dense_example([1.0, 0.0, 0.0]))
+    fourier_features_batch(fmap, dense_rows([1.0, 0.0, 0.0]))
     assert fmap.inner_product_count == 8
     ds = generate(SyntheticSpec(kind="two_gaussians", n=10, dimension=3, seed=0))
     fourier_features_batch(fmap, ds)
@@ -87,9 +83,11 @@ def test_batch_matches_single():
     fmap = make_fourier_map(16, 2, 0.5, seed=3)
     ds = generate(SyntheticSpec(kind="two_gaussians", n=12, seed=4))
     batch = fourier_features_batch(fmap, ds)
+    x = ds.matrix.toarray()
     for i in range(ds.n):
-        single = fourier_features(fmap, ds.examples[i])
+        (single,) = fourier_features_batch(fmap, dense_rows(x[i]))
         np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-12)
+    assert fmap.inner_product_count == 2 * 16 * ds.n
 
 
 def test_linearize_preserves_labels():

@@ -3,37 +3,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slacksvm.data import DataError, Dataset, SparseExample, parse_libsvm
+from slacksvm.data import DataError, Dataset, parse_libsvm
 from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
 
 from oracles import PrecomputedGramKernel
 
 
 def ex(values, label=1):
-    values = np.asarray(values, dtype=np.float64)
-    nz = np.flatnonzero(values)
-    return SparseExample(nz, values[nz], label)
+    """A one-row dataset holding the dense vector values."""
+    return Dataset.from_dense([values], [label])
 
 
 def test_linear_pair_is_dot_product():
     k = LinearKernel()
-    assert k.pair(ex([1.0, 2.0]), ex([3.0, 4.0])) == pytest.approx(11.0)
+    assert k.pair(ex([1.0, 2.0]), 0, ex([3.0, 4.0]), 0) == pytest.approx(11.0)
     assert k.eval_count == 1
 
 
 def test_linear_disjoint_support():
     k = LinearKernel()
-    a = SparseExample([0], [1.0], 1)
-    b = SparseExample([3], [2.0], -1)
-    assert k.pair(a, b) == 0.0
+    a = Dataset([0, 1], [0], [1.0], [1])
+    b = Dataset([0, 1], [3], [2.0], [-1])
+    assert k.pair(a, 0, b, 0) == 0.0
+    assert k.pair(b, 0, a, 0) == 0.0
 
 
 def test_gaussian_pinned_value():
     # sigma^2 = 0.5, points at distance 1: exp(-1/(2*0.5)) = exp(-1).
     k = GaussianKernel(0.5)
-    a = SparseExample([0], [1.0], 1)
-    b = SparseExample([], [], 1)
-    assert k.pair(a, b) == pytest.approx(np.exp(-1.0), rel=1e-12)
+    a = Dataset([0, 1], [0], [1.0], [1])
+    b = Dataset([0, 0], [], [], [1])
+    assert k.pair(a, 0, b, 0) == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None)
+def test_self_pair_reads_the_cache(seed):
+    # K(x, x) is the cached squared norm (linear) or exactly 1 (Gaussian):
+    # the same bits as the general formula, where 2a - 2a == 0. A twin
+    # dataset with equal rows takes the general path.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-3, 4)
+    x[rng.random(x.shape) < 0.3] = 0.0
+    labels = np.where(rng.random(6) < 0.5, 1, -1)
+    ds, twin = Dataset.from_dense(x, labels), Dataset.from_dense(x, labels)
+    for kernel, want in ((LinearKernel(), ds.norms), (GaussianKernel(0.7), np.ones(6))):
+        for i in range(ds.n):
+            assert kernel.pair(ds, i, ds, i) == want[i]
+            assert kernel.pair(ds, i, twin, i) == want[i]
+        assert kernel.eval_count == 2 * ds.n
 
 
 def test_gaussian_self_similarity_is_one():
@@ -57,64 +75,82 @@ def test_row_matches_pairs(seed, sigma_sq):
     x = rng.standard_normal((n, d))
     x[rng.random((n, d)) < 0.3] = 0.0
     labels = np.where(rng.random(n) < 0.5, 1, -1)
-    ds = Dataset([ex(x[i], labels[i]) for i in range(n)], dimension=d)
+    ds = Dataset.from_dense(x, labels)
     for kernel in (LinearKernel(), GaussianKernel(sigma_sq)):
         j = int(rng.integers(n))
         row = kernel.row(ds, j)
         for i in range(n):
             assert row[i] == pytest.approx(
-                kernel.pair(ds.examples[i], ds.examples[j]), rel=1e-10, abs=1e-12)
+                kernel.pair(ds, i, ds, j), rel=1e-10, abs=1e-12)
 
 
 def test_cross_matches_pairs():
     rng = np.random.default_rng(3)
-    a = Dataset([ex(rng.standard_normal(3), 1) for _ in range(5)], dimension=3)
-    b = Dataset([ex(rng.standard_normal(3), -1) for _ in range(4)], dimension=3)
+    a = Dataset.from_dense(rng.standard_normal((5, 3)), np.ones(5))
+    b = Dataset.from_dense(rng.standard_normal((4, 3)), -np.ones(4))
     k = GaussianKernel(1.5)
     g = k.cross(a, [1, 3], b)
     assert g.shape == (2, 4)
     for r, i in enumerate((1, 3)):
         for j in range(4):
             assert g[r, j] == pytest.approx(
-                k.pair(a.examples[i], b.examples[j]), rel=1e-10)
+                k.pair(a, i, b, j), rel=1e-10)
 
 
 def test_eval_counter_is_exact():
     ds = parse_libsvm("+1 1:1\n-1 2:1\n+1 1:0.5 2:0.5\n")
     other = parse_libsvm("+1 1:2\n-1 2:3\n")
     k = LinearKernel()
-    k.pair(ds.examples[0], ds.examples[1])
+    k.pair(ds, 0, ds, 1)
     k.row(ds, 0)
     k.diag(ds)
     k.cross(ds, [0, 2], other)
     assert k.eval_count == 1 + 3 + 3 + 2 * 2
 
 
+def test_row_indices_are_checked():
+    # Rows are addressed by index; a negative one must not wrap around.
+    ds = parse_libsvm("+1 1:1\n-1 2:1\n")
+    k = LinearKernel()
+    for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(IndexError):
+            k.pair(ds, i, ds, j)
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            k.row(ds, j)
+    assert k.eval_count == 0
+
+
 def test_counter_never_resets():
     k = LinearKernel()
     before = k.eval_count
-    k.pair(ex([1.0]), ex([1.0]))
+    k.pair(ex([1.0]), 0, ex([1.0]), 0)
     assert k.eval_count == before + 1
 
 
 def test_mismatched_dimensions_align_on_common_prefix():
     # A model trained on low-dim data may score higher-dim inputs; extra
     # coordinates on either side contribute zero to linear products.
-    a = Dataset([SparseExample([0], [2.0], 1)], dimension=1)
-    b = Dataset([SparseExample([0, 4], [3.0, 7.0], 1)], dimension=5)
+    a = Dataset([0, 1], [0], [2.0], [1], dimension=1)
+    b = Dataset([0, 2], [0, 4], [3.0, 7.0], [1], dimension=5)
     k = LinearKernel()
     assert k.cross(a, [0], b)[0, 0] == pytest.approx(6.0)
+    assert k.pair(a, 0, b, 0) == k.pair(b, 0, a, 0) == pytest.approx(6.0)
 
 
 def test_precomputed_gram_lookup():
     ds = parse_libsvm("+1 1:1\n-1 2:1\n")
     gram = np.array([[1.0, 0.25], [0.25, 1.0]])
     k = PrecomputedGramKernel(gram, ds)
-    assert k.pair(ds.examples[0], ds.examples[1]) == 0.25
+    assert k.pair(ds, 0, ds, 1) == 0.25
     assert np.array_equal(k.row(ds, 1), gram[:, 1])
-    stranger = SparseExample([0], [1.0], 1)
+    # Rows are known by their index within the one dataset the Gram matrix
+    # was built for; an equal copy is another dataset.
+    stranger = parse_libsvm("+1 1:1\n-1 2:1\n")
     with pytest.raises(DataError):
-        k.pair(ds.examples[0], stranger)
+        k.pair(ds, 0, stranger, 0)
+    with pytest.raises(DataError):
+        k.row(stranger, 0)
 
 
 def test_precomputed_gram_shape_checked():

@@ -90,8 +90,8 @@ def test_responses_consistent_with_alpha():
     rng = np.random.default_rng(config.seed)
     for _ in range(config.iterations):
         sbp_step(state, ds, kernel, config, rng)
-    gram = np.array([[LinearKernel()._pair(a, b) for b in ds.examples]
-                     for a in ds.examples])
+    k = LinearKernel()
+    gram = np.array([[k._pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
     y = ds.labels
     recomputed = y * (gram @ (state.alpha * y))
     np.testing.assert_allclose(state.responses, recomputed, rtol=1e-6, atol=1e-9)

@@ -12,12 +12,13 @@ import os
 import pytest
 
 from slacksvm import bench
+from slacksvm.data import SyntheticSpec, generate, serialize_libsvm
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 PLAN = """
 dataset = synthetic:two_gaussians:n=40,seed=3,separation=2.0
-test = synthetic:two_gaussians:n=40,seed=4,separation=2.0
+test = file:{test}
 kernel = gaussian:1.0
 
 solver.sbp.kind = sbp
@@ -36,9 +37,13 @@ def tracing(monkeypatch):
 
 
 def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
+    test = tmp_path / "test.svm"
+    test.write_text(serialize_libsvm(generate(
+        SyntheticSpec(kind="two_gaussians", n=40, seed=4, separation=2.0))))
+    plan = bench.parse_plan(PLAN.format(test=test))
     tracer = tracing.Tracer()
     with tracer.installed():
-        result = bench.run_plan(bench.parse_plan(PLAN), out_dir=str(tmp_path))
+        result = bench.run_plan(plan, out_dir=str(tmp_path / "out"))
     tracer.flush()
     assert not result["failures"]
     for name in ("sbp.sbp_train", "baselines.pegasos_train",
@@ -53,3 +58,7 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     # (the checkpoints add more find_gamma calls).
     assert tracer.stats["waterfill.support_set"].calls == 20
     assert tracer.stats["waterfill.find_gamma"].calls >= 20
+    # The set-up metrics read these: the file is parsed once, and each
+    # dataset wraps its CSR matrix lazily, on the first kernel call.
+    assert tracer.stats["data.parse_libsvm"].calls == 1
+    assert tracer.stats["data.matrix"].calls == 2
