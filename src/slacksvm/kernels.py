@@ -134,9 +134,9 @@ class GaussianKernel(KernelOracle):
         return self._gauss(d2)
 
     def _row_at(self, dataset, j, rows):
-        # Computed like cross: no self-distance override.
         d2 = (dataset.norms[rows] + dataset.norms[j]
               - 2.0 * (dataset.matrix[rows] @ _dense(dataset, j)))
+        d2[rows == j] = 0.0  # self-distance is zero, as in _row
         return self._gauss(d2)
 
     def _diag(self, dataset):

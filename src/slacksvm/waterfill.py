@@ -7,14 +7,16 @@ are the c_i. The level equals the slack-constrained objective value at the
 current predictor, and the covered indices define the sampling distribution
 for stochastic supergradients.
 
-A cold search is a randomized quickselect, expected O(n). Given a start
-level, such as the previous SBP iteration's, Newton (Michelot) passes find
-the level instead: each pass pours the volume over the floors strictly below
-the current level, and the pass whose floor count repeats is exact. The
-ell-1/simplex projection threshold is the same equation (Duchi et al. 2008;
-Condat 2016). Responses move little between iterations, so a few O(n)
-passes suffice there; after _MAX_NEWTON_PASSES the quickselect finishes the
-job, so the expected cost stays linear on any input.
+A cold search sorts the floors: over the k lowest floors the level is
+(V + their sum) / k, and the answer is the first k whose level does not
+pass floor k+1. This is the sort-based threshold of ell-1/simplex
+projection (Held, Wolfe and Crowder 1974; Duchi et al. 2008; Condat 2016),
+O(n log n) for the sort and O(n) after it. Given a start level, such as the
+previous SBP iteration's, Newton (Michelot) passes find the level instead:
+each pass pours the volume over the floors strictly below the current
+level, and the pass whose floor count repeats is exact. Responses move
+little between iterations, so a few O(n) passes suffice there; after
+_MAX_NEWTON_PASSES the sorted form finishes the job.
 
 With an unregularized bias b the floors become c_i + y_i * b: positives
 stand at level u = gamma - b over their floors p, negatives at
@@ -23,7 +25,8 @@ subject to the two basins holding V together. The least water that reaches
 a level sum s is the infimal convolution of the two basins,
 sum_j max(0, s - p_(j) - q_(j)) over the j-th smallest floors of each class,
 j <= min(n+, n-). So one sort per class and one water fill of these paired
-floors give the exact optimum; the optimal biases form an interval, and its
+floors give the exact optimum. The paired floors come out sorted, so their
+level needs no further search. The optimal biases form an interval, and its
 midpoint is taken.
 """
 
@@ -33,36 +36,19 @@ import math
 
 import numpy as np
 
-# Pivot selection is randomized (expected linear time) but driven by a
-# fixed-seed stream so that training runs are bit-reproducible.
-_PIVOT_SEED = 0x5EED
 # Newton passes allowed from a start level before falling back to the
-# selection. Starts from the previous SBP iteration need 3-6; far starts
-# on floors spread over many orders of magnitude can need hundreds.
+# sort. Starts from the previous SBP iteration need 3-6; far starts on
+# floors spread over many orders of magnitude can need hundreds.
 _MAX_NEWTON_PASSES = 16
 
 
-def _water_level(c: np.ndarray, volume: float) -> float:
-    """Level gamma with sum_i max(0, gamma - c_i) == volume > 0."""
-    rng = np.random.default_rng(_PIVOT_SEED)
-    arr = c
-    lo_count = 0
-    lo_sum = 0.0
-    while arr.size:
-        p = float(arr[rng.integers(arr.size)])
-        below = arr < p
-        m = lo_count + int(np.count_nonzero(below))
-        s = lo_sum + float(arr[below].sum())
-        if p * m - s >= volume:
-            # Level is at or below the pivot; everything >= p stays dry.
-            arr = arr[below]
-        else:
-            # Pivot (and its ties) are covered; recurse above.
-            n_eq = int(np.count_nonzero(arr == p))
-            lo_count = m + n_eq
-            lo_sum = s + p * n_eq
-            arr = arr[arr > p]
-    return (volume + lo_sum) / lo_count
+def _sorted_level(a: np.ndarray, volume: float) -> float:
+    """Level gamma with sum_i max(0, gamma - a_i) == volume >= 0 for
+    ascending floors a: the level over the first k floors at the first k
+    where it does not pass floor k+1, or over all floors."""
+    levels = (volume + np.cumsum(a)) / np.arange(1, a.size + 1)
+    dry = levels[:-1] <= a[1:]
+    return float(levels[dry.argmax() if dry.any() else -1])
 
 
 def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
@@ -108,12 +94,11 @@ def _check_volume(volume: float) -> None:
 def find_gamma(c, volume: float, start: float | None = None) -> float:
     """Find the water level for responses c and slack volume >= 0.
 
-    Without start, a randomized quickselect on a fixed-seed pivot stream
-    finds it in expected O(n). With a finite start level, such as the
-    previous SBP iteration's, Newton passes of O(n) each find the same level
-    exactly, a few passes when start is near it; after _MAX_NEWTON_PASSES
-    the quickselect takes over, so the expected cost stays linear. No
-    worst-case linear method is offered.
+    Without start, the level comes from the sorted responses in
+    O(n log n). With a finite start level, such as the previous SBP
+    iteration's, Newton passes of O(n) each find the same level exactly, a
+    few passes when start is near it; after _MAX_NEWTON_PASSES the sorted
+    form takes over.
     """
     c = _responses(c)
     _check_volume(volume)
@@ -123,7 +108,7 @@ def find_gamma(c, volume: float, start: float | None = None) -> float:
         return float(c.min())
     gamma = None if start is None else _newton_level(c, float(volume), float(start))
     if gamma is None:
-        gamma = _water_level(c, float(volume))
+        gamma = _sorted_level(np.sort(c), float(volume))
     return gamma
 
 
@@ -172,7 +157,7 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != c.shape:
         raise ValueError("responses and labels must be matching nonempty vectors")
-    if not np.isin(y, (-1.0, 1.0)).all():
+    if not (np.abs(y) == 1.0).all():
         raise ValueError("labels must be +1 or -1")
     _check_volume(volume)
     p = np.sort(c[y > 0])
@@ -182,7 +167,10 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
 
     m = min(p.size, q.size)
     floors = p[:m] + q[:m]
-    s = find_gamma(floors, volume)
+    # The floors ascend, so only the ends can overflow.
+    if not (math.isfinite(floors[0]) and math.isfinite(floors[-1])):
+        raise ValueError("paired floors p_(j) + q_(j) must be finite")
+    s = _sorted_level(floors, float(volume))
     k = int(np.searchsorted(floors, s))
     u = _midpoint_level(p, q, k, s)
     v = _midpoint_level(q, p, k, s)

@@ -84,6 +84,25 @@ def test_row_matches_pairs(seed, sigma_sq):
                 kernel.pair(ds, i, ds, j), rel=1e-10, abs=1e-12)
 
 
+@given(st.integers(0, 2**32), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_row_at_is_the_full_row_sliced(seed, d):
+    # row(ds, j, rows) is row(ds, j)[rows] bit for bit, the self-entry
+    # included, at a cost of len(rows) evaluations.
+    rng = np.random.default_rng(seed)
+    n = 30
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3)
+    x[rng.random((n, d)) < 0.2] = 0.0
+    ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+    for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+        for j in range(n):
+            rows = np.append(rng.choice(n, int(rng.integers(0, n)), replace=False), j)
+            rng.shuffle(rows)
+            before = kernel.eval_count
+            assert np.array_equal(kernel.row(ds, j, rows), kernel.row(ds, j)[rows])
+            assert kernel.eval_count - before == rows.size + n
+
+
 def test_cross_matches_pairs():
     rng = np.random.default_rng(3)
     a = Dataset.from_dense(rng.standard_normal((5, 3)), np.ones(5))

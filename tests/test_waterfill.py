@@ -64,10 +64,12 @@ def test_rejects_bad_input():
     lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -np.inf], 1.0),
     lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.inf),
     lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.nan),
+    lambda: find_gamma_and_bias([1e308, 1e308], [1.0, -1.0], 1.0),
 ], ids=["gamma-nan-response", "gamma-neg-inf-response", "gamma-inf-volume",
         "gamma-nan-volume", "gamma-nan-start", "gamma-inf-start",
         "bias-nan-response", "bias-inf-response", "bias-nan-label",
-        "bias-inf-label", "bias-inf-volume", "bias-nan-volume"])
+        "bias-inf-label", "bias-inf-volume", "bias-nan-volume",
+        "bias-paired-floors-overflow"])
 def test_rejects_non_finite(call):
     with pytest.raises(ValueError):
         call()
@@ -117,6 +119,30 @@ def test_flood_limit(c):
 
 
 @st.composite
+def level_instances(draw):
+    """(c, volume): float or integer-valued (tied) floors, single elements
+    included, and 0 < volume <= 3n."""
+    n = draw(st.integers(1, 80))
+    elements = draw(st.sampled_from([finite_floats, st.integers(-5, 5).map(float)]))
+    c = draw(hnp.arrays(np.float64, n, elements=elements))
+    volume = draw(st.floats(0.0, 3.0 * n, exclude_min=True))
+    return c, volume
+
+
+@given(level_instances())
+@example((np.array([2.0]), 0.5))
+@example((np.array([1.0, 1.0, 1.0, 3.0]), 6.0))
+@settings(max_examples=400, deadline=None)
+def test_level_solves_the_defining_equation(instance):
+    # Independent of any sorted scan: for volume > 0 the level is the one
+    # gamma >= min(c) at which the water above the floors equals the volume.
+    c, volume = instance
+    gamma = find_gamma(c, volume)
+    assert gamma >= c.min()
+    assert abs(np.maximum(0.0, gamma - c).sum() - volume) <= 1e-9 * max(1.0, volume)
+
+
+@st.composite
 def warm_instances(draw):
     """(c, volume, start): volume in [0, 3n], start any finite float."""
     c = draw(response_vectors)
@@ -144,7 +170,7 @@ def test_warm_start_matches_cold(instance):
 def test_warm_start_falls_back_to_selection():
     # Floors spread over 260 decades: Newton from the top floor drops about
     # 12 floors a pass and needs over 100 passes, so the capped passes give
-    # up and the selection must still find the exact level.
+    # up and the sorted form they fall back to must find the exact level.
     c = 1.5 ** np.arange(1500)
     assert _newton_level(c, 1.0, float(c.max())) is None
     got = find_gamma(c, 1.0, start=float(c.max()))
