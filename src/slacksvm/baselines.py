@@ -175,17 +175,21 @@ def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
     }, test_data, eval_kernel, timing, metadata)
 
     alpha = np.zeros(n, dtype=np.int64)
+    # The ascending support set and its coefficients change only on a mistake.
+    sv = np.flatnonzero(alpha)
+    coef = alpha[sv] * y[sv]
     step = 0
     for _ in range(config.passes):
         for i in rng.permutation(n):
             step += 1
-            sv = np.flatnonzero(alpha)
             if sv.size:
-                score_i = float((alpha[sv] * y[sv]) @ kernel.row(dataset, int(i), sv))
+                score_i = float(coef @ kernel.row(dataset, int(i), sv))
             else:
                 score_i = 0.0
             if y[i] * score_i <= 0.0:  # sign(0) counts as a mistake
                 alpha[i] += 1
+                sv = np.flatnonzero(alpha)
+                coef = alpha[sv] * y[sv]
             if step in ckpt.schedule:
                 ckpt.add(step, math.nan, alpha.astype(np.float64))
 

@@ -24,6 +24,27 @@ def _dot(a: Dataset, i: int, b: Dataset, j: int) -> float:
     return float(a.values[lo:hi][keep] @ _dense(b, j)[idx[keep]])
 
 
+def _products_at(dataset: Dataset, j: int, rows: np.ndarray) -> np.ndarray:
+    """[<x_i, x_j>] for i in rows, read straight from the CSR arrays.
+
+    Each row's stored products are summed one after another in storage
+    order, as scipy's CSR mat-vec does, so the result equals
+    (dataset.matrix @ _dense(dataset, j))[rows] bit for bit; a pairwise
+    sum such as np.add.reduceat would round differently.
+    """
+    ends = dataset.indptr[rows + 1]
+    counts = ends - dataset.indptr[rows]
+    last = np.cumsum(counts)
+    # Position in the CSR arrays of the stored entries of the selected rows,
+    # row after row: gathered entry k of a row sits at k + (end - last).
+    pos = np.repeat(ends - last, counts)
+    pos += np.arange(pos.size)
+    products = dataset.values[pos] * _dense(dataset, j)[dataset.indices[pos]]
+    sums = np.bincount(np.repeat(np.arange(rows.size), counts), weights=products,
+                       minlength=rows.size)
+    return sums.astype(np.float64, copy=False)  # no stored entry: integer zeros
+
+
 class KernelOracle:
     """Base kernel wrapper.
 
@@ -53,6 +74,8 @@ class KernelOracle:
             self.eval_count += dataset.n
             return self._row(dataset, j)
         rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and not (0 <= rows.min() and rows.max() < dataset.n):
+            raise IndexError("rows index out of range")
         self.eval_count += int(rows.size)
         return self._row_at(dataset, j, rows)
 
@@ -93,7 +116,7 @@ class LinearKernel(KernelOracle):
         return dataset.matrix @ _dense(dataset, j)
 
     def _row_at(self, dataset, j, rows):
-        return dataset.matrix[rows] @ _dense(dataset, j)
+        return _products_at(dataset, j, rows)
 
     def _diag(self, dataset):
         return dataset.norms.copy()
@@ -135,7 +158,7 @@ class GaussianKernel(KernelOracle):
 
     def _row_at(self, dataset, j, rows):
         d2 = (dataset.norms[rows] + dataset.norms[j]
-              - 2.0 * (dataset.matrix[rows] @ _dense(dataset, j)))
+              - 2.0 * _products_at(dataset, j, rows))
         d2[rows == j] = 0.0  # self-distance is zero, as in _row
         return self._gauss(d2)
 

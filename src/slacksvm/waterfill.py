@@ -45,10 +45,19 @@ _MAX_NEWTON_PASSES = 16
 def _sorted_level(a: np.ndarray, volume: float) -> float:
     """Level gamma with sum_i max(0, gamma - a_i) == volume >= 0 for
     ascending floors a: the level over the first k floors at the first k
-    where it does not pass floor k+1, or over all floors."""
-    levels = (volume + np.cumsum(a)) / np.arange(1, a.size + 1)
+    where it does not pass floor k+1, or over all floors.
+
+    Raises ValueError when the running sum behind that level overflows.
+    Levels before the first overflowing sum are unaffected by it, so the
+    chosen level is either right or infinite.
+    """
+    with np.errstate(over="ignore"):
+        levels = (volume + np.cumsum(a)) / np.arange(1, a.size + 1)
     dry = levels[:-1] <= a[1:]
-    return float(levels[dry.argmax() if dry.any() else -1])
+    gamma = float(levels[dry.argmax() if dry.any() else -1])
+    if not math.isfinite(gamma):
+        raise ValueError("water level overflows: responses and volume too large")
+    return gamma
 
 
 def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
@@ -60,20 +69,24 @@ def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
     overshoots it; from above it descends monotonically, never past the
     root. The below-sets of levels are nested, so a pass that finds as many
     floors below as the last one has the same set, and its level is exact.
+    A pass whose sum overflows also gives None, for the sorted form to judge.
     """
     gamma = start
     last = -1
-    for _ in range(_MAX_NEWTON_PASSES):
-        below = c < gamma
-        m = int(np.count_nonzero(below))
-        if m == last:
-            return gamma
-        if m == 0:
-            # Dry start: the lowest floor alone under volume is above the root.
-            gamma = float(c.min()) + volume
-        else:
-            gamma = (volume + float(c @ below)) / m
-        last = m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON_PASSES):
+            below = c < gamma
+            m = int(np.count_nonzero(below))
+            if m == last:
+                return gamma
+            if m == 0:
+                # Dry start: the lowest floor alone under volume is above the root.
+                gamma = float(c.min()) + volume
+            else:
+                gamma = (volume + float(c @ below)) / m
+            if not math.isfinite(gamma):
+                return None
+            last = m
     return None
 
 
@@ -98,7 +111,8 @@ def find_gamma(c, volume: float, start: float | None = None) -> float:
     O(n log n). With a finite start level, such as the previous SBP
     iteration's, Newton passes of O(n) each find the same level exactly, a
     few passes when start is near it; after _MAX_NEWTON_PASSES the sorted
-    form takes over.
+    form takes over. Raises ValueError when a sum behind the level
+    overflows the float range, even where the level itself would fit.
     """
     c = _responses(c)
     _check_volume(volume)
@@ -166,10 +180,11 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
         raise ValueError("both classes must be present; bias is unbounded otherwise")
 
     m = min(p.size, q.size)
-    floors = p[:m] + q[:m]
-    # The floors ascend, so only the ends can overflow.
-    if not (math.isfinite(floors[0]) and math.isfinite(floors[-1])):
+    # The paired floors ascend, so only the ends can overflow.
+    if not (math.isfinite(float(p[0]) + float(q[0]))
+            and math.isfinite(float(p[m - 1]) + float(q[m - 1]))):
         raise ValueError("paired floors p_(j) + q_(j) must be finite")
+    floors = p[:m] + q[:m]
     s = _sorted_level(floors, float(volume))
     k = int(np.searchsorted(floors, s))
     u = _midpoint_level(p, q, k, s)

@@ -210,6 +210,33 @@ def sdca_delta_oracle(c_i, alpha_i, k_ii, box, grid_size=None):
     return min(max(vertex, lo), hi)
 
 
+def perceptron_reference(dataset, kernel, passes: int, seed: int):
+    """Online Perceptron that recomputes its support set at every visit and
+    scores with the full kernel row sliced to it.
+
+    Visits follow the same seeded permutations as the library's Perceptron.
+    Returns (alpha, the support size at each visit, alpha after each step
+    keyed by the 1-based step); a visit's cost is its support size, whatever
+    the full rows charge on kernel's counter.
+    """
+    n = dataset.n
+    y = dataset.labels
+    rng = np.random.default_rng(seed)
+    alpha = np.zeros(n, dtype=np.int64)
+    sizes, after = [], {}
+    for _ in range(passes):
+        for i in rng.permutation(n):
+            sv = np.flatnonzero(alpha)
+            sizes.append(sv.size)
+            score = 0.0
+            if sv.size:
+                score = float((alpha[sv] * y[sv]) @ kernel.row(dataset, int(i))[sv])
+            if y[i] * score <= 0.0:
+                alpha[i] += 1
+            after[len(sizes)] = alpha.copy()
+    return alpha, sizes, after
+
+
 class PrecomputedGramKernel(KernelOracle):
     """Gram-matrix lookup.
 

@@ -4,11 +4,12 @@ import pytest
 from slacksvm.baselines import (PegasosConfig, PerceptronConfig, SdcaConfig,
                                 pegasos_train, perceptron_train,
                                 sdca_dual_value, sdca_train)
-from slacksvm.data import SyntheticSpec, generate, parse_libsvm
-from slacksvm.kernels import LinearKernel
+from slacksvm.data import SyntheticSpec, evaluate, generate, parse_libsvm
+from slacksvm.kernels import LinearKernel, kernel_from_spec
 from slacksvm.model import TrainedModel, score
+from slacksvm.recording import geometric_schedule
 
-from oracles import PrecomputedGramKernel, sdca_delta_oracle
+from oracles import PrecomputedGramKernel, perceptron_reference, sdca_delta_oracle
 
 
 def margin_instance(n=80, seed=0, margin=0.3):
@@ -157,6 +158,37 @@ class TestPerceptron:
         m1, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=7))
         m2, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=7))
         assert np.array_equal(m1.alpha, m2.alpha)
+
+    @pytest.mark.parametrize("passes", [1, 3])
+    @pytest.mark.parametrize("spec", ["linear", "gaussian:0.5"])
+    def test_matches_reference_loop(self, spec, passes):
+        # Noisy overlapping classes: later passes repeat mistakes on examples
+        # already in the support set, which changes its coefficients only.
+        def gaussians(n, seed):
+            return generate(SyntheticSpec(kind="two_gaussians", n=n, dimension=3,
+                                          seed=seed, separation=1.0, noise_rate=0.1))
+        ds, test = gaussians(40, 5), gaussians(25, 6)
+        kernel, eval_kernel = kernel_from_spec(spec), kernel_from_spec(spec)
+        model, record = perceptron_train(ds, kernel, PerceptronConfig(passes=passes, seed=2),
+                                         test_data=test, eval_kernel=eval_kernel)
+        alpha, sizes, after = perceptron_reference(ds, kernel_from_spec(spec), passes, 2)
+        if passes > 1:
+            assert alpha.max() > 1
+
+        assert np.array_equal(model.alpha, alpha)
+        assert model.metadata["mistakes"] == alpha.sum()
+        assert model.kernel_evals == kernel.eval_count == sum(sizes)
+        cost = np.cumsum(sizes)
+        scorer = kernel_from_spec(spec)
+        expected = []
+        for t in sorted(geometric_schedule(passes * ds.n)):
+            interim = TrainedModel(alpha=after[t].astype(np.float64), bias=0.0, dataset=ds,
+                                   kernel_spec=spec, use_bias=False, kernel_evals=0)
+            error = evaluate(interim, test, scorer)[1]
+            expected.append((t, int(cost[t - 1]), scorer.eval_count, error, 0))
+        assert [(s.iteration, s.train_kernel_evals, s.eval_kernel_evals,
+                 s.test_zero_one, s.wall_clock_ns) for s in record.samples] == expected
+        assert all(np.isnan(s.empirical_hinge) for s in record.samples)
 
     def test_multi_pass_flagged(self):
         ds = margin_instance(n=20, seed=0)

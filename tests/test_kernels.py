@@ -103,6 +103,38 @@ def test_row_at_is_the_full_row_sliced(seed, d):
             assert kernel.eval_count - before == rows.size + n
 
 
+@given(st.integers(0, 2**32), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_row_at_sums_stored_entries_in_storage_order(seed, d):
+    # Rows with more than 8 stored entries tell a sequential sum from a
+    # pairwise one; all-zero rows, repeated indices and an empty rows are the
+    # edges of the CSR gather. Each must equal the sliced full row exactly.
+    rng = np.random.default_rng(seed)
+    n = 20
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    x[rng.random((n, d)) < rng.uniform(0.0, 0.6)] = 0.0
+    x[rng.random(n) < 0.2] = 0.0
+    ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+    for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+        for j in range(n):
+            rows = rng.integers(0, n, int(rng.integers(1, 2 * n)))
+            before = kernel.eval_count
+            got = kernel.row(ds, j, rows)
+            assert kernel.eval_count - before == rows.size
+            assert got.dtype == np.float64
+            assert np.array_equal(got, kernel.row(ds, j)[rows])
+        before = kernel.eval_count
+        assert kernel.row(ds, int(rng.integers(n)), []).shape == (0,)
+        assert kernel.eval_count == before
+
+
+def test_row_at_rejects_rows_out_of_range():
+    ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
+    for rows in ([3], [0, -1]):
+        with pytest.raises(IndexError):
+            LinearKernel().row(ds, 0, rows)
+
+
 def test_cross_matches_pairs():
     rng = np.random.default_rng(3)
     a = Dataset.from_dense(rng.standard_normal((5, 3)), np.ones(5))

@@ -65,11 +65,15 @@ def test_rejects_bad_input():
     lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.inf),
     lambda: find_gamma_and_bias([0.0, 1.0], [1.0, -1.0], np.nan),
     lambda: find_gamma_and_bias([1e308, 1e308], [1.0, -1.0], 1.0),
+    lambda: find_gamma([1e308, 1.5e308], 1e308),
+    lambda: find_gamma([1e308, 1.5e308], 1e308, start=1.0),
+    lambda: find_gamma_and_bias([8e307] * 4, [1.0, 1.0, -1.0, -1.0], 1e308),
 ], ids=["gamma-nan-response", "gamma-neg-inf-response", "gamma-inf-volume",
         "gamma-nan-volume", "gamma-nan-start", "gamma-inf-start",
         "bias-nan-response", "bias-inf-response", "bias-nan-label",
         "bias-inf-label", "bias-inf-volume", "bias-nan-volume",
-        "bias-paired-floors-overflow"])
+        "bias-paired-floors-overflow", "gamma-level-overflow-cold",
+        "gamma-level-overflow-warm", "bias-level-overflow"])
 def test_rejects_non_finite(call):
     with pytest.raises(ValueError):
         call()
