@@ -102,23 +102,15 @@ def sdca_dual_value(alpha, responses, lam) -> float:
     return float(lam * (alpha.sum() - 0.5 * (alpha @ responses)))
 
 
-def _sdca_loop(dataset, kernel, lam, rng, *, iterations=None, eval_budget=None,
-               on_step=None):
-    """Shared SDCA inner loop; stops at the iteration count or when the next
-    step would exceed the kernel-evaluation budget."""
+def _sdca_steps(dataset, kernel, lam, rng):
+    """Shared SDCA inner loop, without end: after each step it yields
+    (i, delta, alpha, responses), the last two updated in place."""
     n = dataset.n
     y = dataset.labels
     box = 1.0 / (lam * n)
     alpha = np.zeros(n)
     responses = np.zeros(n)
-    start = kernel.eval_count
-    t = 0
     while True:
-        if iterations is not None and t >= iterations:
-            break
-        if eval_budget is not None and kernel.eval_count - start + n + 1 > eval_budget:
-            break
-        t += 1
         i = int(rng.integers(n))
         kii = kernel.pair(dataset, i, dataset, i)
         if kii == 0.0:
@@ -130,9 +122,7 @@ def _sdca_loop(dataset, kernel, lam, rng, *, iterations=None, eval_budget=None,
             row = kernel.row(dataset, i)  # n evaluations
             alpha[i] += delta
             responses += delta * y[i] * y * row
-        if on_step is not None:
-            on_step(t, i, delta, alpha, responses)
-    return alpha, responses, t
+        yield i, delta, alpha, responses
 
 
 def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
@@ -144,13 +134,10 @@ def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
         "solver": "sdca", "lambda": config.lam,
         "iterations": config.iterations, "seed": config.seed,
     }, test_data, eval_kernel, timing, metadata)
-
-    def on_step(t, i, delta, alpha, responses):
+    steps = _sdca_steps(dataset, kernel, config.lam, rng)
+    for t, (_, _, alpha, responses) in zip(range(1, config.iterations + 1), steps):
         if t in ckpt.schedule:
             ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - responses))), alpha)
-
-    alpha, _, _ = _sdca_loop(dataset, kernel, config.lam, rng,
-                             iterations=config.iterations, on_step=on_step)
     return ckpt.model(alpha)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_loop,
+from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_steps,
                         pegasos_train, perceptron_train, sdca_dual_value,
                         sdca_train)
 from .data import (DataError, Dataset, SyntheticSpec, evaluate, generate,
@@ -333,9 +333,12 @@ def calibrate_nu(dataset: Dataset, kernel, lam: float, budget: int,
     if budget < dataset.n + 1:
         raise ValueError("budget too small for even one solver step")
     rng = np.random.default_rng(seed)
+    n = dataset.n
     start = kernel.eval_count
-    alpha, responses, steps = _sdca_loop(dataset, kernel, lam, rng,
-                                         eval_budget=budget)
+    solver = _sdca_steps(dataset, kernel, lam, rng)
+    for steps, (_, _, alpha, responses) in enumerate(solver, 1):
+        if kernel.eval_count - start + n + 1 > budget:  # a pair and a row more
+            break
     norm_sq = float(alpha @ responses)
     norm = math.sqrt(max(0.0, norm_sq))
     hinge = float(np.mean(np.maximum(0.0, 1.0 - responses)))

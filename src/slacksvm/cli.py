@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, load_dataset,
+from .bench import (SOLVER_KINDS, _flag, calibrate_nu, fourier_plan, load_dataset,
                     parse_plan, run_plan, train_solver, write_run_csv)
 from .data import DataError, parse_libsvm
 from .kernels import kernel_from_spec
@@ -29,6 +29,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _solver_keys() -> dict:
+    """Each plan key of SOLVER_KINDS -> the kinds that take it, in table order."""
+    keys: dict = {}
+    for kind, (_, _, table) in SOLVER_KINDS.items():
+        for key in table:
+            keys.setdefault(key, []).append(kind)
+    return keys
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="slacksvm",
                      description="Kernel SVM solvers under kernel-evaluation budgets")
@@ -39,14 +48,18 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--solver", choices=tuple(SOLVER_KINDS), default="sbp")
     train.add_argument("--kernel", default="linear",
                        help="'linear' or 'gaussian:SIGMA2'")
-    # Solver parameters: read like the plan keys of the same name, with the
-    # same defaults; one the chosen solver does not take is a usage error.
-    train.add_argument("--nu", help="slack budget per example (sbp)")
-    train.add_argument("--lambda",
-                       help="regularization weight (pegasos/sdca); default 1/n")
-    train.add_argument("--iters", help="iterations (sbp/pegasos/sdca)")
-    train.add_argument("--bias", action="store_const", const="1",
-                       help="learn an unregularized bias (sbp)")
+    # One flag per solver parameter: read like the plan key of the same name,
+    # with the same default; one the chosen solver does not take is a usage
+    # error.
+    for key, kinds in _solver_keys().items():
+        field_name, reader, default = SOLVER_KINDS[kinds[0]][2][key]
+        help_text = f"{field_name} ({'/'.join(kinds)})"
+        if reader is _flag:
+            train.add_argument(f"--{key}", action="store_const", const="1",
+                               help=help_text)
+        else:
+            shown = "1/n" if default is None else default
+            train.add_argument(f"--{key}", help=f"{help_text}; default {shown}")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--test", metavar="FILE", default=None,
                        help="held-out set for test-error curves")
@@ -99,7 +112,7 @@ def _cmd_train(args) -> int:
     kernel = kernel_from_spec(args.kernel)
     test_data = _load(args.test, args.positive_class) if args.test else None
     eval_kernel = kernel_from_spec(args.kernel) if test_data is not None else None
-    params = {key: getattr(args, key) for key in ("nu", "lambda", "iters", "bias")
+    params = {key: getattr(args, key) for key in _solver_keys()
               if getattr(args, key) is not None}
     model, record = train_solver(args.solver, params, dataset, kernel, args.seed,
                                  test_data, eval_kernel, args.timing)

@@ -30,6 +30,11 @@ def _first(bad, rows, reason):
         raise DataError(reason, int(rows[hits[0]]))
 
 
+# The largest squared row norm: under it, n_i + n_j and 2 <x_i, x_j> are
+# both finite, so a squared distance is never inf - inf.
+_MAX_NORM = np.finfo(np.float64).max / 4
+
+
 class Dataset:
     """A nonempty, ordered set of labeled sparse rows held as CSR arrays.
 
@@ -38,8 +43,10 @@ class Dataset:
     checks that indices are non-negative and strictly ascending within each
     row, that no explicit zero is stored, that labels are -1 or +1, and that
     ``dimension`` is above the largest index. ``norms[i]``, the squared norm
-    of row i, is cached so kernels never pay for it, and must be finite:
-    that rejects nan and inf values, and values whose squares overflow.
+    of row i, is cached so kernels never pay for it, and must be at most
+    _MAX_NORM: that rejects nan and inf values and values whose squares
+    overflow, and keeps ``norms[i] + norms[j] - 2 <x_i, x_j>`` finite for
+    any two rows, in one dataset or two.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -69,8 +76,8 @@ class Dataset:
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.array([values[lo:hi] @ values[lo:hi]
                               for lo, hi in zip(bounds[:-1], bounds[1:])], dtype=np.float64)
-        _first(~np.isfinite(norms), np.arange(n),
-               "feature values must be finite with a finite squared norm")
+        _first(~(norms <= _MAX_NORM), np.arange(n), "feature values must be finite "
+               f"with a squared norm of at most {_MAX_NORM:.4g}")
         max_id = int(indices.max()) if indices.size else -1
         self.dimension = int(dimension) if dimension is not None else max(max_id + 1, 1)
         if self.dimension < max_id + 1:

@@ -16,8 +16,7 @@ def _dense(dataset: Dataset, j: int) -> np.ndarray:
 
 
 def _dot(a: Dataset, i: int, b: Dataset, j: int) -> float:
-    """Inner product of row i of a and row j of b; features past either
-    dimension contribute zero."""
+    """Inner product of row i of a and row j of b over their common features."""
     lo, hi = a.indptr[i], a.indptr[i + 1]
     idx = a.indices[lo:hi]
     keep = idx < b.dimension
@@ -51,19 +50,28 @@ class KernelOracle:
     Every counted access goes through pair/row/diag/cross, which bump
     eval_count by the exact number of kernel evaluations performed. The
     counter only ever increases; it is the cost unit all solvers report.
+
+    A kernel is one map _values(products, norms_i, norms_j, same) of the inner
+    products read from the CSR arrays (fresh: the map may overwrite them) and
+    the cached squared norms; same indexes the entries where x_i is x_j.
     """
 
     def __init__(self):
         self.eval_count = 0
 
     def pair(self, dataset: Dataset, i: int, other: Dataset, j: int) -> float:
-        """K(row i of dataset, row j of other); one evaluation. A self-pair,
-        the same row of the same dataset, needs no arithmetic: it is the
-        cached squared norm (linear) or 1 (Gaussian)."""
+        """K(row i of dataset, row j of other); one evaluation. The product
+        of a row of a dataset with itself is its cached squared norm."""
         if not (0 <= i < dataset.n and 0 <= j < other.n):
             raise IndexError(f"row index {i} or {j} out of range")
         self.eval_count += 1
-        return self._pair(dataset, i, other, j)
+        same = dataset is other and i == j
+        if same:
+            product = norm_i = norm_j = dataset.norms[i]
+        else:
+            product = _dot(dataset, i, other, j)
+            norm_i, norm_j = dataset.norms[i], other.norms[j]
+        return float(self._values(product, norm_i, norm_j, same))
 
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
@@ -72,57 +80,41 @@ class KernelOracle:
             raise IndexError(f"row index {j} out of range")
         if rows is None:
             self.eval_count += dataset.n
-            return self._row(dataset, j)
+            return self._values(dataset.matrix @ _dense(dataset, j),
+                                dataset.norms, dataset.norms[j], j)
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and not (0 <= rows.min() and rows.max() < dataset.n):
             raise IndexError("rows index out of range")
         self.eval_count += int(rows.size)
-        return self._row_at(dataset, j, rows)
+        return self._values(_products_at(dataset, j, rows),
+                            dataset.norms[rows], dataset.norms[j], rows == j)
 
     def diag(self, dataset: Dataset) -> np.ndarray:
         """[K(x_i, x_i)]_i; costs n evaluations."""
         self.eval_count += dataset.n
-        return self._diag(dataset)
+        return self._values(dataset.norms.copy(), dataset.norms, dataset.norms, True)
 
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
-        """K between dataset[rows] and every example of other.
-
-        Costs len(rows) * other.n evaluations. Shape (len(rows), other.n).
-        """
+        """K between dataset[rows] and every example of other, over their
+        common features; shape (len(rows), other.n), len(rows) * other.n
+        evaluations. No entry is marked as a self-pair."""
         rows = np.asarray(rows, dtype=np.int64)
         self.eval_count += int(rows.size) * other.n
         if rows.size == 0:
             return np.zeros((0, other.n))
-        return self._cross(dataset, rows, other)
+        m = min(dataset.dimension, other.dimension)
+        products = (dataset.matrix[rows, :m] @ other.matrix[:, :m].T).toarray()
+        return self._values(products, dataset.norms[rows][:, None],
+                            other.norms[None, :], False)
 
     @property
     def spec_string(self) -> str:
         raise NotImplementedError
 
 
-def _aligned_products(a, rows, b):
-    """Inner products between rows of dataset a and all of dataset b."""
-    m = min(a.dimension, b.dimension)
-    return (a.matrix[rows, :m] @ b.matrix[:, :m].T).toarray()
-
-
 class LinearKernel(KernelOracle):
-    def _pair(self, a, i, b, j):
-        if a is b and i == j:
-            return float(a.norms[i])
-        return _dot(a, i, b, j)
-
-    def _row(self, dataset, j):
-        return dataset.matrix @ _dense(dataset, j)
-
-    def _row_at(self, dataset, j, rows):
-        return _products_at(dataset, j, rows)
-
-    def _diag(self, dataset):
-        return dataset.norms.copy()
-
-    def _cross(self, dataset, rows, other):
-        return _aligned_products(dataset, rows, other)
+    def _values(self, products, norms_i, norms_j, same):
+        return products
 
     @property
     def spec_string(self):
@@ -130,11 +122,8 @@ class LinearKernel(KernelOracle):
 
 
 class GaussianKernel(KernelOracle):
-    """K(x, x') = exp(-||x - x'||^2 / (2 sigma^2)), values in (0, 1].
-
-    Squared distances use precomputed self-norms, so each evaluation costs
-    one d-dimensional inner product.
-    """
+    """K(x, x') = exp(-||x - x'||^2 / (2 sigma^2)), values in (0, 1]; with the
+    cached norms one evaluation costs one d-dimensional inner product."""
 
     def __init__(self, sigma_sq: float):
         super().__init__()
@@ -142,33 +131,16 @@ class GaussianKernel(KernelOracle):
             raise ValueError("sigma_sq must be positive")
         self.sigma_sq = float(sigma_sq)
 
-    def _gauss(self, d2):
-        return np.exp(-np.maximum(d2, 0.0) / (2.0 * self.sigma_sq))
-
-    def _pair(self, a, i, b, j):
-        if a is b and i == j:
-            return 1.0  # self-distance is zero by definition
-        d2 = a.norms[i] + b.norms[j] - 2.0 * _dot(a, i, b, j)
-        return float(self._gauss(d2))
-
-    def _row(self, dataset, j):
-        d2 = dataset.norms + dataset.norms[j] - 2.0 * (dataset.matrix @ _dense(dataset, j))
-        d2[j] = 0.0  # self-distance is zero by definition
-        return self._gauss(d2)
-
-    def _row_at(self, dataset, j, rows):
-        d2 = (dataset.norms[rows] + dataset.norms[j]
-              - 2.0 * _products_at(dataset, j, rows))
-        d2[rows == j] = 0.0  # self-distance is zero, as in _row
-        return self._gauss(d2)
-
-    def _diag(self, dataset):
-        return np.ones(dataset.n)
-
-    def _cross(self, dataset, rows, other):
-        d2 = (dataset.norms[rows][:, None] + other.norms[None, :]
-              - 2.0 * _aligned_products(dataset, rows, other))
-        return self._gauss(d2)
+    def _values(self, products, norms_i, norms_j, same):
+        # In place: -2p + (n_i + n_j) and m / -(2 sigma^2) round exactly as
+        # n_i + n_j - 2p and -m / (2 sigma^2) do.
+        d2 = np.asarray(products)
+        d2 *= -2.0
+        d2 += norms_i + norms_j
+        d2[same] = 0.0  # self-distance is zero by definition
+        np.maximum(d2, 0.0, out=d2)
+        d2 /= -2.0 * self.sigma_sq
+        return np.exp(d2, out=d2)
 
     @property
     def spec_string(self):

@@ -257,17 +257,22 @@ class PrecomputedGramKernel(KernelOracle):
         if any(ds is not self.dataset for ds in datasets):
             raise DataError("dataset is not covered by the precomputed Gram matrix")
 
-    def _pair(self, a, i, b, j):
+    def pair(self, a, i, b, j):
         self._check(a, b)
+        self.eval_count += 1
         return float(self.gram[i, j])
 
-    def _row(self, dataset, j):
+    def row(self, dataset, j, rows=None):
         self._check(dataset)
-        return self.gram[:, j].copy()
+        column = self.gram[:, j] if rows is None else self.gram[rows, j]
+        self.eval_count += column.size
+        return column.copy()
 
-    def _cross(self, dataset, rows, other):
+    def cross(self, dataset, rows, other):
         self._check(dataset, other)
-        return self.gram[rows]
+        values = self.gram[rows]
+        self.eval_count += values.size
+        return values
 
     @property
     def spec_string(self):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from slacksvm.baselines import _sdca_loop, pegasos_train, perceptron_train
+from slacksvm.baselines import _sdca_steps, pegasos_train, perceptron_train
 from slacksvm.baselines import PegasosConfig, PerceptronConfig, sdca_dual_value
 from slacksvm.data import SyntheticSpec, generate
 from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
@@ -207,26 +207,23 @@ def test_criterion_08_sdca_correctness():
     gram = np.stack([probe.row(ds, j) for j in range(ds.n)], axis=1)
     kernel = PrecomputedGramKernel(gram, ds)
 
-    state = {"dual": 0.0, "ok": True, "checked": 0}
-
-    def on_step(t, i, delta, alpha, responses):
+    dual, ok, checked = 0.0, True, 0
+    steps = _sdca_steps(ds, kernel, lam, np.random.default_rng(0))
+    for t, (i, delta, alpha, responses) in zip(range(1, 10**4 + 1), steps):
         if not (np.all(alpha >= -1e-15) and np.all(alpha <= box + 1e-15)):
-            state["ok"] = False
+            ok = False
         d = sdca_dual_value(alpha, responses, lam)
-        if d < state["dual"] - 1e-12:
-            state["ok"] = False
-        state["dual"] = d
+        if d < dual - 1e-12:
+            ok = False
+        dual = d
         if t <= 1000:
             c_before = responses[i] - delta * gram[i, i]
             want = sdca_delta_oracle(c_before, alpha[i] - delta, gram[i, i], box)
             if abs(delta - want) > 1e-12:
-                state["ok"] = False
-            state["checked"] += 1
-
-    _sdca_loop(ds, kernel, lam, np.random.default_rng(0),
-               iterations=10**4, on_step=on_step)
+                ok = False
+            checked += 1
     report(8, f"dual ascent monotone over 10^4 steps, "
-              f"{state['checked']} oracle-checked updates", state["ok"])
+              f"{checked} oracle-checked updates", ok)
 
 
 def test_criterion_09_perceptron_mistake_bound():

@@ -19,7 +19,7 @@ def margin_instance(n=80, seed=0, margin=0.3):
 
 def dense_gram(ds):
     k = LinearKernel()
-    return np.array([[k._pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
+    return np.array([[k.pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
 
 
 class TestPegasos:
@@ -80,18 +80,15 @@ class TestSdca:
         box = 1.0 / (lam * ds.n)
         gram = dense_gram(ds)
         kernel = PrecomputedGramKernel(gram, ds)
-        from slacksvm.baselines import _sdca_loop
+        from slacksvm.baselines import _sdca_steps
 
-        rng = np.random.default_rng(0)
-        last = [0.0]
-
-        def check(t, i, delta, alpha, responses):
+        steps = _sdca_steps(ds, kernel, lam, np.random.default_rng(0))
+        last = 0.0
+        for _, (i, delta, alpha, responses) in zip(range(2000), steps):
             assert np.all(alpha >= -1e-15) and np.all(alpha <= box + 1e-15)
             d = sdca_dual_value(alpha, responses, lam)
-            assert d >= last[0] - 1e-12
-            last[0] = d
-
-        _sdca_loop(ds, kernel, lam, rng, iterations=2000, on_step=check)
+            assert d >= last - 1e-12
+            last = d
 
     def test_updates_match_quadratic_oracle(self):
         ds = margin_instance(n=40, seed=6)
@@ -99,18 +96,15 @@ class TestSdca:
         box = 1.0 / (lam * ds.n)
         gram = dense_gram(ds)
         kernel = PrecomputedGramKernel(gram, ds)
-        from slacksvm.baselines import _sdca_loop
+        from slacksvm.baselines import _sdca_steps
 
-        rng = np.random.default_rng(1)
+        steps = _sdca_steps(ds, kernel, lam, np.random.default_rng(1))
         seen = []
-
-        def check(t, i, delta, alpha, responses):
+        for _, (i, delta, alpha, responses) in zip(range(1000), steps):
             c_before = responses[i] - delta * gram[i, i]
             want = sdca_delta_oracle(c_before, alpha[i] - delta, gram[i, i], box)
             assert delta == pytest.approx(want, abs=1e-12)
             seen.append(delta)
-
-        _sdca_loop(ds, kernel, lam, rng, iterations=1000, on_step=check)
         assert len(seen) == 1000
 
     def test_zero_diagonal_skipped(self):

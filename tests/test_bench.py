@@ -10,7 +10,7 @@ from slacksvm.bench import (SOLVER_KINDS, calibrate_nu, fourier_plan,
                             write_run_csv)
 from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
 from slacksvm.kernels import LinearKernel, kernel_from_spec
-from slacksvm.model import SolverError
+from slacksvm.model import SolverError, save_model
 from slacksvm.recording import RunRecord
 
 PLAN = """
@@ -281,6 +281,20 @@ class TestCli:
         # warning block above it.
         assert "RuntimeWarning" not in r.stderr
 
+    @pytest.mark.parametrize("kernel", ["linear", "gaussian:1.0"])
+    def test_norm_above_the_bound_is_3(self, tmp_path, kernel):
+        # Each squared norm, 1e308, is finite, but the Gaussian's squared
+        # distance between the rows would be inf - inf = nan.
+        bad = tmp_path / "huge.txt"
+        bad.write_text("+1 1:1e154\n-1 1:1e154\n")
+        for solver in SOLVER_KINDS:
+            r = self.run_cli("train", str(bad), "--solver", solver,
+                             "--kernel", kernel, "--out", str(tmp_path / "out"))
+            assert r.returncode == 3
+            assert "line 1" in r.stderr and "Traceback" not in r.stderr
+            assert "RuntimeWarning" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spec", ["synthetic:two_gaussians:n=10,foo=1",
                                       "synthetic:nope",
                                       "synthetic:two_gaussians:n=ten"])
@@ -342,6 +356,24 @@ class TestCli:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr and "error" in r.stderr
         assert not out.exists()
+
+    def test_flag_of_every_solver_parameter(self, tmp_path):
+        # The flags come from SOLVER_KINDS: --passes reaches the Perceptron
+        # and writes what train_solver does with the same plan key.
+        out = tmp_path / "out"
+        r = self.run_cli("train", "synthetic:two_gaussians:n=30,seed=1",
+                         "--solver", "perceptron", "--kernel", "gaussian:1.0",
+                         "--passes", "2", "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        dataset = load_dataset("synthetic:two_gaussians:n=30,seed=1")
+        model, _ = train_solver("perceptron", {"passes": "2"}, dataset,
+                                kernel_from_spec("gaussian:1.0"), 0)
+        save_model(model, tmp_path / "want.model")
+        assert ((out / "perceptron_seed0.model").read_bytes()
+                == (tmp_path / "want.model").read_bytes())
+        r = self.run_cli("train", "synthetic:two_gaussians:n=30,seed=1",
+                         "--solver", "sbp", "--passes", "2", "--out", str(out))
+        assert r.returncode == 2 and "passes" in r.stderr
 
     def test_plan_typo_is_2(self, tmp_path):
         plan = tmp_path / "plan.txt"

@@ -88,13 +88,21 @@ class TestSparseExample:
         ds = Dataset([0, 2, 3], [1, 2, 0], [1.0, 2.0, 3.0], [1, -1])
         assert ds.dimension == 3
 
-    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e200],
-                             ids=["nan", "neg-inf", "square-overflows"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e200, 1e154],
+                             ids=["nan", "neg-inf", "square-overflows",
+                                  "norm-above-quarter-max"])
     def test_non_finite_rejected(self, value):
         # 1e200 is finite, but its square is not: K(x, x) would be inf and
-        # the Gaussian kernel nan.
+        # the Gaussian kernel nan. 1e154 squares to 1e308, finite, but two
+        # such rows would give n_i + n_j - 2 <x_i, x_j> = inf - inf.
         with pytest.raises(DataError, match="row 1: .*finite"):
             one_row([0, 1], [1.0, value], 1)
+
+    def test_norm_just_under_the_bound_accepted(self):
+        # 6e153 squares to 3.6e307, below max / 4, so any two such rows have
+        # a finite squared distance.
+        ds = one_row([0], [6e153], -1)
+        assert ds.norms[1] == 6e153 * 6e153
 
     def test_norm_cached(self):
         ds = one_row([0, 2], [3.0, 4.0], -1)

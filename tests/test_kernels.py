@@ -62,6 +62,17 @@ def test_gaussian_self_similarity_is_one():
         assert k.row(ds, j)[j] == 1.0
 
 
+def test_gaussian_is_finite_up_to_the_norm_bound():
+    # Rows x and -x just under the data boundary's norm bound: their squared
+    # distance, 4 * 3.6e307, is finite, so no path warns or gives nan.
+    ds = Dataset.from_dense([[6e153], [-6e153]], [1, -1])
+    k = GaussianKernel(1.0)
+    assert k.pair(ds, 0, ds, 1) == 0.0
+    assert k.row(ds, 0).tolist() == k.row(ds, 0, [0, 1]).tolist() == [1.0, 0.0]
+    assert k.cross(ds, [0, 1], ds).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert k.diag(ds).tolist() == [1.0, 1.0]
+
+
 def test_gaussian_requires_positive_bandwidth():
     with pytest.raises(ValueError):
         GaussianKernel(0.0)
@@ -126,6 +137,43 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
         before = kernel.eval_count
         assert kernel.row(ds, int(rng.integers(n)), []).shape == (0,)
         assert kernel.eval_count == before
+
+
+@given(st.integers(0, 2**32), st.integers(1, 6), st.floats(0.1, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
+    # On every access path the Gaussian value is exp(-max(d2, 0) / (2 sigma^2))
+    # of d2 = n_i + n_j - 2 <x_i, x_j>, with the linear kernel's product from
+    # the same path, bit for bit; and exactly 1.0 wherever x_i is x_j.
+    rng = np.random.default_rng(seed)
+
+    def sample(n, dim):
+        x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-2, 3, size=(n, 1))
+        x[rng.random((n, dim)) < 0.3] = 0.0
+        return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+
+    def mapped(products, norms_i, norms_j, same):
+        d2 = norms_i + norms_j - 2.0 * products
+        return np.where(same, 1.0, np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma_sq)))
+
+    ds, other = sample(12, d), sample(5, d + int(rng.integers(0, 2)))
+    lin, gauss = LinearKernel(), GaussianKernel(sigma_sq)
+    for j in range(ds.n):
+        k = int(rng.integers(other.n))
+        assert gauss.pair(ds, j, ds, j) == 1.0
+        assert gauss.pair(ds, j, other, k) == mapped(
+            lin.pair(ds, j, other, k), ds.norms[j], other.norms[k], False)
+        assert np.array_equal(gauss.row(ds, j), mapped(
+            lin.row(ds, j), ds.norms, ds.norms[j], np.arange(ds.n) == j))
+        drawn = rng.integers(0, ds.n, int(rng.integers(1, 2 * ds.n)))
+        for rows in (np.append(drawn, j), drawn[drawn != j]):
+            assert np.array_equal(gauss.row(ds, j, rows), mapped(
+                lin.row(ds, j, rows), ds.norms[rows], ds.norms[j], rows == j))
+    for a, b in ((ds, other), (other, ds)):
+        rows = rng.integers(0, a.n, int(rng.integers(1, 8)))
+        assert np.array_equal(gauss.cross(a, rows, b), mapped(
+            lin.cross(a, rows, b), a.norms[rows][:, None], b.norms[None, :], False))
+    assert np.array_equal(gauss.diag(ds), np.ones(ds.n))
 
 
 def test_row_at_rejects_rows_out_of_range():

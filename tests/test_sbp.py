@@ -91,7 +91,7 @@ def test_responses_consistent_with_alpha():
     for _ in range(config.iterations):
         sbp_step(state, ds, kernel, config, rng)
     k = LinearKernel()
-    gram = np.array([[k._pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
+    gram = np.array([[k.pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
     y = ds.labels
     recomputed = y * (gram @ (state.alpha * y))
     np.testing.assert_allclose(state.responses, recomputed, rtol=1e-6, atol=1e-9)
