@@ -115,9 +115,10 @@ def _sdca_steps(dataset, kernel, lam, rng):
         kii = kernel.pair(dataset, i, dataset, i)
         if kii == 0.0:
             delta = 0.0  # flat direction, skip
-        else:
-            delta = (1.0 - responses[i]) / kii
-            delta = min(max(delta, -alpha[i]), box - alpha[i])
+        else:  # on Python floats: numpy's arithmetic, without its scalar cost
+            alpha_i = alpha.item(i)
+            delta = (1.0 - responses.item(i)) / kii
+            delta = min(max(delta, -alpha_i), box - alpha_i)
         if delta != 0.0:
             row = kernel.row(dataset, i)  # n evaluations
             alpha[i] += delta

@@ -107,6 +107,11 @@ def _read_param(kind: str, key: str, text: str):
         raise ValueError(f"unreadable value {text!r} for {kind} parameter {key}") from None
 
 
+def is_flag(kind: str, key: str) -> bool:
+    """Whether parameter key of solver kind is a yes/no flag."""
+    return _solver_kind(kind)[2][key][1] is _flag
+
+
 def train_solver(kind: str, params: dict, dataset: Dataset, kernel, seed: int,
                  test_data: Dataset | None = None, eval_kernel=None,
                  timing: bool = False, metadata: dict | None = None):

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .bench import (SOLVER_KINDS, _flag, calibrate_nu, fourier_plan, load_dataset,
+from .bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag, load_dataset,
                     parse_plan, run_plan, train_solver, write_run_csv)
 from .data import DataError, parse_libsvm
 from .kernels import kernel_from_spec
@@ -52,9 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     # with the same default; one the chosen solver does not take is a usage
     # error.
     for key, kinds in _solver_keys().items():
-        field_name, reader, default = SOLVER_KINDS[kinds[0]][2][key]
+        field_name, _, default = SOLVER_KINDS[kinds[0]][2][key]
         help_text = f"{field_name} ({'/'.join(kinds)})"
-        if reader is _flag:
+        if is_flag(kinds[0], key):
             train.add_argument(f"--{key}", action="store_const", const="1",
                                help=help_text)
         else:

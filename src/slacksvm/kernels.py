@@ -45,33 +45,32 @@ def _products_at(dataset: Dataset, j: int, rows: np.ndarray) -> np.ndarray:
 
 
 class KernelOracle:
-    """Base kernel wrapper.
-
-    Every counted access goes through pair/row/diag/cross, which bump
-    eval_count by the exact number of kernel evaluations performed. The
-    counter only ever increases; it is the cost unit all solvers report.
+    """Base kernel wrapper: every counted access goes through pair/row/diag/
+    cross, which bump eval_count by the exact number of kernel evaluations
+    performed. The counter only ever increases; it is the cost unit all
+    solvers report.
 
     A kernel is one map _values(products, norms_i, norms_j, same) of the inner
-    products read from the CSR arrays (fresh: the map may overwrite them) and
-    the cached squared norms; same indexes the entries where x_i is x_j.
+    products read from the CSR arrays (a fresh array it may overwrite, or one
+    pair's float) and the cached squared norms; same indexes the array
+    entries where x_i is x_j.
     """
 
     def __init__(self):
         self.eval_count = 0
 
     def pair(self, dataset: Dataset, i: int, other: Dataset, j: int) -> float:
-        """K(row i of dataset, row j of other); one evaluation. The product
-        of a row of a dataset with itself is its cached squared norm."""
+        """K(row i of dataset, row j of other); one evaluation. The product of
+        a row with itself is its cached squared norm, so n_i + n_j - 2p is 0."""
         if not (0 <= i < dataset.n and 0 <= j < other.n):
             raise IndexError(f"row index {i} or {j} out of range")
         self.eval_count += 1
-        same = dataset is other and i == j
-        if same:
-            product = norm_i = norm_j = dataset.norms[i]
+        if dataset is other and i == j:
+            product = norm_i = norm_j = dataset.norms.item(i)
         else:
             product = _dot(dataset, i, other, j)
-            norm_i, norm_j = dataset.norms[i], other.norms[j]
-        return float(self._values(product, norm_i, norm_j, same))
+            norm_i, norm_j = dataset.norms.item(i), other.norms.item(j)
+        return float(self._values(product, norm_i, norm_j, False))
 
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
@@ -95,9 +94,8 @@ class KernelOracle:
         return self._values(dataset.norms.copy(), dataset.norms, dataset.norms, True)
 
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
-        """K between dataset[rows] and every example of other, over their
-        common features; shape (len(rows), other.n), len(rows) * other.n
-        evaluations. No entry is marked as a self-pair."""
+        """K between dataset[rows] and every example of other over their common
+        features: (len(rows), other.n) values and evaluations, none a self-pair."""
         rows = np.asarray(rows, dtype=np.int64)
         self.eval_count += int(rows.size) * other.n
         if rows.size == 0:
@@ -132,11 +130,13 @@ class GaussianKernel(KernelOracle):
         self.sigma_sq = float(sigma_sq)
 
     def _values(self, products, norms_i, norms_j, same):
-        # In place: -2p + (n_i + n_j) and m / -(2 sigma^2) round exactly as
-        # n_i + n_j - 2p and -m / (2 sigma^2) do.
-        d2 = np.asarray(products)
+        # -2p + (n_i + n_j) and m / -(2 sigma^2) round as n_i + n_j - 2p and
+        # -m / (2 sigma^2); an array in place, one pair's float without numpy.
+        d2 = products
         d2 *= -2.0
         d2 += norms_i + norms_j
+        if isinstance(d2, float):
+            return 1.0 if d2 <= 0.0 else np.exp(d2 / (-2.0 * self.sigma_sq))
         d2[same] = 0.0  # self-distance is zero by definition
         np.maximum(d2, 0.0, out=d2)
         d2 /= -2.0 * self.sigma_sq
