@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .kernels import RowSubset
 from .recording import Checkpointer
 
 
@@ -163,21 +164,22 @@ def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
     }, test_data, eval_kernel, timing, metadata)
 
     alpha = np.zeros(n, dtype=np.int64)
-    # The ascending support set and its coefficients change only on a mistake.
+    # The ascending support set, its gathered rows and its coefficients
+    # change only on a mistake.
     sv = np.flatnonzero(alpha)
-    coef = alpha[sv] * y[sv]
+    support, coef = RowSubset(dataset, sv), alpha[sv] * y[sv]
     step = 0
     for _ in range(config.passes):
         for i in rng.permutation(n):
             step += 1
             if sv.size:
-                score_i = float(coef @ kernel.row(dataset, int(i), sv))
+                score_i = float(coef @ kernel.row(dataset, int(i), support))
             else:
                 score_i = 0.0
             if y[i] * score_i <= 0.0:  # sign(0) counts as a mistake
                 alpha[i] += 1
                 sv = np.flatnonzero(alpha)
-                coef = alpha[sv] * y[sv]
+                support, coef = RowSubset(dataset, sv), alpha[sv] * y[sv]
             if step in ckpt.schedule:
                 ckpt.add(step, math.nan, alpha.astype(np.float64))
 

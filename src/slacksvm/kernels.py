@@ -23,25 +23,57 @@ def _dot(a: Dataset, i: int, b: Dataset, j: int) -> float:
     return float(a.values[lo:hi][keep] @ _dense(b, j)[idx[keep]])
 
 
-def _products_at(dataset: Dataset, j: int, rows: np.ndarray) -> np.ndarray:
-    """[<x_i, x_j>] for i in rows, read straight from the CSR arrays.
+# Output entries per block of cross: the sparse product of one block, and the
+# Gaussian's norm sums over it, stay near a megabyte beside the result.
+_CROSS_BLOCK_ENTRIES = 1 << 17
 
-    Each row's stored products are summed one after another in storage
-    order, as scipy's CSR mat-vec does, so the result equals
-    (dataset.matrix @ _dense(dataset, j))[rows] bit for bit; a pairwise
-    sum such as np.add.reduceat would round differently.
-    """
-    ends = dataset.indptr[rows + 1]
-    counts = ends - dataset.indptr[rows]
-    last = np.cumsum(counts)
-    # Position in the CSR arrays of the stored entries of the selected rows,
-    # row after row: gathered entry k of a row sits at k + (end - last).
-    pos = np.repeat(ends - last, counts)
-    pos += np.arange(pos.size)
-    products = dataset.values[pos] * _dense(dataset, j)[dataset.indices[pos]]
-    sums = np.bincount(np.repeat(np.arange(rows.size), counts), weights=products,
-                       minlength=rows.size)
-    return sums.astype(np.float64, copy=False)  # no stored entry: integer zeros
+
+def _checked_rows(rows, n: int) -> np.ndarray:
+    """rows as int64 indices into a dataset of n rows. Raises TypeError for
+    anything but a 1-d array of integers (floats and masks are not indices)
+    and IndexError for an index outside [0, n); callers check before they
+    count."""
+    rows = np.asarray(rows)
+    if rows.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise TypeError("rows must be a 1-d array of integer indices")
+    if rows.min() < 0 or rows.max() >= n:
+        raise IndexError("rows index out of range")
+    return rows.astype(np.int64, copy=False)
+
+
+class RowSubset:
+    """Rows of one dataset, gathered once from the CSR arrays for any number
+    of subset rows: their stored entries in storage order, each entry's
+    segment (its position in rows) and the rows' cached squared norms."""
+
+    def __init__(self, dataset: Dataset, rows):
+        rows = _checked_rows(rows, dataset.n)
+        ends = dataset.indptr[rows + 1]
+        counts = ends - dataset.indptr[rows]
+        # Position in the CSR arrays of the stored entries of the selected
+        # rows, row after row: gathered entry k of a row sits at k + (end - last).
+        pos = np.repeat(ends - np.cumsum(counts), counts)
+        pos += np.arange(pos.size)
+        self.dataset = dataset
+        self.rows = rows
+        self.indices = dataset.indices[pos]
+        self.values = dataset.values[pos]
+        self.segments = np.repeat(np.arange(rows.size), counts)
+        self.norms = dataset.norms[rows]
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def products(self, j: int) -> np.ndarray:
+        """[<x_i, x_j>] for i in rows. Each row's stored products are summed
+        one after another in storage order, as scipy's CSR mat-vec does, so
+        the result equals (dataset.matrix @ _dense(dataset, j))[rows] bit for
+        bit; a pairwise sum such as np.add.reduceat would round differently."""
+        products = _dense(self.dataset, j)[self.indices] * self.values
+        sums = np.bincount(self.segments, weights=products, minlength=self.rows.size)
+        return sums.astype(np.float64, copy=False)  # no stored entry: integer zeros
 
 
 class KernelOracle:
@@ -51,9 +83,9 @@ class KernelOracle:
     solvers report.
 
     A kernel is one map _values(products, norms_i, norms_j, same) of the inner
-    products read from the CSR arrays (a fresh array it may overwrite, or one
-    pair's float) and the cached squared norms; same indexes the array
-    entries where x_i is x_j.
+    products read from the CSR arrays (a fresh array, which it maps in place
+    and returns, or one pair's float) and the cached squared norms; same
+    indexes the array entries where x_i is x_j.
     """
 
     def __init__(self):
@@ -74,19 +106,21 @@ class KernelOracle:
 
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
-        the indices i in rows only (len(rows) evaluations)."""
+        the indices i in rows only (len(rows) evaluations). rows is an index
+        array or a RowSubset of dataset, which reuses one gather for every j."""
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
         if rows is None:
             self.eval_count += dataset.n
             return self._values(dataset.matrix @ _dense(dataset, j),
                                 dataset.norms, dataset.norms[j], j)
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and not (0 <= rows.min() and rows.max() < dataset.n):
-            raise IndexError("rows index out of range")
-        self.eval_count += int(rows.size)
-        return self._values(_products_at(dataset, j, rows),
-                            dataset.norms[rows], dataset.norms[j], rows == j)
+        if not isinstance(rows, RowSubset):
+            rows = RowSubset(dataset, rows)
+        elif rows.dataset is not dataset:
+            raise ValueError("row subset of another dataset")
+        self.eval_count += len(rows)
+        return self._values(rows.products(j), rows.norms, dataset.norms[j],
+                            rows.rows == j)
 
     def diag(self, dataset: Dataset) -> np.ndarray:
         """[K(x_i, x_i)]_i; costs n evaluations."""
@@ -95,15 +129,22 @@ class KernelOracle:
 
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
         """K between dataset[rows] and every example of other over their common
-        features: (len(rows), other.n) values and evaluations, none a self-pair."""
-        rows = np.asarray(rows, dtype=np.int64)
-        self.eval_count += int(rows.size) * other.n
-        if rows.size == 0:
-            return np.zeros((0, other.n))
+        features: (len(rows), other.n) values and evaluations, none a self-pair.
+        The product is taken a block of rows at a time into the result and
+        mapped there, so no temporary grows with the result."""
+        rows = _checked_rows(rows, dataset.n)
+        self.eval_count += rows.size * other.n
+        out = np.empty((rows.size, other.n))
         m = min(dataset.dimension, other.dimension)
-        products = (dataset.matrix[rows, :m] @ other.matrix[:, :m].T).toarray()
-        return self._values(products, dataset.norms[rows][:, None],
-                            other.norms[None, :], False)
+        left = dataset.matrix[rows, :m]
+        right = other.matrix[:, :m].T.tocsr()  # the conversion `@` would make
+        norms_i = dataset.norms[rows][:, None]
+        step = max(1, _CROSS_BLOCK_ENTRIES // other.n)
+        for lo in range(0, rows.size, step):
+            block = out[lo:lo + step]
+            (left[lo:lo + step] @ right).toarray(out=block)
+            self._values(block, norms_i[lo:lo + step], other.norms[None, :], False)
+        return out
 
     @property
     def spec_string(self) -> str:

@@ -237,6 +237,19 @@ def perceptron_reference(dataset, kernel, passes: int, seed: int):
     return alpha, sizes, after
 
 
+def cross_reference(kernel, dataset, rows, other):
+    """kernel.cross without blocks and without counting: the whole sparse
+    product of dataset[rows] and other over their common features, made
+    dense, then mapped to kernel values in one call."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return np.zeros((0, other.n))
+    m = min(dataset.dimension, other.dimension)
+    products = (dataset.matrix[rows, :m] @ other.matrix[:, :m].T).toarray()
+    return kernel._values(products, dataset.norms[rows][:, None],
+                          other.norms[None, :], False)
+
+
 class PrecomputedGramKernel(KernelOracle):
     """Gram-matrix lookup.
 

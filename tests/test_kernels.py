@@ -1,12 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slacksvm import kernels
 from slacksvm.data import DataError, Dataset, parse_libsvm
-from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
+from slacksvm.kernels import GaussianKernel, LinearKernel, RowSubset, kernel_from_spec
 
-from oracles import PrecomputedGramKernel
+from oracles import PrecomputedGramKernel, cross_reference
 
 
 def ex(values, label=1):
@@ -105,13 +109,18 @@ def test_row_at_is_the_full_row_sliced(seed, d):
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3)
     x[rng.random((n, d)) < 0.2] = 0.0
     ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+    shared = rng.choice(n, int(rng.integers(0, n)), replace=False)
     for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+        subset = RowSubset(ds, shared)  # one gather, reused for every j
         for j in range(n):
             rows = np.append(rng.choice(n, int(rng.integers(0, n)), replace=False), j)
             rng.shuffle(rows)
             before = kernel.eval_count
             assert np.array_equal(kernel.row(ds, j, rows), kernel.row(ds, j)[rows])
             assert kernel.eval_count - before == rows.size + n
+            before = kernel.eval_count
+            assert np.array_equal(kernel.row(ds, j, subset), kernel.row(ds, j)[shared])
+            assert kernel.eval_count - before == shared.size + n
 
 
 @given(st.integers(0, 2**32), st.integers(1, 40))
@@ -126,7 +135,9 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
     x[rng.random((n, d)) < rng.uniform(0.0, 0.6)] = 0.0
     x[rng.random(n) < 0.2] = 0.0
     ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+    shared = rng.integers(0, n, int(rng.integers(1, 2 * n)))
     for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+        subset = RowSubset(ds, shared)  # one gather, reused for every j
         for j in range(n):
             rows = rng.integers(0, n, int(rng.integers(1, 2 * n)))
             before = kernel.eval_count
@@ -134,8 +145,14 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
             assert kernel.eval_count - before == rows.size
             assert got.dtype == np.float64
             assert np.array_equal(got, kernel.row(ds, j)[rows])
+            before = kernel.eval_count
+            got = kernel.row(ds, j, subset)
+            assert kernel.eval_count - before == shared.size
+            assert got.dtype == np.float64
+            assert np.array_equal(got, kernel.row(ds, j)[shared])
         before = kernel.eval_count
         assert kernel.row(ds, int(rng.integers(n)), []).shape == (0,)
+        assert kernel.row(ds, int(rng.integers(n)), RowSubset(ds, [])).shape == (0,)
         assert kernel.eval_count == before
 
 
@@ -176,11 +193,98 @@ def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
     assert np.array_equal(gauss.diag(ds), np.ones(ds.n))
 
 
+# Index arrays that numpy would coerce or wrap: floats would be truncated, a
+# mask read as the indices 1 and 0, a negative index wrap to the last row.
+BAD_ROWS = (([3], IndexError), ([0, -1], IndexError), ([-1], IndexError),
+            ([0.7, 1.2], TypeError), ([True, False, True], TypeError),
+            ([[0, 1]], TypeError))
+
+
 def test_row_at_rejects_rows_out_of_range():
+    # Checked before anything is counted, whether the rows come as an index
+    # array or as a RowSubset, which must be of the dataset being read.
     ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
-    for rows in ([3], [0, -1]):
-        with pytest.raises(IndexError):
-            LinearKernel().row(ds, 0, rows)
+    k = LinearKernel()
+    for rows, error in BAD_ROWS:
+        with pytest.raises(error):
+            k.row(ds, 2, rows)
+        with pytest.raises(error):
+            RowSubset(ds, rows)
+    twin = Dataset.from_dense(np.eye(3), [1, -1, 1])
+    with pytest.raises(ValueError):
+        k.row(ds, 0, RowSubset(twin, [0, 1]))
+    assert k.eval_count == 0
+
+
+def test_cross_rejects_rows_out_of_range():
+    ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
+    for k in (LinearKernel(), GaussianKernel(1.0)):
+        for rows, error in BAD_ROWS:
+            with pytest.raises(error):
+                k.cross(ds, rows, ds)
+        assert k.eval_count == 0
+
+
+def _sample(rng, n, dim):
+    """n rows of dimension dim at mixed scales, about a fifth of them empty."""
+    x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-2, 3, size=(n, 1))
+    x[rng.random((n, dim)) < 0.3] = 0.0
+    x[rng.random(n) < 0.2] = 0.0
+    return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+
+
+@given(st.integers(0, 2**32), st.integers(1, 6),
+       st.sampled_from([1, 3, 16, 64, kernels._CROSS_BLOCK_ENTRIES]))
+@settings(max_examples=100, deadline=None)
+def test_blocked_cross_is_the_one_shot_product(seed, d, budget):
+    # Whatever the block size, cross equals the whole product mapped at once,
+    # bit for bit: blocks of several rows, one row per block once other.n
+    # exceeds the budget, empty rows, rows with no stored entries, repeated
+    # rows, and datasets of different dimension, both ways round.
+    rng = np.random.default_rng(seed)
+    ds = _sample(rng, int(rng.integers(1, 30)), d)
+    other = _sample(rng, int(rng.integers(1, 12)), int(rng.integers(1, d + 3)))
+    with mock.patch.object(kernels, "_CROSS_BLOCK_ENTRIES", budget):
+        for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+            for a, b in ((ds, other), (other, ds)):
+                for rows in (rng.integers(0, a.n, int(rng.integers(0, 3 * a.n))),
+                             np.zeros(0, dtype=np.int64)):
+                    before = kernel.eval_count
+                    got = kernel.cross(a, rows, b)
+                    assert kernel.eval_count - before == rows.size * b.n
+                    assert got.shape == (rows.size, b.n)
+                    assert np.array_equal(got, cross_reference(kernel, a, rows, b))
+
+
+def test_cross_blocks_at_the_module_budget():
+    # The same at the shipped budget: 300 rows against 1000 take three
+    # blocks, and against more columns than the budget one row a block.
+    rng = np.random.default_rng(5)
+    ds = _sample(rng, 300, 3)
+    cases = ((rng.integers(0, ds.n, 300), _sample(rng, 1000, 3)),
+             (np.array([0, 7, 7, 299]), _sample(rng, kernels._CROSS_BLOCK_ENTRIES + 3, 2)))
+    for rows, other in cases:
+        for kernel in (LinearKernel(), GaussianKernel(0.8)):
+            assert np.array_equal(kernel.cross(ds, rows, other),
+                                  cross_reference(kernel, ds, rows, other))
+
+
+def test_cross_peak_memory_is_near_its_result():
+    # A 1000 x 2000 Gaussian cross is 16 MB. Taken in row blocks into the
+    # result, it allocates about 2 MB beside it; the whole product made
+    # dense and then mapped peaked at 40 MB.
+    rng = np.random.default_rng(0)
+    a = Dataset.from_dense(rng.standard_normal((1000, 2)), np.ones(1000))
+    b = Dataset.from_dense(rng.standard_normal((2000, 2)), np.ones(2000))
+    a.matrix, b.matrix  # built on first use, before the cross is measured
+    tracemalloc.start()
+    try:
+        g = GaussianKernel(1.0).cross(a, np.arange(1000), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.nbytes == 16_000_000
+    assert peak < 1.25 * g.nbytes
 
 
 def test_cross_matches_pairs():

@@ -57,6 +57,10 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     # covered set from waterfill.support_set and its level from find_gamma
     # (the checkpoints add more find_gamma calls).
     assert tracer.stats["waterfill.support_set"].calls == 20
+    # kernels.row.* of a traced plan count the Perceptron's scoring: one
+    # kernels.row per step with a nonempty support set, which is every step
+    # after the first (an empty set scores 0, a mistake).
+    assert tracer.nested_calls[("kernels.row", "baselines.perceptron_train")] == 40 - 1
     assert tracer.stats["waterfill.find_gamma"].calls >= 20
     # The set-up metrics read these: the file is parsed once, and each
     # dataset wraps its CSR matrix lazily, on the first kernel call.
