@@ -25,8 +25,8 @@ class PegasosConfig:
     average: bool = False
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
@@ -38,8 +38,8 @@ class SdcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
@@ -56,11 +56,13 @@ class PerceptronConfig:
 
 def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
                   test_data: Dataset | None = None, eval_kernel=None,
-                  timing: bool = False, metadata: dict | None = None):
+                  timing: bool = False):
     """Kernelized Pegasos without a projection step.
 
     Non-violation steps only rescale w, applied lazily through a scalar, so
-    kernel rows (n evaluations) are spent on violation steps only.
+    kernel rows (n evaluations) are spent on violation steps only. With
+    average, the checkpoints and the returned model are the running average
+    of the iterates, its responses averaged alike.
     """
     n = dataset.n
     y = dataset.labels
@@ -69,12 +71,13 @@ def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
         "solver": "pegasos", "lambda": config.lam,
         "iterations": config.iterations, "seed": config.seed,
         "average": config.average,
-    }, test_data, eval_kernel, timing, metadata)
+    }, test_data, eval_kernel, timing)
 
     raw_alpha = np.zeros(n)
     raw_resp = np.zeros(n)  # effective responses are scale * raw_resp
     scale = 1.0
     alpha_sum = np.zeros(n) if config.average else None
+    resp_sum = np.zeros(n) if config.average else None
 
     for t in range(1, config.iterations + 1):
         i = int(rng.integers(n))
@@ -88,13 +91,14 @@ def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
             raw_resp += (eta / scale) * y[i] * y * row
         if config.average:
             alpha_sum += scale * raw_alpha
-        if t in ckpt.schedule:
-            c = scale * raw_resp
-            ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - c))), scale * raw_alpha)
-
-    if config.average:
-        return ckpt.model(alpha_sum / config.iterations)
-    return ckpt.model(scale * raw_alpha)
+            resp_sum += scale * raw_resp
+        if t in ckpt.schedule:  # the last iteration always is
+            if config.average:
+                alpha, c = alpha_sum / t, resp_sum / t
+            else:
+                alpha, c = scale * raw_alpha, scale * raw_resp
+            ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - c))), alpha)
+    return ckpt.model(alpha)
 
 
 def sdca_dual_value(alpha, responses, lam) -> float:
@@ -129,13 +133,13 @@ def _sdca_steps(dataset, kernel, lam, rng):
 
 def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
                test_data: Dataset | None = None, eval_kernel=None,
-               timing: bool = False, metadata: dict | None = None):
+               timing: bool = False):
     """Stochastic dual coordinate ascent with exact coordinate maximization."""
     rng = np.random.default_rng(config.seed)
     ckpt = Checkpointer(dataset, kernel, config.iterations, {
         "solver": "sdca", "lambda": config.lam,
         "iterations": config.iterations, "seed": config.seed,
-    }, test_data, eval_kernel, timing, metadata)
+    }, test_data, eval_kernel, timing)
     steps = _sdca_steps(dataset, kernel, config.lam, rng)
     for t, (_, _, alpha, responses) in zip(range(1, config.iterations + 1), steps):
         if t in ckpt.schedule:
@@ -145,7 +149,7 @@ def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
 
 def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
                      test_data: Dataset | None = None, eval_kernel=None,
-                     timing: bool = False, metadata: dict | None = None):
+                     timing: bool = False):
     """Online Perceptron; the per-example score against the live support set
     costs exactly the current mistake count in kernel evaluations.
 
@@ -161,7 +165,7 @@ def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
         "solver": "perceptron", "passes": config.passes, "seed": config.seed,
         "single_pass_valid_through_iteration": n,
         "beyond_single_pass": config.passes > 1,
-    }, test_data, eval_kernel, timing, metadata)
+    }, test_data, eval_kernel, timing)
 
     alpha = np.zeros(n, dtype=np.int64)
     # The ascending support set, its gathered rows and its coefficients

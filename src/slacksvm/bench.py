@@ -114,7 +114,7 @@ def is_flag(kind: str, key: str) -> bool:
 
 def train_solver(kind: str, params: dict, dataset: Dataset, kernel, seed: int,
                  test_data: Dataset | None = None, eval_kernel=None,
-                 timing: bool = False, metadata: dict | None = None):
+                 timing: bool = False):
     """Train one solver of the given kind, its params (plan key -> text)
     over the kind's defaults; returns (TrainedModel, RunRecord).
 
@@ -127,7 +127,7 @@ def train_solver(kind: str, params: dict, dataset: Dataset, kernel, seed: int,
     kwargs.update(_read_param(kind, key, text) for key, text in params.items())
     config = config_cls(seed=seed, **kwargs)
     return globals()[train_name](dataset, kernel, config, test_data,
-                                 eval_kernel, timing, metadata)
+                                 eval_kernel, timing)
 
 
 @dataclass
@@ -270,7 +270,7 @@ def run_plan(plan: BenchPlan, out_dir=None) -> dict:
                                if test_data is not None else None)
                 _, record = train_solver(solver.kind, solver.params, dataset,
                                          kernel, seed, test_data, eval_kernel,
-                                         plan.timing, {"dataset_n": dataset.n})
+                                         plan.timing)
             except (SolverError, DataError, ValueError) as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
                 continue
@@ -333,8 +333,8 @@ def calibrate_nu(dataset: Dataset, kernel, lam: float, budget: int,
     primal-dual residual of the inner solve so calibration quality is
     visible.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     if budget < dataset.n + 1:
         raise ValueError("budget too small for even one solver step")
     rng = np.random.default_rng(seed)

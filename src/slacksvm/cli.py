@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: train, bench, calibrate-nu, fourier. Exit codes: 0 success,
-2 usage error, 3 data error, 4 solver error.
+2 usage error, 3 data or file error, 4 solver error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from .bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag, load_dataset,
                     parse_plan, run_plan, train_solver, write_run_csv)
 from .data import DataError, parse_libsvm
-from .kernels import kernel_from_spec
+from .kernels import GaussianKernel, kernel_from_spec
 from .model import SolverError, save_model
 
 EXIT_OK = 0
@@ -151,11 +151,11 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
-    if not args.kernel.startswith("gaussian:"):
+    kernel = kernel_from_spec(args.kernel)
+    if not isinstance(kernel, GaussianKernel):
         print("slacksvm: error: fourier comparison requires a Gaussian kernel",
               file=sys.stderr)
         return EXIT_USAGE
-    sigma_sq = float(args.kernel.split(":", 1)[1])
     dataset = _load(args.data, args.positive_class)
     test_data = _load(args.test, args.positive_class)
     try:
@@ -165,7 +165,7 @@ def _cmd_fourier(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     lam = args.lam if args.lam is not None else 1.0 / dataset.n
-    csv_text = fourier_plan(dataset, sigma_sq, k_list, lam, args.iters,
+    csv_text = fourier_plan(dataset, kernel.sigma_sq, k_list, lam, args.iters,
                             test_data, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "fourier.csv")
@@ -191,10 +191,8 @@ def main(argv=None) -> int:
         if args.command == "fourier":
             return _cmd_fourier(args)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"slacksvm: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
+    except (OSError, UnicodeDecodeError, DataError) as exc:
+        # UnicodeDecodeError and DataError are ValueErrors: caught first.
         print(f"slacksvm: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SolverError as exc:

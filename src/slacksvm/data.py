@@ -30,6 +30,16 @@ def _first(bad, rows, reason):
         raise DataError(reason, int(rows[hits[0]]))
 
 
+def _row_sums(segments, terms, count: int) -> np.ndarray:
+    """[sum of terms[k] over segments[k] == s] for s in range(count), each
+    sum taken term after term from 0.0, as scipy's CSR mat-vec and sparse
+    product sum a row's stored products. Every inner product, a squared norm
+    included, is summed this way, so it has one value on every path; a
+    pairwise or BLAS sum would round differently."""
+    sums = np.bincount(segments, weights=terms, minlength=count)
+    return sums.astype(np.float64, copy=False)  # no terms: integer zeros
+
+
 # The largest squared row norm: under it, n_i + n_j and 2 <x_i, x_j> are
 # both finite, so a squared distance is never inf - inf.
 _MAX_NORM = np.finfo(np.float64).max / 4
@@ -43,10 +53,11 @@ class Dataset:
     checks that indices are non-negative and strictly ascending within each
     row, that no explicit zero is stored, that labels are -1 or +1, and that
     ``dimension`` is above the largest index. ``norms[i]``, the squared norm
-    of row i, is cached so kernels never pay for it, and must be at most
-    _MAX_NORM: that rejects nan and inf values and values whose squares
-    overflow, and keeps ``norms[i] + norms[j] - 2 <x_i, x_j>`` finite for
-    any two rows, in one dataset or two.
+    of row i summed as _row_sums sums every inner product, is cached so
+    kernels never pay for it, and must be at most _MAX_NORM: that rejects
+    nan and inf values and values whose squares overflow, and keeps
+    ``norms[i] + norms[j] - 2 <x_i, x_j>`` finite for any two rows, in one
+    dataset or two.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -70,12 +81,8 @@ class Dataset:
         if bad.size:
             raise DataError(f"label must be -1 or +1, got {float(labels[bad[0]])!r}",
                             int(bad[0]))
-        # One dot per row, as for a standalone vector: a vectorized sum
-        # rounds differently, and Gaussian rows depend on these bits.
-        bounds = indptr.tolist()
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.array([values[lo:hi] @ values[lo:hi]
-                              for lo, hi in zip(bounds[:-1], bounds[1:])], dtype=np.float64)
+            norms = _row_sums(rows, values * values, n)
         _first(~(norms <= _MAX_NORM), np.arange(n), "feature values must be finite "
                f"with a squared norm of at most {_MAX_NORM:.4g}")
         max_id = int(indices.max()) if indices.size else -1

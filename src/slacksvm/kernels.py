@@ -4,23 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _row_sums
 
 
-def _dense(dataset: Dataset, j: int) -> np.ndarray:
-    """Row j of dataset as a dense vector of length dataset.dimension."""
+def _dense(dataset: Dataset, j: int, dimension: int) -> np.ndarray:
+    """Row j of dataset as a dense vector of length dimension, without the
+    row's features at or past dimension."""
     lo, hi = dataset.indptr[j], dataset.indptr[j + 1]
-    out = np.zeros(dataset.dimension)
+    out = np.zeros(max(dimension, dataset.dimension))
     out[dataset.indices[lo:hi]] = dataset.values[lo:hi]
-    return out
-
-
-def _dot(a: Dataset, i: int, b: Dataset, j: int) -> float:
-    """Inner product of row i of a and row j of b over their common features."""
-    lo, hi = a.indptr[i], a.indptr[i + 1]
-    idx = a.indices[lo:hi]
-    keep = idx < b.dimension
-    return float(a.values[lo:hi][keep] @ _dense(b, j)[idx[keep]])
+    return out[:dimension]
 
 
 # Output entries per block of cross: the sparse product of one block, and the
@@ -66,14 +59,11 @@ class RowSubset:
     def __len__(self) -> int:
         return self.rows.size
 
-    def products(self, j: int) -> np.ndarray:
-        """[<x_i, x_j>] for i in rows. Each row's stored products are summed
-        one after another in storage order, as scipy's CSR mat-vec does, so
-        the result equals (dataset.matrix @ _dense(dataset, j))[rows] bit for
-        bit; a pairwise sum such as np.add.reduceat would round differently."""
-        products = _dense(self.dataset, j)[self.indices] * self.values
-        sums = np.bincount(self.segments, weights=products, minlength=self.rows.size)
-        return sums.astype(np.float64, copy=False)  # no stored entry: integer zeros
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """[<x_i, x>] for i in rows, x a dense vector of length
+        dataset.dimension; each row's stored products summed by _row_sums,
+        so the result equals (dataset.matrix @ x)[rows] bit for bit."""
+        return _row_sums(self.segments, x[self.indices] * self.values, self.rows.size)
 
 
 class KernelOracle:
@@ -82,27 +72,32 @@ class KernelOracle:
     performed. The counter only ever increases; it is the cost unit all
     solvers report.
 
-    A kernel is one map _values(products, norms_i, norms_j, same) of the inner
+    A kernel is one map _values(products, norms_i, norms_j) of the inner
     products read from the CSR arrays (a fresh array, which it maps in place
-    and returns, or one pair's float) and the cached squared norms; same
-    indexes the array entries where x_i is x_j.
+    and returns, or one pair's float) and the cached squared norms. Products
+    and norms are summed alike, so the product of a row with itself is its
+    norm on every path and a Gaussian's n_i + n_j - 2p is then exactly 0.
     """
 
     def __init__(self):
         self.eval_count = 0
 
     def pair(self, dataset: Dataset, i: int, other: Dataset, j: int) -> float:
-        """K(row i of dataset, row j of other); one evaluation. The product of
-        a row with itself is its cached squared norm, so n_i + n_j - 2p is 0."""
+        """K(row i of dataset, row j of other) over their common features;
+        one evaluation. A row with itself reads its cached squared norm, the
+        value the general path would sum."""
         if not (0 <= i < dataset.n and 0 <= j < other.n):
             raise IndexError(f"row index {i} or {j} out of range")
         self.eval_count += 1
         if dataset is other and i == j:
             product = norm_i = norm_j = dataset.norms.item(i)
         else:
-            product = _dot(dataset, i, other, j)
+            lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
+            terms = _dense(other, j, dataset.dimension)[dataset.indices[lo:hi]]
+            terms *= dataset.values[lo:hi]
+            product = _row_sums(np.zeros(hi - lo, np.int64), terms, 1).item(0)
             norm_i, norm_j = dataset.norms.item(i), other.norms.item(j)
-        return float(self._values(product, norm_i, norm_j, False))
+        return float(self._values(product, norm_i, norm_j))
 
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
@@ -110,26 +105,25 @@ class KernelOracle:
         array or a RowSubset of dataset, which reuses one gather for every j."""
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
+        x = _dense(dataset, j, dataset.dimension)
         if rows is None:
             self.eval_count += dataset.n
-            return self._values(dataset.matrix @ _dense(dataset, j),
-                                dataset.norms, dataset.norms[j], j)
+            return self._values(dataset.matrix @ x, dataset.norms, dataset.norms[j])
         if not isinstance(rows, RowSubset):
             rows = RowSubset(dataset, rows)
         elif rows.dataset is not dataset:
             raise ValueError("row subset of another dataset")
         self.eval_count += len(rows)
-        return self._values(rows.products(j), rows.norms, dataset.norms[j],
-                            rows.rows == j)
+        return self._values(rows.products(x), rows.norms, dataset.norms[j])
 
     def diag(self, dataset: Dataset) -> np.ndarray:
         """[K(x_i, x_i)]_i; costs n evaluations."""
         self.eval_count += dataset.n
-        return self._values(dataset.norms.copy(), dataset.norms, dataset.norms, True)
+        return self._values(dataset.norms.copy(), dataset.norms, dataset.norms)
 
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
         """K between dataset[rows] and every example of other over their common
-        features: (len(rows), other.n) values and evaluations, none a self-pair.
+        features: (len(rows), other.n) values and evaluations.
         The product is taken a block of rows at a time into the result and
         mapped there, so no temporary grows with the result."""
         rows = _checked_rows(rows, dataset.n)
@@ -143,7 +137,7 @@ class KernelOracle:
         for lo in range(0, rows.size, step):
             block = out[lo:lo + step]
             (left[lo:lo + step] @ right).toarray(out=block)
-            self._values(block, norms_i[lo:lo + step], other.norms[None, :], False)
+            self._values(block, norms_i[lo:lo + step], other.norms[None, :])
         return out
 
     @property
@@ -152,7 +146,7 @@ class KernelOracle:
 
 
 class LinearKernel(KernelOracle):
-    def _values(self, products, norms_i, norms_j, same):
+    def _values(self, products, norms_i, norms_j):
         return products
 
     @property
@@ -166,11 +160,11 @@ class GaussianKernel(KernelOracle):
 
     def __init__(self, sigma_sq: float):
         super().__init__()
-        if not sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
+        if not 0 < sigma_sq < np.inf:
+            raise ValueError("sigma_sq must be positive and finite")
         self.sigma_sq = float(sigma_sq)
 
-    def _values(self, products, norms_i, norms_j, same):
+    def _values(self, products, norms_i, norms_j):
         # -2p + (n_i + n_j) and m / -(2 sigma^2) round as n_i + n_j - 2p and
         # -m / (2 sigma^2); an array in place, one pair's float without numpy.
         d2 = products
@@ -178,7 +172,6 @@ class GaussianKernel(KernelOracle):
         d2 += norms_i + norms_j
         if isinstance(d2, float):
             return 1.0 if d2 <= 0.0 else np.exp(d2 / (-2.0 * self.sigma_sq))
-        d2[same] = 0.0  # self-distance is zero by definition
         np.maximum(d2, 0.0, out=d2)
         d2 /= -2.0 * self.sigma_sq
         return np.exp(d2, out=d2)

@@ -60,16 +60,14 @@ class Checkpointer:
     """
 
     def __init__(self, dataset, kernel, steps: int, fields: dict,
-                 test_data=None, eval_kernel=None, timing: bool = False,
-                 metadata: dict | None = None):
+                 test_data=None, eval_kernel=None, timing: bool = False):
         self.dataset = dataset
         self.kernel = kernel
         self.test_data = test_data
         self.eval_kernel = eval_kernel
         self.timing = timing
         self.schedule = geometric_schedule(steps)
-        self.record = RunRecord(metadata={**fields, "rng": RNG_IDENTITY,
-                                          **(metadata or {})})
+        self.record = RunRecord(metadata={**fields, "rng": RNG_IDENTITY})
         self.start_evals = kernel.eval_count
         self.start_ns = time.perf_counter_ns()
 

@@ -32,8 +32,8 @@ class SbpConfig:
     use_bias: bool = False
 
     def __post_init__(self):
-        if not self.nu >= 0:
-            raise ValueError("nu must be non-negative")
+        if not 0 <= self.nu < math.inf:
+            raise ValueError("nu must be non-negative and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
@@ -129,13 +129,13 @@ def _averaged_level(state: SbpState, y, volume, use_bias):
 
 def sbp_train(dataset: Dataset, kernel, config: SbpConfig,
               test_data: Dataset | None = None, eval_kernel=None,
-              timing: bool = False, metadata: dict | None = None):
+              timing: bool = False):
     """Run the full training loop; returns (TrainedModel, RunRecord)."""
     rng = np.random.default_rng(config.seed)
     ckpt = Checkpointer(dataset, kernel, config.iterations, {
         "solver": "sbp", "nu": config.nu, "iterations": config.iterations,
         "seed": config.seed, "use_bias": config.use_bias,
-    }, test_data, eval_kernel, timing, metadata)
+    }, test_data, eval_kernel, timing)
     state = sbp_init(dataset, kernel, config)
     y = dataset.labels
     volume = dataset.n * config.nu

@@ -246,8 +246,7 @@ def cross_reference(kernel, dataset, rows, other):
         return np.zeros((0, other.n))
     m = min(dataset.dimension, other.dimension)
     products = (dataset.matrix[rows, :m] @ other.matrix[:, :m].T).toarray()
-    return kernel._values(products, dataset.norms[rows][:, None],
-                          other.norms[None, :], False)
+    return kernel._values(products, dataset.norms[rows][:, None], other.norms[None, :])
 
 
 class PrecomputedGramKernel(KernelOracle):

@@ -389,3 +389,51 @@ class TestCli:
         r = self.run_cli("fourier", str(f), "--test", str(f),
                          "--kernel", "linear")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ("train", "--kernel", "gaussian:inf"),
+        ("train", "--kernel", "gaussian:1e999"),
+        ("train", "--kernel", "gaussian:nan"),
+        ("train", "--solver", "pegasos", "--lambda", "inf"),
+        ("train", "--solver", "sdca", "--lambda", "nan"),
+        ("train", "--solver", "sbp", "--nu", "inf"),
+        ("calibrate-nu", "--lambda", "inf"),
+        ("fourier", "--kernel", "gaussian:0"),
+        ("fourier", "--kernel", "gaussian:inf"),
+    ])
+    def test_parameter_out_of_range_is_2(self, tmp_path, args):
+        # Rejected where it is read, before any training or output: a
+        # Gaussian of infinite width would be a constant kernel, nu = inf
+        # would fail only inside the water level, and fourier reads the
+        # width as train does.
+        f = tmp_path / "d.txt"
+        f.write_text("+1 1:1\n-1 1:-1\n")
+        command, *flags = args
+        extra = ("--test", str(f)) if command == "fourier" else ()
+        out = ("--out", str(tmp_path / "out")) if command != "calibrate-nu" else ()
+        r = self.run_cli(command, str(f), *flags, *extra, *out)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr and "error" in r.stderr
+        assert "requires a Gaussian kernel" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_directory_for_a_file_is_3(self, tmp_path, command):
+        r = self.run_cli(command, str(tmp_path), "--out", str(tmp_path / "out"))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr and "data error" in r.stderr
+
+    def test_out_naming_a_file_is_3(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        r = self.run_cli("train", "synthetic:two_gaussians:n=20,seed=1",
+                         "--iters", "5", "--out", str(taken))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr and "data error" in r.stderr
+
+    def test_data_file_not_utf8_is_3(self, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"+1 1:1 # caf\xe9\n-1 1:-1\n")
+        r = self.run_cli("train", str(bad), "--out", str(tmp_path / "out"))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr and "data error" in r.stderr

@@ -151,15 +151,18 @@ class TestDataset:
 
     def test_norms_are_per_row_dots(self):
         # Gaussian rows and calibrate outputs read these bits: each must be
-        # the dot product of the row with itself as a standalone vector.
+        # the row's squares summed left to right from 0.0, as every inner
+        # product is, so that K(x, x) has one value on every kernel path.
         base = generate(SyntheticSpec(kind="two_gaussians", n=200, dimension=5, seed=3))
         fmap = make_fourier_map(32, base.dimension, 1.0, seed=4)
         assert fmap.feature_dim == 64
         ds = linearize(fmap, base)
         dense = ds.matrix.toarray()
         for i in range(ds.n):
-            row = dense[i][np.flatnonzero(dense[i])]
-            assert ds.norms[i] == row @ row
+            total = 0.0
+            for v in dense[i][np.flatnonzero(dense[i])].tolist():
+                total += v * v
+            assert ds.norms[i] == total
 
 
 class TestSynthetic:

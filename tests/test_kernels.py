@@ -40,22 +40,33 @@ def test_gaussian_pinned_value():
     assert k.pair(a, 0, b, 0) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
-@given(st.integers(0, 2**32))
-@settings(max_examples=50, deadline=None)
-def test_self_pair_reads_the_cache(seed):
-    # K(x, x) is the cached squared norm (linear) or exactly 1 (Gaussian):
-    # the same bits as the general formula, where 2a - 2a == 0. A twin
-    # dataset with equal rows takes the general path.
+@given(st.integers(0, 2**32), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_one_self_product_on_every_path(seed, d):
+    # K(x, x) has one value, whichever path reads it: the cached squared
+    # norm (linear) or exactly 1.0 (Gaussian), where n + n - 2n == 0. The
+    # self-pair reads the cache; a twin dataset with equal rows, the full
+    # row, a subset row, the diagonal and cross sum the row's products. Rows
+    # of up to 40 entries whose magnitudes differ within a row tell the
+    # storage-order sum from any other.
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-3, 4)
-    x[rng.random(x.shape) < 0.3] = 0.0
-    labels = np.where(rng.random(6) < 0.5, 1, -1)
+    n = 12
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+    x[rng.random((n, d)) < rng.uniform(0.0, 0.6)] = 0.0
+    labels = np.where(rng.random(n) < 0.5, 1, -1)
     ds, twin = Dataset.from_dense(x, labels), Dataset.from_dense(x, labels)
-    for kernel, want in ((LinearKernel(), ds.norms), (GaussianKernel(0.7), np.ones(6))):
-        for i in range(ds.n):
-            assert kernel.pair(ds, i, ds, i) == want[i]
-            assert kernel.pair(ds, i, twin, i) == want[i]
-        assert kernel.eval_count == 2 * ds.n
+    for kernel, want in ((LinearKernel(), ds.norms), (GaussianKernel(0.7), np.ones(n))):
+        cost = 0  # one evaluation a pair, as many as entries read otherwise
+        for j in range(n):
+            rows = np.append(rng.integers(0, n, int(rng.integers(0, n))), j)
+            assert kernel.pair(ds, j, ds, j) == want[j]
+            assert kernel.pair(ds, j, twin, j) == want[j]
+            assert kernel.row(ds, j)[j] == want[j]
+            assert kernel.row(ds, j, rows)[-1] == want[j]
+            cost += 2 + n + rows.size
+        assert np.array_equal(kernel.diag(ds), want)
+        assert np.array_equal(np.diag(kernel.cross(ds, np.arange(n), ds)), want)
+        assert kernel.eval_count == cost + n + n * n
 
 
 def test_gaussian_self_similarity_is_one():
@@ -78,8 +89,12 @@ def test_gaussian_is_finite_up_to_the_norm_bound():
 
 
 def test_gaussian_requires_positive_bandwidth():
-    with pytest.raises(ValueError):
-        GaussianKernel(0.0)
+    for sigma_sq in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            GaussianKernel(sigma_sq)
+    for spec in ("gaussian:inf", "gaussian:1e999", "gaussian:-1"):
+        with pytest.raises(ValueError):
+            kernel_from_spec(spec)
 
 
 @given(st.integers(0, 2**32), st.floats(0.1, 10.0))
@@ -161,7 +176,7 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
 def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
     # On every access path the Gaussian value is exp(-max(d2, 0) / (2 sigma^2))
     # of d2 = n_i + n_j - 2 <x_i, x_j>, with the linear kernel's product from
-    # the same path, bit for bit; and exactly 1.0 wherever x_i is x_j.
+    # the same path, bit for bit.
     rng = np.random.default_rng(seed)
 
     def sample(n, dim):
@@ -169,9 +184,9 @@ def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
         x[rng.random((n, dim)) < 0.3] = 0.0
         return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
 
-    def mapped(products, norms_i, norms_j, same):
+    def mapped(products, norms_i, norms_j):
         d2 = norms_i + norms_j - 2.0 * products
-        return np.where(same, 1.0, np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma_sq)))
+        return np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma_sq))
 
     ds, other = sample(12, d), sample(5, d + int(rng.integers(0, 2)))
     lin, gauss = LinearKernel(), GaussianKernel(sigma_sq)
@@ -179,17 +194,17 @@ def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
         k = int(rng.integers(other.n))
         assert gauss.pair(ds, j, ds, j) == 1.0
         assert gauss.pair(ds, j, other, k) == mapped(
-            lin.pair(ds, j, other, k), ds.norms[j], other.norms[k], False)
+            lin.pair(ds, j, other, k), ds.norms[j], other.norms[k])
         assert np.array_equal(gauss.row(ds, j), mapped(
-            lin.row(ds, j), ds.norms, ds.norms[j], np.arange(ds.n) == j))
+            lin.row(ds, j), ds.norms, ds.norms[j]))
         drawn = rng.integers(0, ds.n, int(rng.integers(1, 2 * ds.n)))
         for rows in (np.append(drawn, j), drawn[drawn != j]):
             assert np.array_equal(gauss.row(ds, j, rows), mapped(
-                lin.row(ds, j, rows), ds.norms[rows], ds.norms[j], rows == j))
+                lin.row(ds, j, rows), ds.norms[rows], ds.norms[j]))
     for a, b in ((ds, other), (other, ds)):
         rows = rng.integers(0, a.n, int(rng.integers(1, 8)))
         assert np.array_equal(gauss.cross(a, rows, b), mapped(
-            lin.cross(a, rows, b), a.norms[rows][:, None], b.norms[None, :], False))
+            lin.cross(a, rows, b), a.norms[rows][:, None], b.norms[None, :]))
     assert np.array_equal(gauss.diag(ds), np.ones(ds.n))
 
 

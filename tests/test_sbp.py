@@ -46,8 +46,9 @@ class TestInit:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SbpConfig(nu=-0.1, iterations=10)
+    for nu in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SbpConfig(nu=nu, iterations=10)
     with pytest.raises(ValueError):
         SbpConfig(nu=0.1, iterations=0)
 
