@@ -7,6 +7,7 @@ Subcommands: train, bench, calibrate-nu, fourier. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -107,7 +108,19 @@ def _load(path_or_spec, positive_class):
         return parse_libsvm(fh, positive_class=positive_class)
 
 
+def _check_out(path) -> None:
+    """Raise NotADirectoryError if path, or the nearest of its ancestors
+    that exists, is not a directory: os.makedirs would fail there only
+    after the whole run. Creates nothing."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), head)
+
+
 def _cmd_train(args) -> int:
+    _check_out(args.out)
     dataset = _load(args.data, args.positive_class)
     kernel = kernel_from_spec(args.kernel)
     test_data = _load(args.test, args.positive_class) if args.test else None
@@ -151,6 +164,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
+    _check_out(args.out)
     kernel = kernel_from_spec(args.kernel)
     if not isinstance(kernel, GaussianKernel):
         print("slacksvm: error: fourier comparison requires a Gaussian kernel",

@@ -40,6 +40,17 @@ def _row_sums(segments, terms, count: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False)  # no terms: integer zeros
 
 
+def _feature_major(rows, indices, values, n: int, dimension: int):
+    """The entries as a dense dimension x n array, one row a feature, when
+    at least half of the n * dimension entries are stored; None otherwise,
+    so sparse data holds no dense copy and keeps the CSR paths."""
+    if 2 * indices.size < n * dimension:
+        return None
+    columns = np.zeros((dimension, n))
+    columns[indices, rows] = values
+    return columns
+
+
 # The largest squared row norm: under it, n_i + n_j and 2 <x_i, x_j> are
 # both finite, so a squared distance is never inf - inf.
 _MAX_NORM = np.finfo(np.float64).max / 4
@@ -57,7 +68,9 @@ class Dataset:
     kernels never pay for it, and must be at most _MAX_NORM: that rejects
     nan and inf values and values whose squares overflow, and keeps
     ``norms[i] + norms[j] - 2 <x_i, x_j>`` finite for any two rows, in one
-    dataset or two.
+    dataset or two. Dense data also keeps ``_columns``, the entries feature
+    by feature (see _feature_major), from which the kernels take full rows
+    and cross products; on sparse data it is None.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -91,6 +104,7 @@ class Dataset:
             raise DataError("dimension smaller than the largest feature index")
         self.indptr, self.indices, self.values = indptr, indices, values
         self.labels, self.norms = labels, norms
+        self._columns = _feature_major(rows, indices, values, n, self.dimension)
         self._matrix = None
 
     @classmethod

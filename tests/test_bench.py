@@ -5,12 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+from slacksvm import cli, data
 from slacksvm.bench import (SOLVER_KINDS, calibrate_nu, fourier_plan,
                             load_dataset, parse_plan, run_plan, train_solver,
                             write_run_csv)
 from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
 from slacksvm.kernels import LinearKernel, kernel_from_spec
-from slacksvm.model import SolverError, save_model
+from slacksvm.model import SolverError, save_model, serialize_model
 from slacksvm.recording import RunRecord
 
 PLAN = """
@@ -125,6 +126,45 @@ class TestRunPlan:
         run_plan(parse_plan(PLAN), out_dir=str(b))
         for name in os.listdir(a):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_bytes_do_not_depend_on_the_feature_major_copy(self, tmp_path, monkeypatch):
+        # The dense data's feature-major sums are a faster way to the same
+        # products: the run CSVs and the saved models of a four-solver plan
+        # with a held-out set are the same bytes with the copy and without.
+        plan = parse_plan("""
+dataset = synthetic:two_gaussians:n=60,seed=7,separation=2.0,noise_rate=0.1
+test = synthetic:two_gaussians:n=50,seed=8,separation=2.0
+kernel = gaussian:1.0
+seed = 3
+solver.sbp.kind = sbp
+solver.sbp.nu = 0.1
+solver.sbp.iters = 40
+solver.peg.kind = pegasos
+solver.peg.lambda = 0.01
+solver.peg.iters = 40
+solver.sdca.kind = sdca
+solver.sdca.lambda = 0.01
+solver.sdca.iters = 40
+solver.perc.kind = perceptron
+""")
+
+        def outputs(out):
+            result = run_plan(plan, out_dir=str(out))
+            assert not result["failures"]
+            files = {name: (out / name).read_bytes() for name in os.listdir(out)}
+            dataset = load_dataset(plan.dataset)
+            for s in plan.solvers:
+                model, _ = train_solver(s.kind, s.params, dataset,
+                                        kernel_from_spec(plan.kernel), plan.seed)
+                files[s.name + ".model"] = serialize_model(model).encode()
+            return dataset._columns is not None, files
+
+        dense, with_copy = outputs(tmp_path / "dense")
+        monkeypatch.setattr(data, "_feature_major", lambda *args: None)
+        patched, without = outputs(tmp_path / "csr")
+        assert dense and not patched
+        assert len(with_copy) == 4 + 1 + 4
+        assert with_copy == without
 
     def test_solver_failure_recorded_not_fatal(self, tmp_path):
         # A contradictory point set makes the margin solver fail while the
@@ -430,6 +470,26 @@ class TestCli:
                          "--iters", "5", "--out", str(taken))
         assert r.returncode == 3
         assert "Traceback" not in r.stderr and "data error" in r.stderr
+
+    @pytest.mark.parametrize("command", ["train", "fourier"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_naming_a_file_stops_before_any_work(self, tmp_path, monkeypatch,
+                                                     capsys, command, out):
+        # Refused before the data is read, so before any solver runs; the
+        # file is left as it was.
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+
+        def reached(*args, **kwargs):
+            raise AssertionError("ran past a bad --out")
+
+        for name in ("_load", "train_solver", "fourier_plan"):
+            monkeypatch.setattr(cli, name, reached)
+        spec = "synthetic:two_gaussians:n=20,seed=1"
+        extra = ("--test", spec) if command == "fourier" else ()
+        assert cli.main([command, spec, *extra, "--out", str(tmp_path / out)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
 
     def test_data_file_not_utf8_is_3(self, tmp_path):
         bad = tmp_path / "latin1.txt"

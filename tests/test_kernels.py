@@ -284,6 +284,76 @@ def test_cross_blocks_at_the_module_budget():
                                   cross_reference(kernel, ds, rows, other))
 
 
+def _dense_sample(rng, n, dim):
+    """n rows of dimension dim, signs and scales mixed, with up to half of
+    the entries zero: dense enough for a feature-major copy."""
+    x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-2, 3, size=(n, 1))
+    x.flat[rng.choice(n * dim, int(rng.integers(0, n * dim // 2 + 1)), replace=False)] = 0.0
+    return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@given(st.integers(0, 2**32), st.integers(1, 7),
+       st.sampled_from([1, 16, kernels._CROSS_BLOCK_ENTRIES]))
+@settings(max_examples=100, deadline=None)
+def test_feature_major_products_are_the_csr_products(seed, d, budget):
+    # Dense data sums columns[f] * v from a zeroed buffer over ascending
+    # features: the full row (rows of more than _ROW_FEATURE_PASSES entries
+    # take the mat-vec) and cross, in one or several blocks, between two
+    # datasets whose dimensions differ either way. Every value equals the
+    # scipy product, and so does the sign of every zero: a negative value
+    # against a zero makes a -0 term, which a sum begun at +0.0 drops.
+    rng = np.random.default_rng(seed)
+    ds = _dense_sample(rng, int(rng.integers(1, 25)), d)
+    other = _dense_sample(rng, int(rng.integers(1, 12)), int(rng.integers(1, d + 3)))
+    assert ds._columns is not None and other._columns is not None
+    with mock.patch.object(kernels, "_CROSS_BLOCK_ENTRIES", budget):
+        for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+            shared = rng.integers(0, ds.n, int(rng.integers(0, 2 * ds.n)))
+            subset = RowSubset(ds, shared)
+            for j in range(ds.n):
+                x = ds.matrix[j].toarray().ravel()
+                want = kernel._values(ds.matrix @ x, ds.norms, ds.norms[j])
+                assert _same_bits(kernel.row(ds, j), want)
+                assert _same_bits(kernel.row(ds, j, shared), want[shared])
+                assert _same_bits(kernel.row(ds, j, subset), want[shared])
+            for a, b in ((ds, other), (other, ds)):
+                rows = rng.integers(0, a.n, int(rng.integers(0, 3 * a.n)))
+                assert _same_bits(kernel.cross(a, rows, b),
+                                  cross_reference(kernel, a, rows, b))
+
+
+def test_sparse_data_keeps_the_csr_paths():
+    # 50,000 features and 50 stored entries a row, drawn with Zipf-like
+    # frequencies so that rows share features: far too sparse for a dense
+    # copy, so rows and cross are the scipy products, as before.
+    rng = np.random.default_rng(11)
+    freq = 1.0 / np.arange(1, 50_001) ** 1.1
+    freq /= freq.sum()
+
+    def zipf_rows(n):
+        features = [np.sort(rng.choice(50_000, 50, replace=False, p=freq)) for _ in range(n)]
+        indptr = np.arange(n + 1) * 50
+        return Dataset(indptr, np.concatenate(features), rng.standard_normal(50 * n),
+                       np.where(rng.random(n) < 0.5, 1, -1), dimension=50_000)
+
+    ds, other = zipf_rows(40), zipf_rows(15)
+    assert ds._columns is None and other._columns is None
+    for kernel in (LinearKernel(), GaussianKernel(20.0)):
+        for j in range(ds.n):
+            x = ds.matrix[j].toarray().ravel()
+            assert _same_bits(kernel.row(ds, j),
+                              kernel._values(ds.matrix @ x, ds.norms, ds.norms[j]))
+        rows = rng.integers(0, ds.n, 30)
+        for a, b in ((ds, other), (other, ds)):
+            assert _same_bits(kernel.cross(a, rows[rows < a.n], b),
+                              cross_reference(kernel, a, rows[rows < a.n], b))
+
+
 def test_cross_peak_memory_is_near_its_result():
     # A 1000 x 2000 Gaussian cross is 16 MB. Taken in row blocks into the
     # result, it allocates about 2 MB beside it; the whole product made
@@ -291,7 +361,6 @@ def test_cross_peak_memory_is_near_its_result():
     rng = np.random.default_rng(0)
     a = Dataset.from_dense(rng.standard_normal((1000, 2)), np.ones(1000))
     b = Dataset.from_dense(rng.standard_normal((2000, 2)), np.ones(2000))
-    a.matrix, b.matrix  # built on first use, before the cross is measured
     tracemalloc.start()
     try:
         g = GaussianKernel(1.0).cross(a, np.arange(1000), b)

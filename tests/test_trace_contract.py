@@ -12,7 +12,8 @@ import os
 import pytest
 
 from slacksvm import bench
-from slacksvm.data import SyntheticSpec, generate, serialize_libsvm
+from slacksvm.data import Dataset, SyntheticSpec, generate, serialize_libsvm
+from slacksvm.kernels import kernel_from_spec
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -41,9 +42,11 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     test.write_text(serialize_libsvm(generate(
         SyntheticSpec(kind="two_gaussians", n=40, seed=4, separation=2.0))))
     plan = bench.parse_plan(PLAN.format(test=test))
+    sparse = Dataset([0, 1, 2], [5, 900], [1.0, -2.0], [1, -1], dimension=1000)
     tracer = tracing.Tracer()
     with tracer.installed():
         result = bench.run_plan(plan, out_dir=str(tmp_path / "out"))
+        kernel_from_spec("linear").row(sparse, 0)
     tracer.flush()
     assert not result["failures"]
     for name in ("sbp.sbp_train", "baselines.pegasos_train",
@@ -62,7 +65,10 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     # after the first (an empty set scores 0, a mistake).
     assert tracer.nested_calls[("kernels.row", "baselines.perceptron_train")] == 40 - 1
     assert tracer.stats["waterfill.find_gamma"].calls >= 20
-    # The set-up metrics read these: the file is parsed once, and each
-    # dataset wraps its CSR matrix lazily, on the first kernel call.
+    # The set-up metrics read these: the file is parsed once, and a dataset
+    # wraps its CSR matrix lazily, on the first kernel call that reads it.
+    # The plan's two dense datasets take their products from the
+    # feature-major copy and build none; the sparse one builds its own.
     assert tracer.stats["data.parse_libsvm"].calls == 1
-    assert tracer.stats["data.matrix"].calls == 2
+    assert ("data.matrix", "bench.run_plan") not in tracer.nested_calls
+    assert tracer.stats["data.matrix"].calls == 1
