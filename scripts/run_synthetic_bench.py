@@ -3,6 +3,9 @@
 four solvers on a noisy two-Gaussians instance, ten seeds each.
 
 Usage: python scripts/run_synthetic_bench.py [OUT_DIR]
+
+Exits 1 when any run failed (each is printed, and the plan's failures.txt
+lists them), so that a missing run CSV cannot go unnoticed.
 """
 
 import sys
@@ -40,7 +43,7 @@ def main() -> int:
     print(f"wrote {len(result['runs'])} runs to {result['out_dir']}")
     for key, msg in sorted(result["failures"].items()):
         print(f"failed: {key}: {msg}", file=sys.stderr)
-    return 0
+    return 1 if result["failures"] else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .fourier import FourierMap, fourier_features_batch, linearize, make_fourier
 from .kernels import GaussianKernel, KernelOracle, LinearKernel, kernel_from_spec
 from .model import (SolverError, TrainedModel, load_model, save_model, score,
                     score_batch, serialize_model, deserialize_model)
-from .recording import Checkpointer, RunRecord, Sample, geometric_schedule
+from .recording import RunRecord, Sample, geometric_schedule, run_steps
 from .sbp import SbpConfig, SbpState, sbp_init, sbp_step, sbp_train
 from .waterfill import find_gamma, find_gamma_and_bias, support_set
 

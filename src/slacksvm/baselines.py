@@ -7,28 +7,14 @@ the regularized dual, and the single-pass online Perceptron.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .kernels import RowSubset
-from .recording import Checkpointer
-
-
-@dataclass
-class PegasosConfig:
-    lam: float
-    iterations: int
-    seed: int = 0
-    average: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError("lambda must be positive and finite")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+from .recording import check_count, check_lam, run_steps
 
 
 @dataclass
@@ -38,10 +24,14 @@ class SdcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError("lambda must be positive and finite")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        check_lam(self.lam)
+        check_count("iterations", self.iterations)
+
+
+@dataclass
+class PegasosConfig(SdcaConfig):
+    """SDCA's parameters, checked alike, plus averaging of the iterates."""
+    average: bool = False
 
 
 @dataclass
@@ -50,36 +40,25 @@ class PerceptronConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.passes < 1:
-            raise ValueError("passes must be at least 1")
+        check_count("passes", self.passes)
 
 
-def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
-                  test_data: Dataset | None = None, eval_kernel=None,
-                  timing: bool = False):
-    """Kernelized Pegasos without a projection step.
-
-    Non-violation steps only rescale w, applied lazily through a scalar, so
-    kernel rows (n evaluations) are spent on violation steps only. With
-    average, the checkpoints and the returned model are the running average
-    of the iterates, its responses averaged alike.
-    """
+def _pegasos_steps(dataset: Dataset, kernel, config: PegasosConfig, rng):
+    """Pegasos's step generator (see pegasos_train)."""
     n = dataset.n
     y = dataset.labels
-    rng = np.random.default_rng(config.seed)
-    ckpt = Checkpointer(dataset, kernel, config.iterations, {
-        "solver": "pegasos", "lambda": config.lam,
-        "iterations": config.iterations, "seed": config.seed,
-        "average": config.average,
-    }, test_data, eval_kernel, timing)
-
     raw_alpha = np.zeros(n)
     raw_resp = np.zeros(n)  # effective responses are scale * raw_resp
     scale = 1.0
     alpha_sum = np.zeros(n) if config.average else None
     resp_sum = np.zeros(n) if config.average else None
 
-    for t in range(1, config.iterations + 1):
+    def predict():
+        if config.average:
+            return resp_sum / t, alpha_sum / t, 0.0
+        return scale * raw_resp, scale * raw_alpha, 0.0
+
+    for t in itertools.count(1):
         i = int(rng.integers(n))
         violation = scale * raw_resp[i] < 1.0
         if t > 1:
@@ -92,13 +71,21 @@ def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
         if config.average:
             alpha_sum += scale * raw_alpha
             resp_sum += scale * raw_resp
-        if t in ckpt.schedule:  # the last iteration always is
-            if config.average:
-                alpha, c = alpha_sum / t, resp_sum / t
-            else:
-                alpha, c = scale * raw_alpha, scale * raw_resp
-            ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - c))), alpha)
-    return ckpt.model(alpha)
+        yield predict
+
+
+def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
+                  test_data: Dataset | None = None, eval_kernel=None,
+                  timing: bool = False):
+    """Kernelized Pegasos without a projection step.
+
+    Non-violation steps only rescale w, applied lazily through a scalar, so
+    kernel rows (n evaluations) are spent on violation steps only. With
+    average, the checkpoints and the returned model are the running average
+    of the iterates, its responses averaged alike.
+    """
+    return run_steps(_pegasos_steps, config.iterations, dataset, kernel, config,
+                     test_data, eval_kernel, timing, solver="pegasos")
 
 
 def sdca_dual_value(alpha, responses, lam) -> float:
@@ -131,20 +118,46 @@ def _sdca_steps(dataset, kernel, lam, rng):
         yield i, delta, alpha, responses
 
 
+def _sdca_predictors(dataset: Dataset, kernel, config: SdcaConfig, rng):
+    """SDCA's step generator: _sdca_steps, whose arrays are the model."""
+    def predict():
+        return responses, alpha, 0.0
+
+    for _, _, alpha, responses in _sdca_steps(dataset, kernel, config.lam, rng):
+        yield predict
+
+
 def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
                test_data: Dataset | None = None, eval_kernel=None,
                timing: bool = False):
     """Stochastic dual coordinate ascent with exact coordinate maximization."""
-    rng = np.random.default_rng(config.seed)
-    ckpt = Checkpointer(dataset, kernel, config.iterations, {
-        "solver": "sdca", "lambda": config.lam,
-        "iterations": config.iterations, "seed": config.seed,
-    }, test_data, eval_kernel, timing)
-    steps = _sdca_steps(dataset, kernel, config.lam, rng)
-    for t, (_, _, alpha, responses) in zip(range(1, config.iterations + 1), steps):
-        if t in ckpt.schedule:
-            ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - responses))), alpha)
-    return ckpt.model(alpha)
+    return run_steps(_sdca_predictors, config.iterations, dataset, kernel, config,
+                     test_data, eval_kernel, timing, solver="sdca")
+
+
+def _perceptron_steps(dataset: Dataset, kernel, config: PerceptronConfig, rng):
+    """The Perceptron's step generator, config.passes permutations long; its
+    predictor has no training margins, so the run records no hinge."""
+    n = dataset.n
+    y = dataset.labels
+    alpha = np.zeros(n, dtype=np.int64)
+
+    def predict():
+        return None, alpha.astype(np.float64), 0.0
+
+    # The rows of the ascending support set, gathered, and its coefficients
+    # change only on a mistake; before the first there are none.
+    support = coef = None
+    for _ in range(config.passes):
+        for i in rng.permutation(n):
+            score_i = 0.0
+            if support is not None:
+                score_i = float(coef @ kernel.row(dataset, int(i), support))
+            if y[i] * score_i <= 0.0:  # sign(0) counts as a mistake
+                alpha[i] += 1
+                sv = np.flatnonzero(alpha)
+                support, coef = RowSubset(dataset, sv), alpha[sv] * y[sv]
+            yield predict
 
 
 def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
@@ -158,33 +171,10 @@ def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
     single pass; later passes are flagged in the record metadata since the
     predictor may then overfit.
     """
-    n = dataset.n
-    y = dataset.labels
-    rng = np.random.default_rng(config.seed)
-    ckpt = Checkpointer(dataset, kernel, config.passes * n, {
-        "solver": "perceptron", "passes": config.passes, "seed": config.seed,
-        "single_pass_valid_through_iteration": n,
-        "beyond_single_pass": config.passes > 1,
-    }, test_data, eval_kernel, timing)
-
-    alpha = np.zeros(n, dtype=np.int64)
-    # The ascending support set, its gathered rows and its coefficients
-    # change only on a mistake.
-    sv = np.flatnonzero(alpha)
-    support, coef = RowSubset(dataset, sv), alpha[sv] * y[sv]
-    step = 0
-    for _ in range(config.passes):
-        for i in rng.permutation(n):
-            step += 1
-            if sv.size:
-                score_i = float(coef @ kernel.row(dataset, int(i), support))
-            else:
-                score_i = 0.0
-            if y[i] * score_i <= 0.0:  # sign(0) counts as a mistake
-                alpha[i] += 1
-                sv = np.flatnonzero(alpha)
-                support, coef = RowSubset(dataset, sv), alpha[sv] * y[sv]
-            if step in ckpt.schedule:
-                ckpt.add(step, math.nan, alpha.astype(np.float64))
-
-    return ckpt.model(alpha.astype(np.float64), mistakes=int(alpha.sum()))
+    model, record = run_steps(
+        _perceptron_steps, config.passes * dataset.n, dataset, kernel, config,
+        test_data, eval_kernel, timing, solver="perceptron",
+        single_pass_valid_through_iteration=dataset.n,
+        beyond_single_pass=config.passes > 1)
+    model.metadata["mistakes"] = int(model.alpha.sum())
+    return model, record

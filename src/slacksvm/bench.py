@@ -17,11 +17,11 @@ from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_steps
                         pegasos_train, perceptron_train, sdca_dual_value,
                         sdca_train)
 from .data import (DataError, Dataset, SyntheticSpec, evaluate, generate,
-                   parse_libsvm)
+                   hinge_loss, parse_libsvm)
 from .fourier import linearize, make_fourier_map
 from .kernels import kernel_from_spec
 from .model import SolverError
-from .recording import RunRecord
+from .recording import RunRecord, check_lam
 from .sbp import SbpConfig, sbp_train
 
 RUN_CSV_COLUMNS = ("iteration", "train_kernel_evals", "eval_kernel_evals",
@@ -333,8 +333,7 @@ def calibrate_nu(dataset: Dataset, kernel, lam: float, budget: int,
     primal-dual residual of the inner solve so calibration quality is
     visible.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
+    check_lam(lam)
     if budget < dataset.n + 1:
         raise ValueError("budget too small for even one solver step")
     rng = np.random.default_rng(seed)
@@ -346,7 +345,7 @@ def calibrate_nu(dataset: Dataset, kernel, lam: float, budget: int,
             break
     norm_sq = float(alpha @ responses)
     norm = math.sqrt(max(0.0, norm_sq))
-    hinge = float(np.mean(np.maximum(0.0, 1.0 - responses)))
+    hinge = hinge_loss(responses)
     if norm <= 1e-8:
         # All-slack optimum: the box [0, 1/(lambda n)] pins w at ~0.
         raise SolverError("lambda too large for calibration")

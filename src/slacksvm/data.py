@@ -291,8 +291,10 @@ def evaluate(model, dataset: Dataset, kernel):
     """
     from .model import score_batch
 
-    scores = score_batch(model, dataset, kernel)
-    margins = dataset.labels * scores
-    hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
-    zero_one = float(np.mean(margins <= 0.0))
-    return hinge, zero_one
+    margins = dataset.labels * score_batch(model, dataset, kernel)
+    return hinge_loss(margins), float(np.mean(margins <= 0.0))
+
+
+def hinge_loss(margins) -> float:
+    """Mean hinge loss max(0, 1 - margin) of the margins; nan for None."""
+    return math.nan if margins is None else float(np.mean(np.maximum(0.0, 1.0 - margins)))

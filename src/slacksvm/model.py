@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,27 +77,45 @@ def save_model(model: TrainedModel, path):
 
 
 def deserialize_model(text: str, dataset=None) -> TrainedModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    n = int(fields["n"])
+    """Inverse of serialize_model; with dataset, checked against its size
+    and labels. Text not in that format raises ValueError naming its line."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ValueError("model text is empty")
+    try:
+        fields = dict(item.split("=", 1) for item in lines[0][1].split())
+        n, bias, kernel_spec = int(fields["n"]), float(fields["bias"]), fields["kernel"]
+        if n < 1 or not math.isfinite(bias) or fields["use_bias"] not in ("0", "1"):
+            raise ValueError
+    except (KeyError, ValueError):
+        raise ValueError(f"line {lines[0][0]}: expected the header 'n=N kernel=SPEC "
+                         "use_bias=0|1 bias=B', N positive and B finite") from None
+    if dataset is not None and dataset.n != n:
+        raise ValueError("model does not match the dataset size")
     alpha = np.zeros(n)
     labels = np.zeros(n)
-    for ln in lines[1:]:
-        idx_s, a_s, y_s = ln.split()
-        alpha[int(idx_s)] = float(a_s)
-        labels[int(idx_s)] = int(y_s)
+    for lineno, ln in lines[1:]:
+        try:
+            idx_s, a_s, y_s = ln.split()
+            j, a, y = int(idx_s), float(a_s), int(y_s)
+            if not (0 <= j < n and math.isfinite(a) and y in (1, -1)):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'index alpha label', index "
+                             f"in 0..{n - 1}, alpha finite, label +1 or -1") from None
+        if labels[j]:
+            raise ValueError(f"line {lineno}: index {j} appears twice")
+        alpha[j], labels[j] = a, y
     if dataset is not None:
-        if dataset.n != n:
-            raise ValueError("model does not match the dataset size")
         sv = np.flatnonzero(alpha)
         if not np.array_equal(labels[sv], dataset.labels[sv]):
             raise ValueError("model labels disagree with the dataset")
     return TrainedModel(
         alpha=alpha,
-        bias=float(fields["bias"]),
+        bias=bias,
         dataset=dataset,
-        kernel_spec=fields["kernel"],
-        use_bias=bool(int(fields["use_bias"])),
+        kernel_spec=kernel_spec,
+        use_bias=fields["use_bias"] == "1",
         kernel_evals=0,
         metadata={"loaded": True},
     )

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
-from .data import evaluate
-from .model import TrainedModel
+import numpy as np
+
+from .data import evaluate, hinge_loss
+from .model import SolverError, TrainedModel
 
 RNG_IDENTITY = "numpy-pcg64"
 
@@ -33,9 +36,6 @@ class RunRecord:
     metadata: dict = field(default_factory=dict)
     samples: list = field(default_factory=list)
 
-    def add(self, *args, **kwargs):
-        self.samples.append(Sample(*args, **kwargs))
-
 
 def geometric_schedule(iterations: int) -> set:
     """Iterations 1, 2, 4, ... plus the final one (log-axis point density)."""
@@ -48,58 +48,51 @@ def geometric_schedule(iterations: int) -> set:
     return sched
 
 
-class Checkpointer:
-    """The run bookkeeping every solver shares.
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer of at least 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
 
-    Created before a solver spends its first kernel evaluation, it holds the
-    checkpoint schedule over ``steps`` iterations, the counters the run
-    starts from and the RunRecord. At a checkpoint the solver hands over its
-    current predictor; its held-out error costs evaluations on eval_kernel
-    only, and eval_kernel_evals is read after that scoring, so it includes
-    the checkpoint's own cost.
+
+def check_lam(lam) -> None:
+    """Raise ValueError unless the regularization weight is positive and finite."""
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
+
+
+def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
+              eval_kernel=None, timing: bool = False, **metadata):
+    """The one training loop; returns (TrainedModel, RunRecord).
+
+    steps(dataset, kernel, config, rng) is a solver's step generator: after
+    each step it yields its predictor, one function for the run, returning
+    (training margins or None, alpha, bias) of the model the solver would
+    return then, alpha None if there is none. The loop takes count steps and
+    records the predictor at each checkpoint of geometric_schedule(count).
+    Both counters count from before the first step and are read after the
+    checkpoint's held-out scoring, which costs evaluations on eval_kernel
+    only. The last checkpoint's model is returned; SolverError if none.
     """
-
-    def __init__(self, dataset, kernel, steps: int, fields: dict,
-                 test_data=None, eval_kernel=None, timing: bool = False):
-        self.dataset = dataset
-        self.kernel = kernel
-        self.test_data = test_data
-        self.eval_kernel = eval_kernel
-        self.timing = timing
-        self.schedule = geometric_schedule(steps)
-        self.record = RunRecord(metadata={**fields, "rng": RNG_IDENTITY})
-        self.start_evals = kernel.eval_count
-        self.start_ns = time.perf_counter_ns()
-
-    def _test_error(self, alpha, bias) -> float:
-        if alpha is None or self.test_data is None or self.eval_kernel is None:
-            return math.nan
-        interim = TrainedModel(alpha=alpha, bias=bias, dataset=self.dataset,
-                               kernel_spec=self.kernel.spec_string,
-                               use_bias=False, kernel_evals=0)
-        return evaluate(interim, self.test_data, self.eval_kernel)[1]
-
-    def add(self, t: int, hinge: float, alpha, bias: float = 0.0) -> None:
-        """Record iteration t; alpha None means there is no predictor to
-        score (test error nan)."""
-        train_evals = self.kernel.eval_count - self.start_evals
-        test_error = self._test_error(alpha, bias)
-        self.record.add(
-            iteration=t,
-            train_kernel_evals=train_evals,
-            eval_kernel_evals=self.eval_kernel.eval_count if self.eval_kernel else 0,
-            empirical_hinge=hinge,
-            test_zero_one=test_error,
-            wall_clock_ns=(time.perf_counter_ns() - self.start_ns) if self.timing else 0,
-        )
-
-    def model(self, alpha, bias: float = 0.0, use_bias: bool = False,
-              **metadata):
-        """(TrainedModel, RunRecord) of the finished run."""
-        trained = TrainedModel(
-            alpha=alpha, bias=bias, dataset=self.dataset,
-            kernel_spec=self.kernel.spec_string, use_bias=use_bias,
-            kernel_evals=self.kernel.eval_count - self.start_evals,
-            metadata={**self.record.metadata, **metadata},
-        )
-        return trained, self.record
+    record = RunRecord(metadata={**asdict(config), **metadata, "rng": RNG_IDENTITY})
+    schedule = geometric_schedule(count)
+    start, start_eval = kernel.eval_count, eval_kernel.eval_count if eval_kernel else 0
+    start_ns = time.perf_counter_ns()
+    predictors = steps(dataset, kernel, config, np.random.default_rng(config.seed))
+    for t, predict in zip(range(1, count + 1), predictors):
+        if t not in schedule:
+            continue
+        margins, alpha, bias = predict()
+        evals, model, test_error = kernel.eval_count - start, None, math.nan
+        if alpha is not None:
+            model = TrainedModel(alpha, bias, dataset, kernel.spec_string,
+                                 getattr(config, "use_bias", False), evals,
+                                 dict(record.metadata))
+            if test_data is not None and eval_kernel is not None:
+                test_error = evaluate(model, test_data, eval_kernel)[1]
+        record.samples.append(Sample(
+            t, evals, eval_kernel.eval_count - start_eval if eval_kernel else 0,
+            hinge_loss(margins), test_error,
+            time.perf_counter_ns() - start_ns if timing else 0))
+    if model is None:
+        raise SolverError("no positive margin achieved at the last step")
+    return model, record

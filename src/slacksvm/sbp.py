@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .model import SolverError
-from .recording import Checkpointer
+from .recording import check_count, run_steps
 from .waterfill import find_gamma, find_gamma_and_bias, support_set
 
 # Steps between recomputations of the tracked norm from alpha and responses.
@@ -34,8 +34,7 @@ class SbpConfig:
     def __post_init__(self):
         if not 0 <= self.nu < math.inf:
             raise ValueError("nu must be non-negative and finite")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        check_count("iterations", self.iterations)
 
 
 @dataclass
@@ -120,39 +119,34 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     return state
 
 
-def _averaged_level(state: SbpState, y, volume, use_bias):
-    cbar = state.response_sum / state.t
-    if use_bias:
-        return cbar, *find_gamma_and_bias(cbar, y, volume)
-    return cbar, find_gamma(cbar, volume), 0.0
+def _sbp_steps(dataset: Dataset, kernel, config: SbpConfig, rng):
+    """SBP's step generator; its model is the averaged iterate rescaled by
+    its water level, none while that is not positive. sbp_init and sbp_step
+    are called through the module, so a wrapper installed on either sees
+    every call."""
+    y = dataset.labels
+    volume = dataset.n * config.nu
+    state = sbp_init(dataset, kernel, config)
+
+    def predict():
+        cbar = state.response_sum / state.t
+        if config.use_bias:
+            gamma, bias = find_gamma_and_bias(cbar, y, volume)
+        else:
+            gamma, bias = find_gamma(cbar, volume), 0.0
+        if not gamma > 0:
+            return None, None, 0.0
+        return ((cbar + y * bias) / gamma, state.alpha_sum / (state.t * gamma),
+                bias / gamma)
+
+    while True:
+        sbp_step(state, dataset, kernel, config, rng)
+        yield predict
 
 
 def sbp_train(dataset: Dataset, kernel, config: SbpConfig,
               test_data: Dataset | None = None, eval_kernel=None,
               timing: bool = False):
     """Run the full training loop; returns (TrainedModel, RunRecord)."""
-    rng = np.random.default_rng(config.seed)
-    ckpt = Checkpointer(dataset, kernel, config.iterations, {
-        "solver": "sbp", "nu": config.nu, "iterations": config.iterations,
-        "seed": config.seed, "use_bias": config.use_bias,
-    }, test_data, eval_kernel, timing)
-    state = sbp_init(dataset, kernel, config)
-    y = dataset.labels
-    volume = dataset.n * config.nu
-
-    for t in range(1, config.iterations + 1):
-        sbp_step(state, dataset, kernel, config, rng)
-        if t in ckpt.schedule:
-            cbar, gamma, bias = _averaged_level(state, y, volume, config.use_bias)
-            if gamma > 0:
-                margins = (cbar + y * bias) / gamma
-                ckpt.add(t, float(np.mean(np.maximum(0.0, 1.0 - margins))),
-                         state.alpha_sum / (t * gamma), bias / gamma)
-            else:
-                ckpt.add(t, math.nan, None)
-
-    cbar, gamma, bias = _averaged_level(state, y, volume, config.use_bias)
-    if not gamma > 0:
-        raise SolverError("no positive margin achieved; solution not rescalable")
-    return ckpt.model(state.alpha_sum / (config.iterations * gamma),
-                      bias / gamma, config.use_bias)
+    return run_steps(_sbp_steps, config.iterations, dataset, kernel, config,
+                     test_data, eval_kernel, timing, solver="sbp")

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 
 from slacksvm import cli, data
-from slacksvm.bench import (SOLVER_KINDS, calibrate_nu, fourier_plan,
+from slacksvm.bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag,
                             load_dataset, parse_plan, run_plan, train_solver,
                             write_run_csv)
-from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
+from slacksvm.data import (DataError, SyntheticSpec, evaluate, generate,
+                           serialize_libsvm)
 from slacksvm.kernels import LinearKernel, kernel_from_spec
 from slacksvm.model import SolverError, save_model, serialize_model
-from slacksvm.recording import RunRecord
+from slacksvm.recording import RunRecord, Sample
 
 PLAN = """
 # comparison on a small synthetic instance
@@ -188,22 +190,80 @@ solver.sdca.iters = 30
 
 @pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
 def test_last_sample_counts_every_held_out_eval(kind):
-    # eval_kernel_evals is read after the checkpoint is scored, so the last
-    # sample of a run covers every held-out evaluation the run made.
+    # eval_kernel_evals counts from the start of the run and is read after
+    # the checkpoint is scored: the last sample of a run covers every
+    # held-out evaluation the run made, and a second run that shares the
+    # eval oracle records the same counts.
     train = generate(SyntheticSpec(kind="two_gaussians", n=60, seed=1))
     test = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=2))
     params = {} if kind == "perceptron" else {"iters": "40"}
     eval_kernel = LinearKernel()
-    _, record = train_solver(kind, params, train, LinearKernel(), 0,
-                             test, eval_kernel)
-    assert eval_kernel.eval_count > 0
-    assert record.samples[-1].eval_kernel_evals == eval_kernel.eval_count
+    records = []
+    for _ in range(2):
+        before = eval_kernel.eval_count
+        _, record = train_solver(kind, params, train, LinearKernel(), 0,
+                                 test, eval_kernel)
+        assert eval_kernel.eval_count > before
+        assert record.samples[-1].eval_kernel_evals == eval_kernel.eval_count - before
+        records.append(record)
+    assert records[0].samples == records[1].samples
+
+
+# Every solver kind at its defaults, and once more with each flag it takes.
+SETTINGS = [(kind, {}) for kind in SOLVER_KINDS] + [
+    (kind, {key: "1"}) for kind, (_, _, table) in SOLVER_KINDS.items()
+    for key in table if is_flag(kind, key)]
+
+
+@pytest.mark.parametrize("kind, params", SETTINGS,
+                         ids=["-".join((kind, *params)) for kind, params in SETTINGS])
+def test_last_checkpoint_is_the_returned_model(kind, params):
+    # The run CSV's last row describes the model the solver returns: its
+    # held-out error and training cost exactly, its training hinge to
+    # rounding (the solver's cached responses against a fresh product;
+    # the Perceptron records none). The model carries the run's metadata.
+    def two_gaussians(n, seed):
+        return generate(SyntheticSpec(kind="two_gaussians", n=n, seed=seed,
+                                      noise_rate=0.1))
+
+    train, test = two_gaussians(400, 1), two_gaussians(300, 2)
+    steps = train.n if kind == "perceptron" else 300
+    if kind != "perceptron":
+        params = {**params, "iters": str(steps)}
+    model, record = train_solver(kind, params, train, kernel_from_spec("gaussian:1.0"),
+                                 0, test, kernel_from_spec("gaussian:1.0"))
+    last = record.samples[-1]
+    assert last.iteration == steps
+    assert record.metadata["solver"] == kind
+    assert model.metadata.items() >= record.metadata.items()
+    assert last.train_kernel_evals == model.kernel_evals
+    k = kernel_from_spec("gaussian:1.0")
+    assert last.test_zero_one == evaluate(model, test, k)[1]
+    if kind == "perceptron":
+        assert np.isnan(last.empirical_hinge)
+    else:
+        assert last.empirical_hinge == pytest.approx(evaluate(model, train, k)[0],
+                                                     rel=1e-12)
+
+
+def test_synthetic_bench_script_exits_1_when_a_run_failed(tmp_path, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "run_synthetic_bench.py")
+    spec = importlib.util.spec_from_file_location("run_synthetic_bench", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    plan = ("dataset = synthetic:two_gaussians:n=20,seed=1\nkernel = linear\n"
+            "solver.perc.kind = perceptron\n")
+    failing = "solver.sbp.kind = sbp\nsolver.sbp.iters = 0\n"
+    for text, code in ((plan, 0), (plan + failing, 1)):
+        monkeypatch.setattr(script, "PLAN", text)
+        monkeypatch.setattr(sys, "argv", ["run_synthetic_bench.py", str(tmp_path / str(code))])
+        assert script.main() == code
 
 
 def test_run_csv_schema(tmp_path):
-    record = RunRecord()
-    record.add(1, 100, 0, 0.5, 0.25, 0)
-    record.add(2, 200, 0, float("nan"), 0.125, 0)
+    record = RunRecord(samples=[Sample(1, 100, 0, 0.5, 0.25, 0),
+                                Sample(2, 200, 0, float("nan"), 0.125, 0)])
     path = tmp_path / "r.csv"
     write_run_csv(record, path)
     lines = path.read_text().splitlines()

@@ -49,8 +49,9 @@ def test_config_validation():
     for nu in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError):
             SbpConfig(nu=nu, iterations=10)
-    with pytest.raises(ValueError):
-        SbpConfig(nu=0.1, iterations=0)
+    for iterations in (0, 2.5):
+        with pytest.raises(ValueError):
+            SbpConfig(nu=0.1, iterations=iterations)
 
 
 def test_hand_traced_single_step():
@@ -187,6 +188,9 @@ def test_bias_mode_handles_shifted_classes():
     assert model.bias != 0.0
 
 
+MODEL_HEADER = "n=3 kernel=linear use_bias=0 bias=0.0\n"
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         ds, kernel, config = train_pair(n=25, iterations=80, nu=0.02)
@@ -211,6 +215,25 @@ class TestSerialization:
         other = parse_libsvm("+1 1:1\n")
         with pytest.raises(ValueError):
             deserialize_model(serialize_model(model), dataset=other)
+
+    @pytest.mark.parametrize("text, line", [
+        (MODEL_HEADER + "-1 0.5 +1\n", 2),
+        (MODEL_HEADER + "0 0.5 +5\n", 2),
+        (MODEL_HEADER + "3 0.5 +1\n", 2),
+        (MODEL_HEADER + "0 0.5 +1\n\n0 0.25 +1\n", 4),
+        (MODEL_HEADER + "0 nan +1\n", 2),
+        (MODEL_HEADER + "0 0.5\n", 2),
+        ("n=3 kernel=linear use_bias=0\n", 1),
+        ("\nn=3 kernel=linear use_bias=2 bias=0.0\n", 2),
+        ("n=-1 kernel=linear use_bias=0 bias=0.0\n", 1),
+        ("", None),
+    ], ids=["negative-index", "label-5", "index-past-n", "duplicate-index",
+            "nan-alpha", "two-fields", "no-bias", "use-bias-2", "negative-n",
+            "empty"])
+    def test_hostile_text_raises_naming_its_line(self, text, line):
+        match = "empty" if line is None else f"^line {line}: "
+        with pytest.raises(ValueError, match=match):
+            deserialize_model(text)
 
 
 def test_rescale_check_reports_bounds():
