@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, bench, calibrate-nu, fourier. Exit codes: 0 success,
-2 usage error, 3 data or file error, 4 solver error.
+2 usage error, 3 data or file error, 4 solver error (for bench: any run
+failed, after every other run and failures.txt are written).
 """
 
 from __future__ import annotations
@@ -146,10 +147,9 @@ def _cmd_bench(args) -> int:
         plan = parse_plan(fh.read())
     result = run_plan(plan, out_dir=args.out)
     print(f"wrote {len(result['runs'])} run CSVs to {result['out_dir']}")
-    if result["failures"]:
-        for (name, seed), msg in sorted(result["failures"].items()):
-            print(f"failed: {name} seed={seed}: {msg}", file=sys.stderr)
-    return EXIT_OK
+    for (name, seed), msg in sorted(result["failures"].items()):
+        print(f"failed: {name} seed={seed}: {msg}", file=sys.stderr)
+    return EXIT_SOLVER if result["failures"] else EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:

@@ -41,9 +41,14 @@ def _feature_sums(columns: np.ndarray, features, weights, out: np.ndarray) -> np
 # 120-170% for 10 to 300.
 _ROW_FEATURE_PASSES = 3
 
-# Output entries per block of cross: the product of one block, and the
-# Gaussian's norm sums over it, stay near a megabyte beside the result.
-_CROSS_BLOCK_ENTRIES = 1 << 17
+# Kernel values per block of cross and scores (256 KB of float64): the product
+# of one block, and the Gaussian's norm sums over it, stay a few hundred KB.
+# Larger blocks cost page faults, as their temporaries are mapped afresh on
+# every call: scoring 1000 support rows against 1000 test rows (2-D, Gaussian,
+# after warm-up, 2-core x86-64) took 0 minor faults a call (ru_minflt) with
+# 2**13 to 2**15 entries, 222 with 2**16 and 496 with 2**17, and 8-11 ms
+# against 14 ms with 2**17; 954 rows against 2000 took 0, 218 and 491 faults.
+_CROSS_BLOCK_ENTRIES = 1 << 15
 
 
 def _checked_rows(rows, n: int) -> np.ndarray:
@@ -93,9 +98,9 @@ class RowSubset:
 
 class KernelOracle:
     """Base kernel wrapper: every counted access goes through pair/row/diag/
-    cross, which bump eval_count by the exact number of kernel evaluations
-    performed. The counter only ever increases; it is the cost unit all
-    solvers report.
+    cross/scores, which bump eval_count by the exact number of kernel
+    evaluations performed. The counter only ever increases; it is the cost
+    unit all solvers report.
 
     A kernel is one map _values(products, norms_i, norms_j) of the inner
     products read from the dataset's arrays (a fresh array, which it maps in place
@@ -155,13 +160,37 @@ class KernelOracle:
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
         """K between dataset[rows] and every example of other over their common
         features: (len(rows), other.n) values and evaluations.
-        The product is taken a block of rows at a time into the result and
-        mapped there, so no temporary grows with the result. Two dense
-        datasets sum one outer product per common feature into the block;
-        otherwise the block is a sparse product of the CSR matrices."""
+        Each block of rows is mapped in place in the result, so no temporary
+        grows with the result."""
         rows = _checked_rows(rows, dataset.n)
         self.eval_count += rows.size * other.n
-        out = np.zeros((rows.size, other.n))
+        out = np.empty((rows.size, other.n))
+        for _ in self._blocks(dataset, rows, other, out):
+            pass
+        return out
+
+    def scores(self, dataset: Dataset, rows, coef, other: Dataset) -> np.ndarray:
+        """coef @ K(dataset[rows], other): the other.n weighted sums of kernel
+        values, as len(rows) * other.n evaluations. Each block of rows is mapped
+        into one reused buffer and added into the result at once, so memory
+        depends on the block size, not on len(rows)."""
+        rows = _checked_rows(rows, dataset.n)
+        coef = np.asarray(coef, dtype=np.float64)
+        if coef.shape != rows.shape:
+            raise ValueError("coef must have one weight per row")
+        self.eval_count += rows.size * other.n
+        out = np.zeros(other.n)
+        for lo, block in self._blocks(dataset, rows, other):
+            out += coef[lo:lo + len(block)] @ block
+        return out
+
+    def _blocks(self, dataset: Dataset, rows: np.ndarray, other: Dataset, out=None):
+        """Yield (lo, block): the kernel values between dataset[rows[lo:lo +
+        len(block)]] and other, a block of rows at a time. Blocks are views of
+        out when given, else of one buffer that the next block overwrites.
+        Two dense datasets sum one outer product per common feature into the
+        zeroed block; otherwise the block is a sparse product of the CSR
+        matrices. Either way it equals the one-shot product bit for bit."""
         m = min(dataset.dimension, other.dimension)
         dense = dataset._columns is not None and other._columns is not None
         if not dense:
@@ -169,15 +198,19 @@ class KernelOracle:
             right = other.matrix[:, :m].T.tocsr()  # the conversion `@` would make
         norms_i = dataset.norms[rows][:, None]
         step = max(1, _CROSS_BLOCK_ENTRIES // other.n)
+        reuse = out is None
+        if reuse:
+            out = np.empty((min(step, rows.size), other.n))
         for lo in range(0, rows.size, step):
-            block = out[lo:lo + step]
+            hi = min(lo + step, rows.size)
+            block = out[:hi - lo] if reuse else out[lo:hi]
             if dense:
-                weights = dataset._columns[:m, rows[lo:lo + step], None]
+                block.fill(0.0)
+                weights = dataset._columns[:m, rows[lo:hi], None]
                 _feature_sums(other._columns, range(m), weights, block)
             else:
-                (left[lo:lo + step] @ right).toarray(out=block)
-            self._values(block, norms_i[lo:lo + step], other.norms[None, :])
-        return out
+                (left[lo:hi] @ right).toarray(out=block)
+            yield lo, self._values(block, norms_i[lo:hi], other.norms[None, :])
 
     @property
     def spec_string(self) -> str:

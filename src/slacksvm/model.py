@@ -37,13 +37,15 @@ class TrainedModel:
 
 
 def score_batch(model: TrainedModel, dataset, kernel) -> np.ndarray:
-    """Raw scores on every example of dataset; costs support_size * n evals."""
+    """Raw scores on every example of dataset; costs support_size * n evals.
+    Memory does not grow with the support: kernel.scores reduces the kernel
+    values a block of support rows at a time."""
+    if model.dataset is None:
+        raise ValueError("the model needs its training set to score: load it "
+                         "with dataset=")
     sv = model.support_indices()
-    if sv.size == 0:
-        return np.full(dataset.n, model.bias)
-    g = kernel.cross(model.dataset, sv, dataset)
     coef = model.alpha[sv] * model.dataset.labels[sv]
-    return coef @ g + model.bias
+    return kernel.scores(model.dataset, sv, coef, dataset) + model.bias
 
 
 def score(model: TrainedModel, dataset, i: int, kernel) -> float:

@@ -483,6 +483,20 @@ class TestCli:
         assert "line 16" in r.stderr and "Traceback" not in r.stderr
         assert not (tmp_path / "bench").exists()
 
+    def test_failed_run_is_4_after_the_other_runs(self, tmp_path):
+        # A run out of range fails alone: the other runs, the aggregate and
+        # failures.txt are written, and then bench exits with the solver code.
+        plan = tmp_path / "plan.txt"
+        plan.write_text(PLAN.replace("solver.sbp.iters = 60", "solver.sbp.iters = 0"))
+        out = tmp_path / "bench"
+        r = self.run_cli("bench", str(plan), "--out", str(out))
+        assert r.returncode == 4
+        assert "failed: sbp seed=10" in r.stderr and "Traceback" not in r.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "failures.txt",
+            "peg_seed10.csv", "peg_seed11.csv", "peg_seed12.csv"]
+        assert (out / "failures.txt").read_text().count("sbp seed=") == 3
+
     def test_fourier_rejects_linear_kernel(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("+1 1:1\n-1 1:-1\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from slacksvm import kernels
 from slacksvm.data import DataError, Dataset, parse_libsvm
 from slacksvm.kernels import GaussianKernel, LinearKernel, RowSubset, kernel_from_spec
+from slacksvm.model import TrainedModel, score_batch
 
 from oracles import PrecomputedGramKernel, cross_reference
 
@@ -232,11 +233,16 @@ def test_row_at_rejects_rows_out_of_range():
 
 
 def test_cross_rejects_rows_out_of_range():
+    # So does scores, and a coef that is not one weight per row.
     ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
     for k in (LinearKernel(), GaussianKernel(1.0)):
         for rows, error in BAD_ROWS:
             with pytest.raises(error):
                 k.cross(ds, rows, ds)
+            with pytest.raises(error):
+                k.scores(ds, rows, np.ones(np.size(rows)), ds)
+        with pytest.raises(ValueError):
+            k.scores(ds, [0, 1], [1.0], ds)
         assert k.eval_count == 0
 
 
@@ -371,6 +377,73 @@ def test_cross_peak_memory_is_near_its_result():
     assert peak < 1.25 * g.nbytes
 
 
+def _sparse_sample(rng, n, dim):
+    """n rows of dimension dim with 1 to 4 stored entries each: too sparse
+    for a feature-major copy, so products take the CSR paths."""
+    x = np.zeros((n, dim))
+    for i in range(n):
+        features = rng.choice(dim, int(rng.integers(1, 5)), replace=False)
+        x[i, features] = rng.standard_normal(features.size) * 10.0 ** rng.integers(-2, 3)
+    return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+
+
+@given(st.integers(0, 2**32), st.booleans(),
+       st.sampled_from([1, 16, kernels._CROSS_BLOCK_ENTRIES]))
+@settings(max_examples=100, deadline=None)
+def test_scores_are_the_one_shot_reduce(seed, dense, budget):
+    # scores(a, rows, coef, b) is coef @ K(a[rows], b) of the one-shot
+    # product: summed a block at a time, so it differs only in the order of
+    # the sum over rows, within 1e-12 of the sum of the terms' magnitudes,
+    # and with the same sign wherever that bound cannot flip it. A one-hot
+    # coef reads one row of the reused block buffer, bit for bit.
+    rng = np.random.default_rng(seed)
+    sample = _dense_sample if dense else _sparse_sample
+    d = int(rng.integers(1, 7)) if dense else int(rng.integers(20, 60))
+    ds = sample(rng, int(rng.integers(1, 30)), d)
+    other = sample(rng, int(rng.integers(1, 12)), d + int(rng.integers(-d // 2, 3)))
+    assert (ds._columns is not None) == (other._columns is not None) == dense
+    with mock.patch.object(kernels, "_CROSS_BLOCK_ENTRIES", budget):
+        for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+            for a, b in ((ds, other), (other, ds)):
+                rows = rng.integers(0, a.n, int(rng.integers(0, 3 * a.n)))
+                coef = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-2, 3, rows.size)
+                ref = cross_reference(kernel, a, rows, b)
+                want, bound = coef @ ref, 1e-12 * (np.abs(coef) @ np.abs(ref))
+                before = kernel.eval_count
+                got = kernel.scores(a, rows, coef, b)
+                assert kernel.eval_count - before == rows.size * b.n
+                assert got.shape == (b.n,)
+                assert np.all(np.abs(got - want) <= bound)
+                assert np.all((np.sign(got) == np.sign(want)) | (np.abs(want) <= bound))
+                for r in rng.integers(0, rows.size, min(rows.size, 3)):
+                    one_hot = np.zeros(rows.size)
+                    one_hot[r] = 1.0
+                    assert np.array_equal(kernel.scores(a, rows, one_hot, b), ref[r])
+
+
+def test_scoring_peak_memory_does_not_grow_with_the_support():
+    # 1000 support rows on 2000 test rows: a full kernel block would be
+    # 16 MB (17.2 MB at peak through cross), but one block of support rows
+    # at a time, 63 blocks at the module budget, keeps the peak under 1 MB.
+    rng = np.random.default_rng(0)
+    a = Dataset.from_dense(rng.standard_normal((1000, 2)), np.where(rng.random(1000) < 0.5, 1, -1))
+    b = Dataset.from_dense(rng.standard_normal((2000, 2)), np.ones(2000))
+    model = TrainedModel(alpha=rng.uniform(0.1, 1.0, 1000), bias=0.5, dataset=a,
+                         kernel_spec="gaussian:1.0", use_bias=True, kernel_evals=0)
+    kernel = GaussianKernel(1.0)
+    tracemalloc.start()
+    try:
+        scores = score_batch(model, b, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert kernel.eval_count == 1000 * 2000
+    coef = model.alpha * a.labels
+    ref = cross_reference(kernel, a, np.arange(1000), b)
+    assert np.all(np.abs(scores - 0.5 - coef @ ref) <= 1e-12 * (np.abs(coef) @ ref))
+
+
 def test_cross_matches_pairs():
     rng = np.random.default_rng(3)
     a = Dataset.from_dense(rng.standard_normal((5, 3)), np.ones(5))
@@ -438,6 +511,13 @@ def test_precomputed_gram_lookup():
         k.pair(ds, 0, stranger, 0)
     with pytest.raises(DataError):
         k.row(stranger, 0)
+
+
+def test_precomputed_gram_scores():
+    ds = parse_libsvm("+1 1:1\n-1 2:1\n")
+    k = PrecomputedGramKernel(np.array([[1.0, 0.25], [0.25, 1.0]]), ds)
+    assert k.scores(ds, [1, 0], [2.0, -1.0], ds).tolist() == [-0.5, 1.75]
+    assert k.eval_count == 4
 
 
 def test_precomputed_gram_shape_checked():

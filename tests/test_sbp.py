@@ -209,6 +209,20 @@ class TestSerialization:
         m2, _ = sbp_train(ds, LinearKernel(), config)
         assert serialize_model(m1) == serialize_model(m2)
 
+    def test_scoring_without_the_training_set_names_it(self, tmp_path):
+        # The coefficients index the training set, so a model loaded without
+        # it cannot score; it says so instead of failing on None.
+        ds, kernel, config = train_pair(n=25, iterations=80)
+        model, _ = sbp_train(ds, kernel, config)
+        save_model(model, tmp_path / "m.model")
+        for loaded in (deserialize_model(serialize_model(model)),
+                       load_model(tmp_path / "m.model")):
+            with pytest.raises(ValueError, match="training set.*dataset="):
+                score_batch(loaded, ds, LinearKernel())
+        assert np.array_equal(score_batch(load_model(tmp_path / "m.model", dataset=ds),
+                                          ds, LinearKernel()),
+                              score_batch(model, ds, LinearKernel()))
+
     def test_dataset_mismatch_detected(self):
         ds, kernel, config = train_pair(n=25, iterations=40)
         model, _ = sbp_train(ds, kernel, config)
