@@ -16,11 +16,11 @@ import numpy as np
 from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_steps,
                         pegasos_train, perceptron_train, sdca_dual_value,
                         sdca_train)
-from .data import (DataError, Dataset, SyntheticSpec, evaluate, generate,
-                   hinge_loss, parse_libsvm)
+from .data import (DataError, Dataset, SyntheticSpec, generate, hinge_loss,
+                   parse_libsvm)
 from .fourier import linearize, make_fourier_map
 from .kernels import kernel_from_spec
-from .model import SolverError
+from .model import SolverError, evaluate
 from .recording import RunRecord, check_lam
 from .sbp import SbpConfig, sbp_train
 
@@ -156,9 +156,11 @@ class BenchPlan:
             raise ValueError("plan needs at least one solver")
 
 
-# Top-level plan keys and their readers; the defaults are BenchPlan's.
-_PLAN_KEYS = {"dataset": str, "test": str, "kernel": str, "repeat": int,
-              "seed": int, "timing": _flag, "out": str, "positive_class": str}
+# Top-level plan keys and their readers; the defaults are BenchPlan's. The
+# kernel is read as each run builds it, so a bad spec stops the whole plan.
+_PLAN_KEYS = {"dataset": str, "test": str, "repeat": int, "seed": int,
+              "timing": _flag, "out": str, "positive_class": str,
+              "kernel": lambda text: kernel_from_spec(text).spec_string}
 
 
 def parse_plan(text: str) -> BenchPlan:
@@ -265,12 +267,9 @@ def run_plan(plan: BenchPlan, out_dir=None) -> dict:
             seed = plan.seed + r
             key = (solver.name, seed)
             try:
-                kernel = kernel_from_spec(plan.kernel)
-                eval_kernel = (kernel_from_spec(plan.kernel)
-                               if test_data is not None else None)
                 _, record = train_solver(solver.kind, solver.params, dataset,
-                                         kernel, seed, test_data, eval_kernel,
-                                         plan.timing)
+                                         kernel_from_spec(plan.kernel), seed,
+                                         test_data, timing=plan.timing)
             except (SolverError, DataError, ValueError) as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
                 continue

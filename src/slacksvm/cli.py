@@ -122,14 +122,13 @@ def _check_out(path) -> None:
 
 def _cmd_train(args) -> int:
     _check_out(args.out)
-    dataset = _load(args.data, args.positive_class)
     kernel = kernel_from_spec(args.kernel)
+    dataset = _load(args.data, args.positive_class)
     test_data = _load(args.test, args.positive_class) if args.test else None
-    eval_kernel = kernel_from_spec(args.kernel) if test_data is not None else None
     params = {key: getattr(args, key) for key in _solver_keys()
               if getattr(args, key) is not None}
     model, record = train_solver(args.solver, params, dataset, kernel, args.seed,
-                                 test_data, eval_kernel, args.timing)
+                                 test_data, timing=args.timing)
 
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, f"{args.solver}_seed{args.seed}.model")

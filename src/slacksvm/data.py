@@ -1,4 +1,4 @@
-"""Dataset ingestion (LIBSVM/SVM-light sparse text), synthetic generators, loss evaluation."""
+"""Dataset ingestion (LIBSVM/SVM-light sparse text), synthetic generators, hinge loss."""
 
 from __future__ import annotations
 
@@ -281,18 +281,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
             raise DataError("margin construction failed verification")
         return Dataset.from_dense(x, labels)
     raise DataError(f"unknown synthetic kind {spec.kind!r}")
-
-
-def evaluate(model, dataset: Dataset, kernel):
-    """Mean hinge loss and 0/1 error of model on dataset.
-
-    A score of exactly zero counts as an error. Kernel cost is
-    support_size * dataset.n on the supplied oracle's counter.
-    """
-    from .model import score_batch
-
-    margins = dataset.labels * score_batch(model, dataset, kernel)
-    return hinge_loss(margins), float(np.mean(margins <= 0.0))
 
 
 def hinge_loss(margins) -> float:

@@ -122,10 +122,8 @@ class KernelOracle:
         if dataset is other and i == j:
             product = norm_i = norm_j = dataset.norms.item(i)
         else:
-            lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
-            terms = _dense(other, j, dataset.dimension)[dataset.indices[lo:hi]]
-            terms *= dataset.values[lo:hi]
-            product = _row_sums(np.zeros(hi - lo, np.int64), terms, 1).item(0)
+            x = _dense(other, j, dataset.dimension)
+            product = RowSubset(dataset, [i]).products(x).item(0)
             norm_i, norm_j = dataset.norms.item(i), other.norms.item(j)
         return float(self._values(product, norm_i, norm_j))
 
@@ -160,13 +158,13 @@ class KernelOracle:
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
         """K between dataset[rows] and every example of other over their common
         features: (len(rows), other.n) values and evaluations.
-        Each block of rows is mapped in place in the result, so no temporary
-        grows with the result."""
+        Each block of rows is copied into the result, so no temporary grows
+        with the result."""
         rows = _checked_rows(rows, dataset.n)
         self.eval_count += rows.size * other.n
         out = np.empty((rows.size, other.n))
-        for _ in self._blocks(dataset, rows, other, out):
-            pass
+        for lo, block in self._blocks(dataset, rows, other):
+            out[lo:lo + len(block)] = block
         return out
 
     def scores(self, dataset: Dataset, rows, coef, other: Dataset) -> np.ndarray:
@@ -184,13 +182,13 @@ class KernelOracle:
             out += coef[lo:lo + len(block)] @ block
         return out
 
-    def _blocks(self, dataset: Dataset, rows: np.ndarray, other: Dataset, out=None):
+    def _blocks(self, dataset: Dataset, rows: np.ndarray, other: Dataset):
         """Yield (lo, block): the kernel values between dataset[rows[lo:lo +
-        len(block)]] and other, a block of rows at a time. Blocks are views of
-        out when given, else of one buffer that the next block overwrites.
-        Two dense datasets sum one outer product per common feature into the
-        zeroed block; otherwise the block is a sparse product of the CSR
-        matrices. Either way it equals the one-shot product bit for bit."""
+        len(block)]] and other, a block of rows at a time, each a view of one
+        buffer that the next block overwrites. Two dense datasets sum one
+        outer product per common feature into the zeroed block; otherwise the
+        block is a sparse product of the CSR matrices. Either way it equals
+        the one-shot product bit for bit."""
         m = min(dataset.dimension, other.dimension)
         dense = dataset._columns is not None and other._columns is not None
         if not dense:
@@ -198,12 +196,10 @@ class KernelOracle:
             right = other.matrix[:, :m].T.tocsr()  # the conversion `@` would make
         norms_i = dataset.norms[rows][:, None]
         step = max(1, _CROSS_BLOCK_ENTRIES // other.n)
-        reuse = out is None
-        if reuse:
-            out = np.empty((min(step, rows.size), other.n))
+        buffer = np.empty((min(step, rows.size), other.n))
         for lo in range(0, rows.size, step):
             hi = min(lo + step, rows.size)
-            block = out[:hi - lo] if reuse else out[lo:hi]
+            block = buffer[:hi - lo]
             if dense:
                 block.fill(0.0)
                 weights = dataset._columns[:m, rows[lo:hi], None]

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import Dataset, hinge_loss
+
 
 class SolverError(RuntimeError):
     """A training run could not produce a valid model."""
@@ -22,7 +24,7 @@ class TrainedModel:
 
     alpha: np.ndarray
     bias: float
-    dataset: object  # the training Dataset the coefficients refer to
+    dataset: Dataset  # the training set the coefficients refer to
     kernel_spec: str
     use_bias: bool
     kernel_evals: int
@@ -40,12 +42,19 @@ def score_batch(model: TrainedModel, dataset, kernel) -> np.ndarray:
     """Raw scores on every example of dataset; costs support_size * n evals.
     Memory does not grow with the support: kernel.scores reduces the kernel
     values a block of support rows at a time."""
-    if model.dataset is None:
-        raise ValueError("the model needs its training set to score: load it "
-                         "with dataset=")
     sv = model.support_indices()
     coef = model.alpha[sv] * model.dataset.labels[sv]
     return kernel.scores(model.dataset, sv, coef, dataset) + model.bias
+
+
+def evaluate(model: TrainedModel, dataset: Dataset, kernel):
+    """Mean hinge loss and 0/1 error of model on dataset.
+
+    A score of exactly zero counts as an error. Kernel cost is
+    support_size * dataset.n on the supplied oracle's counter.
+    """
+    margins = dataset.labels * score_batch(model, dataset, kernel)
+    return hinge_loss(margins), float(np.mean(margins <= 0.0))
 
 
 def score(model: TrainedModel, dataset, i: int, kernel) -> float:
@@ -78,9 +87,10 @@ def save_model(model: TrainedModel, path):
         fh.write(serialize_model(model))
 
 
-def deserialize_model(text: str, dataset=None) -> TrainedModel:
-    """Inverse of serialize_model; with dataset, checked against its size
-    and labels. Text not in that format raises ValueError naming its line."""
+def deserialize_model(text: str, dataset: Dataset) -> TrainedModel:
+    """Inverse of serialize_model, for the training set dataset that the
+    coefficients index; checked against its size and labels. Text not in
+    that format raises ValueError naming its line."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("model text is empty")
@@ -92,7 +102,7 @@ def deserialize_model(text: str, dataset=None) -> TrainedModel:
     except (KeyError, ValueError):
         raise ValueError(f"line {lines[0][0]}: expected the header 'n=N kernel=SPEC "
                          "use_bias=0|1 bias=B', N positive and B finite") from None
-    if dataset is not None and dataset.n != n:
+    if dataset.n != n:
         raise ValueError("model does not match the dataset size")
     alpha = np.zeros(n)
     labels = np.zeros(n)
@@ -108,10 +118,9 @@ def deserialize_model(text: str, dataset=None) -> TrainedModel:
         if labels[j]:
             raise ValueError(f"line {lineno}: index {j} appears twice")
         alpha[j], labels[j] = a, y
-    if dataset is not None:
-        sv = np.flatnonzero(alpha)
-        if not np.array_equal(labels[sv], dataset.labels[sv]):
-            raise ValueError("model labels disagree with the dataset")
+    sv = np.flatnonzero(alpha)
+    if not np.array_equal(labels[sv], dataset.labels[sv]):
+        raise ValueError("model labels disagree with the dataset")
     return TrainedModel(
         alpha=alpha,
         bias=bias,
@@ -123,6 +132,6 @@ def deserialize_model(text: str, dataset=None) -> TrainedModel:
     )
 
 
-def load_model(path, dataset=None) -> TrainedModel:
+def load_model(path, dataset: Dataset) -> TrainedModel:
     with open(path) as fh:
-        return deserialize_model(fh.read(), dataset=dataset)
+        return deserialize_model(fh.read(), dataset)

@@ -10,8 +10,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import evaluate, hinge_loss
-from .model import SolverError, TrainedModel
+from .data import hinge_loss
+from .kernels import kernel_from_spec
+from .model import SolverError, TrainedModel, evaluate
 
 RNG_IDENTITY = "numpy-pcg64"
 
@@ -69,12 +70,16 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
     (training margins or None, alpha, bias) of the model the solver would
     return then, alpha None if there is none. The loop takes count steps and
     records the predictor at each checkpoint of geometric_schedule(count).
-    Both counters count from before the first step and are read after the
-    checkpoint's held-out scoring, which costs evaluations on eval_kernel
-    only. The last checkpoint's model is returned; SolverError if none.
+    With test_data, each checkpoint's model is scored on eval_kernel, by
+    default a fresh oracle of kernel's spec. Both counters count from before
+    the first step and are read after the checkpoint's held-out scoring,
+    which costs evaluations on eval_kernel only. The last checkpoint's model
+    is returned; SolverError if none.
     """
     record = RunRecord(metadata={**asdict(config), **metadata, "rng": RNG_IDENTITY})
     schedule = geometric_schedule(count)
+    if test_data is not None and eval_kernel is None:
+        eval_kernel = kernel_from_spec(kernel.spec_string)
     start, start_eval = kernel.eval_count, eval_kernel.eval_count if eval_kernel else 0
     start_ns = time.perf_counter_ns()
     predictors = steps(dataset, kernel, config, np.random.default_rng(config.seed))
@@ -87,7 +92,7 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
             model = TrainedModel(alpha, bias, dataset, kernel.spec_string,
                                  getattr(config, "use_bias", False), evals,
                                  dict(record.metadata))
-            if test_data is not None and eval_kernel is not None:
+            if test_data is not None:
                 test_error = evaluate(model, test_data, eval_kernel)[1]
         record.samples.append(Sample(
             t, evals, eval_kernel.eval_count - start_eval if eval_kernel else 0,

@@ -32,24 +32,6 @@ def water_level_sorted(c, volume):
     raise AssertionError("unreachable")
 
 
-def water_level_sorted_batch(c_sorted, prefix, volumes):
-    """Vectorized sorted-scan oracle over many volumes for one response
-    vector; c_sorted and prefix come from np.sort / np.cumsum."""
-    n = c_sorted.size
-    volumes = np.asarray(volumes, dtype=np.float64)
-    out = np.empty(volumes.shape)
-    for j, v in np.ndenumerate(volumes):
-        if v == 0.0:
-            out[j] = c_sorted[0]
-            continue
-        for k in range(1, n + 1):
-            gamma = (v + prefix[k - 1]) / k
-            if k == n or gamma <= c_sorted[k]:
-                out[j] = gamma
-                break
-    return out
-
-
 def water_level_sorted_fast(c, volume):
     """Vectorized variant of water_level_sorted for large batches of calls."""
     cs = np.sort(np.asarray(c, dtype=np.float64))
@@ -77,18 +59,6 @@ def water_level_rows(shifted, volume):
     feasible[:, -1] = True
     first = np.argmax(feasible, axis=1)
     return gammas[np.arange(m), first]
-
-
-def bias_grid_oracle(c, y, volume, grid):
-    """max over the grid of the water level of the shifted responses."""
-    c = np.asarray(c, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    best_gamma, best_b = -np.inf, None
-    for b in grid:
-        gamma = water_level_sorted(c + y * b, volume)
-        if gamma > best_gamma:
-            best_gamma, best_b = gamma, b
-    return best_gamma, best_b
 
 
 def bias_grid_values(c, y, volume, grid):
@@ -155,28 +125,6 @@ def bias_level_bisection(c, y, volume: float, max_iter: int = 200):
             break
 
     return find_gamma(c + y * b, volume), float(b)
-
-
-def slack_objective_dense(w, x, labels, nu):
-    """Slack-constrained objective at explicit weights w: the water level of
-    the margins y_i <w, x_i> with volume n*nu."""
-    margins = labels * (x @ w)
-    return water_level_sorted(margins, x.shape[0] * nu)
-
-
-def best_weights_on_grid(x, labels, nu, radius=1.0, steps=200):
-    """Dense polar grid search for the 2-D slack-constrained optimum inside
-    the unit ball. Returns (w, objective)."""
-    assert x.shape[1] == 2
-    best = (-np.inf, None)
-    for theta in np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False):
-        direction = np.array([np.cos(theta), np.sin(theta)])
-        for r in np.linspace(radius / steps, radius, steps):
-            w = r * direction
-            val = slack_objective_dense(w, x, labels, nu)
-            if val > best[0]:
-                best = (val, w)
-    return best[1], best[0]
 
 
 def best_regularized_on_grid(x, labels, lam, radius=5.0, steps=200):

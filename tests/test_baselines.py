@@ -4,9 +4,9 @@ import pytest
 from slacksvm.baselines import (PegasosConfig, PerceptronConfig, SdcaConfig,
                                 pegasos_train, perceptron_train,
                                 sdca_dual_value, sdca_train)
-from slacksvm.data import SyntheticSpec, evaluate, generate, parse_libsvm
+from slacksvm.data import SyntheticSpec, generate, parse_libsvm
 from slacksvm.kernels import LinearKernel, kernel_from_spec
-from slacksvm.model import TrainedModel, score
+from slacksvm.model import TrainedModel, evaluate, score
 from slacksvm.recording import geometric_schedule
 
 from oracles import PrecomputedGramKernel, perceptron_reference, sdca_delta_oracle

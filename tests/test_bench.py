@@ -10,10 +10,9 @@ from slacksvm import cli, data
 from slacksvm.bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag,
                             load_dataset, parse_plan, run_plan, train_solver,
                             write_run_csv)
-from slacksvm.data import (DataError, SyntheticSpec, evaluate, generate,
-                           serialize_libsvm)
+from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
 from slacksvm.kernels import LinearKernel, kernel_from_spec
-from slacksvm.model import SolverError, save_model, serialize_model
+from slacksvm.model import SolverError, evaluate, save_model, serialize_model
 from slacksvm.recording import RunRecord, Sample
 
 PLAN = """
@@ -60,11 +59,15 @@ class TestPlanParsing:
          "line 17: .*perceptron takes no parameter 'iters'"),
         (PLAN.replace("repeat = 3", "repeat = three"), "line 6: unreadable value 'three'"),
         (PLAN + "timing = sometimes\n", "line 16: unreadable value 'sometimes'"),
+        (PLAN.replace("kernel = linear", "kernel = rbf"),
+         "line 5: unreadable value 'rbf' for kernel"),
+        (PLAN.replace("kernel = linear", "kernel = gaussian:-1"),
+         "line 5: unreadable value 'gaussian:-1' for kernel"),
     ], ids=["no-equals", "no-dataset", "unknown-kind", "no-solvers",
             "deep-solver-key", "top-level-typo", "solver-key-typo",
             "key-of-other-kind", "other-kind-key-unreadable", "unreadable-value",
             "unreadable-flag", "perceptron-iters", "unreadable-repeat",
-            "unreadable-timing"])
+            "unreadable-timing", "unknown-kernel", "kernel-out-of-range"])
     def test_rejects_garbage(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_plan(text)
@@ -207,6 +210,30 @@ def test_last_sample_counts_every_held_out_eval(kind):
         assert record.samples[-1].eval_kernel_evals == eval_kernel.eval_count - before
         records.append(record)
     assert records[0].samples == records[1].samples
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
+def test_held_out_scoring_builds_its_own_oracle(kind):
+    # Given a held-out set and no eval_kernel, a run scores on a fresh oracle
+    # of its kernel's spec: the same samples, held-out counts included, as
+    # with one passed in. A spec that cannot be rebuilt fails before training.
+    train = generate(SyntheticSpec(kind="two_gaussians", n=60, seed=1, noise_rate=0.1))
+    test = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=2))
+    params = {} if kind == "perceptron" else {"iters": "40"}
+    spec = "gaussian:1.0"
+    _, given = train_solver(kind, params, train, kernel_from_spec(spec), 0,
+                            test, kernel_from_spec(spec))
+    _, built = train_solver(kind, params, train, kernel_from_spec(spec), 0, test)
+    assert built.samples == given.samples
+    assert all(0.0 <= s.test_zero_one <= 1.0 for s in built.samples)
+
+    class Unnamed(LinearKernel):
+        spec_string = "unnamed"
+
+    kernel = Unnamed()
+    with pytest.raises(ValueError, match="unknown kernel spec 'unnamed'"):
+        train_solver(kind, params, train, kernel, 0, test)
+    assert kernel.eval_count == 0
 
 
 # Every solver kind at its defaults, and once more with each flag it takes.
@@ -476,12 +503,17 @@ class TestCli:
         assert r.returncode == 2 and "passes" in r.stderr
 
     def test_plan_typo_is_2(self, tmp_path):
+        # The plan is read whole before any data or output: a bad kernel spec
+        # stops it like a typo, naming its line.
         plan = tmp_path / "plan.txt"
-        plan.write_text(PLAN + "solver.sbp.itres = 7\n")
-        r = self.run_cli("bench", str(plan), "--out", str(tmp_path / "bench"))
-        assert r.returncode == 2
-        assert "line 16" in r.stderr and "Traceback" not in r.stderr
-        assert not (tmp_path / "bench").exists()
+        for text, line in ((PLAN + "solver.sbp.itres = 7\n", 16),
+                           (PLAN.replace("kernel = linear", "kernel = rbf"), 5),
+                           (PLAN.replace("kernel = linear", "kernel = gaussian:-1"), 5)):
+            plan.write_text(text)
+            r = self.run_cli("bench", str(plan), "--out", str(tmp_path / "bench"))
+            assert r.returncode == 2
+            assert f"line {line}" in r.stderr and "Traceback" not in r.stderr
+            assert not (tmp_path / "bench").exists()
 
     def test_failed_run_is_4_after_the_other_runs(self, tmp_path):
         # A run out of range fails alone: the other runs, the aggregate and

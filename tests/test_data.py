@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from slacksvm.data import (DataError, Dataset, SyntheticSpec, evaluate,
-                           generate, parse_libsvm, serialize_libsvm)
+from slacksvm.data import (DataError, Dataset, SyntheticSpec, generate,
+                           parse_libsvm, serialize_libsvm)
 from slacksvm.fourier import linearize, make_fourier_map
 from slacksvm.kernels import LinearKernel
-from slacksvm.model import TrainedModel
+from slacksvm.model import TrainedModel, evaluate
 
 from oracles import PrecomputedGramKernel
 

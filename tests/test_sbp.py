@@ -189,6 +189,7 @@ def test_bias_mode_handles_shifted_classes():
 
 
 MODEL_HEADER = "n=3 kernel=linear use_bias=0 bias=0.0\n"
+THREE_ROWS = "+1 1:1\n+1 1:2\n-1 1:3\n"
 
 
 class TestSerialization:
@@ -209,19 +210,27 @@ class TestSerialization:
         m2, _ = sbp_train(ds, LinearKernel(), config)
         assert serialize_model(m1) == serialize_model(m2)
 
-    def test_scoring_without_the_training_set_names_it(self, tmp_path):
-        # The coefficients index the training set, so a model loaded without
-        # it cannot score; it says so instead of failing on None.
-        ds, kernel, config = train_pair(n=25, iterations=80)
-        model, _ = sbp_train(ds, kernel, config)
-        save_model(model, tmp_path / "m.model")
-        for loaded in (deserialize_model(serialize_model(model)),
-                       load_model(tmp_path / "m.model")):
-            with pytest.raises(ValueError, match="training set.*dataset="):
-                score_batch(loaded, ds, LinearKernel())
-        assert np.array_equal(score_batch(load_model(tmp_path / "m.model", dataset=ds),
-                                          ds, LinearKernel()),
-                              score_batch(model, ds, LinearKernel()))
+    def test_loaded_model_keeps_its_bytes_and_scores(self, tmp_path):
+        # The coefficients index the training set, so a model is only ever
+        # loaded with it; loaded, it writes the bytes it was saved from and
+        # scores exactly as the trained model.
+        ds = generate(SyntheticSpec(kind="two_gaussians", n=40, seed=5, noise_rate=0.1))
+        test = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=6))
+        path = tmp_path / "m.model"
+        for use_bias in (False, True):
+            config = SbpConfig(nu=0.1, iterations=60, seed=1, use_bias=use_bias)
+            model, _ = sbp_train(ds, GaussianKernel(0.5), config)
+            save_model(model, path)
+            text = path.read_text()
+            for loaded in (load_model(path, ds), deserialize_model(text, ds)):
+                assert serialize_model(loaded) == text
+                for data in (ds, test):
+                    assert np.array_equal(score_batch(loaded, data, GaussianKernel(0.5)),
+                                          score_batch(model, data, GaussianKernel(0.5)))
+        with pytest.raises(TypeError):
+            load_model(path)
+        with pytest.raises(TypeError):
+            deserialize_model(text)
 
     def test_dataset_mismatch_detected(self):
         ds, kernel, config = train_pair(n=25, iterations=40)
@@ -247,7 +256,7 @@ class TestSerialization:
     def test_hostile_text_raises_naming_its_line(self, text, line):
         match = "empty" if line is None else f"^line {line}: "
         with pytest.raises(ValueError, match=match):
-            deserialize_model(text)
+            deserialize_model(text, parse_libsvm(THREE_ROWS))
 
 
 def test_rescale_check_reports_bounds():
