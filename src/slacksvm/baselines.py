@@ -104,7 +104,7 @@ def _sdca_steps(dataset, kernel, lam, rng):
     responses = np.zeros(n)
     while True:
         i = int(rng.integers(n))
-        kii = kernel.pair(dataset, i, dataset, i)
+        kii = kernel.pair(dataset, i)
         if kii == 0.0:
             delta = 0.0  # flat direction, skip
         else:  # on Python floats: numpy's arithmetic, without its scalar cost

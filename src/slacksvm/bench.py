@@ -157,7 +157,7 @@ class BenchPlan:
 
 
 # Top-level plan keys and their readers; the defaults are BenchPlan's. The
-# kernel is read as each run builds it, so a bad spec stops the whole plan.
+# kernel is read here, at parse time, so a bad spec stops the whole plan.
 _PLAN_KEYS = {"dataset": str, "test": str, "repeat": int, "seed": int,
               "timing": _flag, "out": str, "positive_class": str,
               "kernel": lambda text: kernel_from_spec(text).spec_string}

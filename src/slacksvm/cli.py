@@ -204,7 +204,7 @@ def main(argv=None) -> int:
         if args.command == "fourier":
             return _cmd_fourier(args)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError, DataError) as exc:
+    except (OSError, UnicodeDecodeError, DataError, MemoryError) as exc:
         # UnicodeDecodeError and DataError are ValueErrors: caught first.
         print(f"slacksvm: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -140,14 +140,17 @@ def _as_lines(source):
     return source
 
 
+_MAX_FEATURE_INDEX = 2**31 - 1  # a LIBSVM index is a C int
+
+
 def parse_libsvm(source, positive_class=None) -> Dataset:
     """Parse LIBSVM/SVM-light sparse text into a Dataset.
 
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
-    ascending indices. Labels may be ``+1/-1`` or ``0/1`` (0 maps to -1);
-    any other label set requires ``positive_class`` for an explicit
-    one-vs-rest mapping. Blank lines and ``#`` comments are skipped; CRLF
-    is accepted.
+    ascending indices of at most _MAX_FEATURE_INDEX. Labels may be ``+1/-1``
+    or ``0/1`` (0 maps to -1); any other label set requires
+    ``positive_class`` for an explicit one-vs-rest mapping. Blank lines and
+    ``#`` comments are skipped; CRLF is accepted.
     """
     indptr, indices, values, labels, linenos = [0], [], [], [], []
     target = float(positive_class) if positive_class is not None else None
@@ -189,6 +192,8 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
             if val != 0.0:
                 indices.append(idx - 1)
                 values.append(val)
+        if prev > _MAX_FEATURE_INDEX:  # the line's largest index
+            raise DataError(f"line {lineno}: feature index {prev} is above {_MAX_FEATURE_INDEX}")
         indptr.append(len(indices))
         labels.append(label)
         linenos.append(lineno)

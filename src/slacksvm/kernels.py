@@ -7,13 +7,12 @@ import numpy as np
 from .data import Dataset, _row_sums
 
 
-def _dense(dataset: Dataset, j: int, dimension: int) -> np.ndarray:
-    """Row j of dataset as a dense vector of length dimension, without the
-    row's features at or past dimension."""
+def _dense(dataset: Dataset, j: int) -> np.ndarray:
+    """Row j of dataset as a dense vector of length dataset.dimension."""
     lo, hi = dataset.indptr[j], dataset.indptr[j + 1]
-    out = np.zeros(max(dimension, dataset.dimension))
+    out = np.zeros(dataset.dimension)
     out[dataset.indices[lo:hi]] = dataset.values[lo:hi]
-    return out[:dimension]
+    return out
 
 
 def _feature_sums(columns: np.ndarray, features, weights, out: np.ndarray) -> np.ndarray:
@@ -112,25 +111,18 @@ class KernelOracle:
     def __init__(self):
         self.eval_count = 0
 
-    def pair(self, dataset: Dataset, i: int, other: Dataset, j: int) -> float:
-        """K(row i of dataset, row j of other) over their common features;
-        one evaluation. A row with itself reads its cached squared norm, the
-        value the general path would sum."""
-        if not (0 <= i < dataset.n and 0 <= j < other.n):
-            raise IndexError(f"row index {i} or {j} out of range")
+    def pair(self, dataset: Dataset, i: int) -> float:
+        """K(x_i, x_i) from row i's cached squared norm; one evaluation."""
+        if not 0 <= i < dataset.n:
+            raise IndexError(f"row index {i} out of range")
         self.eval_count += 1
-        if dataset is other and i == j:
-            product = norm_i = norm_j = dataset.norms.item(i)
-        else:
-            x = _dense(other, j, dataset.dimension)
-            product = RowSubset(dataset, [i]).products(x).item(0)
-            norm_i, norm_j = dataset.norms.item(i), other.norms.item(j)
-        return float(self._values(product, norm_i, norm_j))
+        norm = dataset.norms.item(i)
+        return float(self._values(norm, norm, norm))
 
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
-        the indices i in rows only (len(rows) evaluations). rows is an index
-        array or a RowSubset of dataset, which reuses one gather for every j."""
+        the rows of rows only, a RowSubset of dataset that reuses one gather
+        for every j (len(rows) evaluations)."""
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
         if rows is None:
@@ -140,14 +132,12 @@ class KernelOracle:
                 products = _feature_sums(dataset._columns, dataset.indices[lo:hi].tolist(),
                                          dataset.values[lo:hi].tolist(), np.zeros(dataset.n))
             else:
-                products = dataset.matrix @ _dense(dataset, j, dataset.dimension)
+                products = dataset.matrix @ _dense(dataset, j)
             return self._values(products, dataset.norms, dataset.norms[j])
-        if not isinstance(rows, RowSubset):
-            rows = RowSubset(dataset, rows)
-        elif rows.dataset is not dataset:
-            raise ValueError("row subset of another dataset")
+        if not (isinstance(rows, RowSubset) and rows.dataset is dataset):
+            raise ValueError("rows must be a RowSubset of dataset")
         self.eval_count += len(rows)
-        x = _dense(dataset, j, dataset.dimension)
+        x = _dense(dataset, j)
         return self._values(rows.products(x), rows.norms, dataset.norms[j])
 
     def diag(self, dataset: Dataset) -> np.ndarray:

@@ -57,14 +57,14 @@ def evaluate(model: TrainedModel, dataset: Dataset, kernel):
     return hinge_loss(margins), float(np.mean(margins <= 0.0))
 
 
-def score(model: TrainedModel, dataset, i: int, kernel) -> float:
-    """Score row i of dataset; costs support_size evaluations."""
-    sv = model.support_indices()
-    total = model.bias
-    for j in sv:
-        total += model.alpha[j] * model.dataset.labels[j] * kernel.pair(
-            model.dataset, j, dataset, i)
-    return float(total)
+def score(model: TrainedModel, dataset: Dataset, i: int, kernel) -> float:
+    """Score row i of dataset through score_batch; support_size evaluations."""
+    if not 0 <= i < dataset.n:
+        raise IndexError(f"row index {i} out of range")
+    lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
+    row = Dataset([0, hi - lo], dataset.indices[lo:hi], dataset.values[lo:hi],
+                  dataset.labels[i:i + 1], dimension=dataset.dimension)
+    return float(score_batch(model, row, kernel)[0])
 
 
 def serialize_model(model: TrainedModel) -> str:

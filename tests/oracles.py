@@ -217,10 +217,10 @@ class PrecomputedGramKernel(KernelOracle):
         if any(ds is not self.dataset for ds in datasets):
             raise DataError("dataset is not covered by the precomputed Gram matrix")
 
-    def pair(self, a, i, b, j):
-        self._check(a, b)
+    def pair(self, dataset, i):
+        self._check(dataset)
         self.eval_count += 1
-        return float(self.gram[i, j])
+        return float(self.gram[i, i])
 
     def row(self, dataset, j, rows=None):
         self._check(dataset)

@@ -18,8 +18,7 @@ def margin_instance(n=80, seed=0, margin=0.3):
 
 
 def dense_gram(ds):
-    k = LinearKernel()
-    return np.array([[k.pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
+    return LinearKernel().cross(ds, np.arange(ds.n), ds)
 
 
 class TestPegasos:
@@ -204,6 +203,17 @@ class TestPredict:
         model = TrainedModel(alpha=np.zeros(1), bias=0.25, dataset=ds,
                              kernel_spec="linear", use_bias=True, kernel_evals=0)
         assert score(model, ds, 0, LinearKernel()) == 0.25
+
+    def test_row_out_of_range_raises_before_counting(self):
+        # Even with an empty support, which reads no kernel value.
+        ds = parse_libsvm("+1 1:1\n")
+        model = TrainedModel(alpha=np.zeros(1), bias=0.25, dataset=ds,
+                             kernel_spec="linear", use_bias=True, kernel_evals=0)
+        k = LinearKernel()
+        for i in (5, -3, 1):
+            with pytest.raises(IndexError):
+                score(model, ds, i, k)
+        assert k.eval_count == 0
 
     def test_single_support_vector(self):
         ds = parse_libsvm("+1 1:0.5\n")

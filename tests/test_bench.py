@@ -422,13 +422,35 @@ class TestCli:
             assert "RuntimeWarning" not in r.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("index", ["1000000000000000", "99999999999999999999999",
+                                       str(2**62), str(2**63 - 1)])
+    def test_feature_index_above_the_format_is_3(self, tmp_path, index):
+        # Before the bound these ended in a dense row of petabytes, an int64
+        # overflow, or numpy's "array is too big" as a usage error.
+        wide, fine = tmp_path / "wide.txt", tmp_path / "fine.txt"
+        wide.write_text(f"+1 {index}:1\n-1 1:1\n")
+        fine.write_text("+1 1:1\n-1 1:2\n")
+        out = str(tmp_path / "out")
+        runs = [("train", str(wide), "--out", out)]
+        if index == "1000000000000000":
+            runs += [("calibrate-nu", str(wide), "--lambda", "1"),
+                     ("fourier", str(wide), "--test", str(fine), "--out", out),
+                     ("fourier", str(fine), "--test", str(wide), "--out", out)]
+        for args in runs:
+            r = self.run_cli(*args)
+            assert r.returncode == 3, args
+            assert r.stderr.count("\n") == 1 and "line 1" in r.stderr, args
+
+    # The last spec needs petabytes, more than any 64-bit address space
+    # maps, so its allocation fails at once with a MemoryError.
     @pytest.mark.parametrize("spec", ["synthetic:two_gaussians:n=10,foo=1",
                                       "synthetic:nope",
-                                      "synthetic:two_gaussians:n=ten"])
+                                      "synthetic:two_gaussians:n=ten",
+                                      "synthetic:two_gaussians:n=1000000000000000"])
     def test_bad_synthetic_spec_is_3(self, tmp_path, spec):
         r = self.run_cli("train", spec, "--out", str(tmp_path))
         assert r.returncode == 3
-        assert "Traceback" not in r.stderr
+        assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
 
     def test_solver_error_is_4(self, tmp_path):
         contradiction = tmp_path / "c.txt"

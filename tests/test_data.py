@@ -48,6 +48,9 @@ class TestParse:
             parse_libsvm("+1 0:1\n")
         with pytest.raises(DataError, match="line 1.*non-ascending"):
             parse_libsvm("+1 2:1 2:2\n")
+        with pytest.raises(DataError, match="line 2.*2147483648 is above 2147483647"):
+            parse_libsvm("+1 1:1\n-1 3:1 2147483648:1\n")
+        assert parse_libsvm("+1 2147483647:1\n").dimension == 2**31 - 1
         for value in ("nan", "inf", "-inf", "NaN", "-Infinity"):
             with pytest.raises(DataError, match="line 2.*non-finite"):
                 parse_libsvm(f"+1 1:1\n-1 1:2 3:{value}\n")

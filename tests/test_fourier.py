@@ -52,14 +52,14 @@ def test_inner_products_approximate_gaussian():
     for _ in range(100):
         ds = dense_rows(rng.standard_normal(5), rng.standard_normal(5))
         pa, pb = fourier_features_batch(fmap, ds)
-        if abs(pa @ pb - kernel.pair(ds, 0, ds, 1)) > 0.05:
+        if abs(pa @ pb - kernel.cross(ds, [0], ds)[0, 1]) > 0.05:
             bad += 1
     assert bad <= 1
 
 
 def test_unbiasedness():
     ds = dense_rows([0.5, -0.2, 1.0], [-0.3, 0.8, 0.1])
-    exact = GaussianKernel(1.0).pair(ds, 0, ds, 1)
+    exact = GaussianKernel(1.0).cross(ds, [0], ds)[0, 1]
     k = 64
     estimates = []
     for s in range(200):

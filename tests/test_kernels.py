@@ -21,16 +21,17 @@ def ex(values, label=1):
 
 def test_linear_pair_is_dot_product():
     k = LinearKernel()
-    assert k.pair(ex([1.0, 2.0]), 0, ex([3.0, 4.0]), 0) == pytest.approx(11.0)
-    assert k.eval_count == 1
+    assert k.pair(ex([1.0, 2.0]), 0) == pytest.approx(5.0)
+    assert k.cross(ex([1.0, 2.0]), [0], ex([3.0, 4.0]))[0, 0] == pytest.approx(11.0)
+    assert k.eval_count == 2
 
 
 def test_linear_disjoint_support():
     k = LinearKernel()
     a = Dataset([0, 1], [0], [1.0], [1])
     b = Dataset([0, 1], [3], [2.0], [-1])
-    assert k.pair(a, 0, b, 0) == 0.0
-    assert k.pair(b, 0, a, 0) == 0.0
+    assert k.cross(a, [0], b)[0, 0] == 0.0
+    assert k.cross(b, [0], a)[0, 0] == 0.0
 
 
 def test_gaussian_pinned_value():
@@ -38,7 +39,8 @@ def test_gaussian_pinned_value():
     k = GaussianKernel(0.5)
     a = Dataset([0, 1], [0], [1.0], [1])
     b = Dataset([0, 0], [], [], [1])
-    assert k.pair(a, 0, b, 0) == pytest.approx(np.exp(-1.0), rel=1e-12)
+    assert k.cross(a, [0], b)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+    assert k.cross(b, [0], a)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 40))
@@ -46,10 +48,10 @@ def test_gaussian_pinned_value():
 def test_one_self_product_on_every_path(seed, d):
     # K(x, x) has one value, whichever path reads it: the cached squared
     # norm (linear) or exactly 1.0 (Gaussian), where n + n - 2n == 0. The
-    # self-pair reads the cache; a twin dataset with equal rows, the full
-    # row, a subset row, the diagonal and cross sum the row's products. Rows
-    # of up to 40 entries whose magnitudes differ within a row tell the
-    # storage-order sum from any other.
+    # self-pair reads the cache; a cross with a twin dataset of equal rows,
+    # the full row, a subset row, the diagonal and cross sum the row's
+    # products. Rows of up to 40 entries whose magnitudes differ within a row
+    # tell the storage-order sum from any other.
     rng = np.random.default_rng(seed)
     n = 12
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
@@ -60,11 +62,11 @@ def test_one_self_product_on_every_path(seed, d):
         cost = 0  # one evaluation a pair, as many as entries read otherwise
         for j in range(n):
             rows = np.append(rng.integers(0, n, int(rng.integers(0, n))), j)
-            assert kernel.pair(ds, j, ds, j) == want[j]
-            assert kernel.pair(ds, j, twin, j) == want[j]
+            assert kernel.pair(ds, j) == want[j]
+            assert kernel.cross(ds, [j], twin)[0, j] == want[j]
             assert kernel.row(ds, j)[j] == want[j]
-            assert kernel.row(ds, j, rows)[-1] == want[j]
-            cost += 2 + n + rows.size
+            assert kernel.row(ds, j, RowSubset(ds, rows))[-1] == want[j]
+            cost += 1 + n + n + rows.size
         assert np.array_equal(kernel.diag(ds), want)
         assert np.array_equal(np.diag(kernel.cross(ds, np.arange(n), ds)), want)
         assert kernel.eval_count == cost + n + n * n
@@ -83,8 +85,8 @@ def test_gaussian_is_finite_up_to_the_norm_bound():
     # distance, 4 * 3.6e307, is finite, so no path warns or gives nan.
     ds = Dataset.from_dense([[6e153], [-6e153]], [1, -1])
     k = GaussianKernel(1.0)
-    assert k.pair(ds, 0, ds, 1) == 0.0
-    assert k.row(ds, 0).tolist() == k.row(ds, 0, [0, 1]).tolist() == [1.0, 0.0]
+    assert k.pair(ds, 0) == k.pair(ds, 1) == 1.0
+    assert k.row(ds, 0).tolist() == k.row(ds, 0, RowSubset(ds, [0, 1])).tolist() == [1.0, 0.0]
     assert k.cross(ds, [0, 1], ds).tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert k.diag(ds).tolist() == [1.0, 1.0]
 
@@ -110,9 +112,9 @@ def test_row_matches_pairs(seed, sigma_sq):
     for kernel in (LinearKernel(), GaussianKernel(sigma_sq)):
         j = int(rng.integers(n))
         row = kernel.row(ds, j)
-        for i in range(n):
-            assert row[i] == pytest.approx(
-                kernel.pair(ds, i, ds, j), rel=1e-10, abs=1e-12)
+        assert row[j] == kernel.pair(ds, j)
+        np.testing.assert_allclose(row, cross_reference(kernel, ds, np.arange(n), ds)[:, j],
+                                   rtol=1e-10, atol=1e-12)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 3))
@@ -132,7 +134,8 @@ def test_row_at_is_the_full_row_sliced(seed, d):
             rows = np.append(rng.choice(n, int(rng.integers(0, n)), replace=False), j)
             rng.shuffle(rows)
             before = kernel.eval_count
-            assert np.array_equal(kernel.row(ds, j, rows), kernel.row(ds, j)[rows])
+            assert np.array_equal(kernel.row(ds, j, RowSubset(ds, rows)),
+                                  kernel.row(ds, j)[rows])
             assert kernel.eval_count - before == rows.size + n
             before = kernel.eval_count
             assert np.array_equal(kernel.row(ds, j, subset), kernel.row(ds, j)[shared])
@@ -157,7 +160,7 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
         for j in range(n):
             rows = rng.integers(0, n, int(rng.integers(1, 2 * n)))
             before = kernel.eval_count
-            got = kernel.row(ds, j, rows)
+            got = kernel.row(ds, j, RowSubset(ds, rows))
             assert kernel.eval_count - before == rows.size
             assert got.dtype == np.float64
             assert np.array_equal(got, kernel.row(ds, j)[rows])
@@ -167,7 +170,6 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
             assert got.dtype == np.float64
             assert np.array_equal(got, kernel.row(ds, j)[shared])
         before = kernel.eval_count
-        assert kernel.row(ds, int(rng.integers(n)), []).shape == (0,)
         assert kernel.row(ds, int(rng.integers(n)), RowSubset(ds, [])).shape == (0,)
         assert kernel.eval_count == before
 
@@ -192,16 +194,14 @@ def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
     ds, other = sample(12, d), sample(5, d + int(rng.integers(0, 2)))
     lin, gauss = LinearKernel(), GaussianKernel(sigma_sq)
     for j in range(ds.n):
-        k = int(rng.integers(other.n))
-        assert gauss.pair(ds, j, ds, j) == 1.0
-        assert gauss.pair(ds, j, other, k) == mapped(
-            lin.pair(ds, j, other, k), ds.norms[j], other.norms[k])
+        assert gauss.pair(ds, j) == mapped(lin.pair(ds, j), ds.norms[j], ds.norms[j]) == 1.0
         assert np.array_equal(gauss.row(ds, j), mapped(
             lin.row(ds, j), ds.norms, ds.norms[j]))
         drawn = rng.integers(0, ds.n, int(rng.integers(1, 2 * ds.n)))
         for rows in (np.append(drawn, j), drawn[drawn != j]):
-            assert np.array_equal(gauss.row(ds, j, rows), mapped(
-                lin.row(ds, j, rows), ds.norms[rows], ds.norms[j]))
+            subset = RowSubset(ds, rows)
+            assert np.array_equal(gauss.row(ds, j, subset), mapped(
+                lin.row(ds, j, subset), ds.norms[rows], ds.norms[j]))
     for a, b in ((ds, other), (other, ds)):
         rows = rng.integers(0, a.n, int(rng.integers(1, 8)))
         assert np.array_equal(gauss.cross(a, rows, b), mapped(
@@ -217,18 +217,20 @@ BAD_ROWS = (([3], IndexError), ([0, -1], IndexError), ([-1], IndexError),
 
 
 def test_row_at_rejects_rows_out_of_range():
-    # Checked before anything is counted, whether the rows come as an index
-    # array or as a RowSubset, which must be of the dataset being read.
+    # A RowSubset checks its indices; row takes its rows only as a RowSubset
+    # of the dataset being read, and raises before anything is counted for
+    # an index array, good or bad, or a subset of an equal twin.
     ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
     k = LinearKernel()
     for rows, error in BAD_ROWS:
         with pytest.raises(error):
-            k.row(ds, 2, rows)
-        with pytest.raises(error):
             RowSubset(ds, rows)
+        with pytest.raises(ValueError):
+            k.row(ds, 2, rows)
     twin = Dataset.from_dense(np.eye(3), [1, -1, 1])
-    with pytest.raises(ValueError):
-        k.row(ds, 0, RowSubset(twin, [0, 1]))
+    for rows in ([0, 1], np.arange(3), [], RowSubset(twin, [0, 1])):
+        with pytest.raises(ValueError):
+            k.row(ds, 0, rows)
     assert k.eval_count == 0
 
 
@@ -325,7 +327,6 @@ def test_feature_major_products_are_the_csr_products(seed, d, budget):
                 x = ds.matrix[j].toarray().ravel()
                 want = kernel._values(ds.matrix @ x, ds.norms, ds.norms[j])
                 assert _same_bits(kernel.row(ds, j), want)
-                assert _same_bits(kernel.row(ds, j, shared), want[shared])
                 assert _same_bits(kernel.row(ds, j, subset), want[shared])
             for a, b in ((ds, other), (other, ds)):
                 rows = rng.integers(0, a.n, int(rng.integers(0, 3 * a.n)))
@@ -445,23 +446,25 @@ def test_scoring_peak_memory_does_not_grow_with_the_support():
 
 
 def test_cross_matches_pairs():
+    # Each entry is exp(-||a_i - b_j||^2 / (2 sigma^2)) of the dense rows.
     rng = np.random.default_rng(3)
-    a = Dataset.from_dense(rng.standard_normal((5, 3)), np.ones(5))
-    b = Dataset.from_dense(rng.standard_normal((4, 3)), -np.ones(4))
+    xa, xb = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    a = Dataset.from_dense(xa, np.ones(5))
+    b = Dataset.from_dense(xb, -np.ones(4))
     k = GaussianKernel(1.5)
     g = k.cross(a, [1, 3], b)
     assert g.shape == (2, 4)
     for r, i in enumerate((1, 3)):
         for j in range(4):
             assert g[r, j] == pytest.approx(
-                k.pair(a, i, b, j), rel=1e-10)
+                np.exp(-np.sum((xa[i] - xb[j]) ** 2) / 3.0), rel=1e-10)
 
 
 def test_eval_counter_is_exact():
     ds = parse_libsvm("+1 1:1\n-1 2:1\n+1 1:0.5 2:0.5\n")
     other = parse_libsvm("+1 1:2\n-1 2:3\n")
     k = LinearKernel()
-    k.pair(ds, 0, ds, 1)
+    k.pair(ds, 1)
     k.row(ds, 0)
     k.diag(ds)
     k.cross(ds, [0, 2], other)
@@ -472,10 +475,9 @@ def test_row_indices_are_checked():
     # Rows are addressed by index; a negative one must not wrap around.
     ds = parse_libsvm("+1 1:1\n-1 2:1\n")
     k = LinearKernel()
-    for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
-        with pytest.raises(IndexError):
-            k.pair(ds, i, ds, j)
     for j in (-1, 2):
+        with pytest.raises(IndexError):
+            k.pair(ds, j)
         with pytest.raises(IndexError):
             k.row(ds, j)
     assert k.eval_count == 0
@@ -484,7 +486,7 @@ def test_row_indices_are_checked():
 def test_counter_never_resets():
     k = LinearKernel()
     before = k.eval_count
-    k.pair(ex([1.0]), 0, ex([1.0]), 0)
+    k.pair(ex([1.0]), 0)
     assert k.eval_count == before + 1
 
 
@@ -495,20 +497,20 @@ def test_mismatched_dimensions_align_on_common_prefix():
     b = Dataset([0, 2], [0, 4], [3.0, 7.0], [1], dimension=5)
     k = LinearKernel()
     assert k.cross(a, [0], b)[0, 0] == pytest.approx(6.0)
-    assert k.pair(a, 0, b, 0) == k.pair(b, 0, a, 0) == pytest.approx(6.0)
+    assert k.cross(b, [0], a)[0, 0] == pytest.approx(6.0)
 
 
 def test_precomputed_gram_lookup():
     ds = parse_libsvm("+1 1:1\n-1 2:1\n")
-    gram = np.array([[1.0, 0.25], [0.25, 1.0]])
+    gram = np.array([[1.0, 0.25], [0.25, 2.0]])
     k = PrecomputedGramKernel(gram, ds)
-    assert k.pair(ds, 0, ds, 1) == 0.25
+    assert k.pair(ds, 1) == 2.0
     assert np.array_equal(k.row(ds, 1), gram[:, 1])
     # Rows are known by their index within the one dataset the Gram matrix
     # was built for; an equal copy is another dataset.
     stranger = parse_libsvm("+1 1:1\n-1 2:1\n")
     with pytest.raises(DataError):
-        k.pair(ds, 0, stranger, 0)
+        k.pair(stranger, 0)
     with pytest.raises(DataError):
         k.row(stranger, 0)
 

@@ -92,8 +92,7 @@ def test_responses_consistent_with_alpha():
     rng = np.random.default_rng(config.seed)
     for _ in range(config.iterations):
         sbp_step(state, ds, kernel, config, rng)
-    k = LinearKernel()
-    gram = np.array([[k.pair(ds, i, ds, j) for j in range(ds.n)] for i in range(ds.n)])
+    gram = LinearKernel().cross(ds, np.arange(ds.n), ds)
     y = ds.labels
     recomputed = y * (gram @ (state.alpha * y))
     np.testing.assert_allclose(state.responses, recomputed, rtol=1e-6, atol=1e-9)

@@ -72,3 +72,21 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     assert tracer.stats["data.parse_libsvm"].calls == 1
     assert ("data.matrix", "bench.run_plan") not in tracer.nested_calls
     assert tracer.stats["data.matrix"].calls == 1
+
+
+def test_calibration_records_one_pair_span_per_sdca_step(tracing):
+    # The calibrate workload's kernels.pair metrics read these spans: every
+    # SDCA step takes its self-pair through kernels.pair, whose work is read
+    # from args[0].eval_count, so the oracle stays the first argument.
+    train = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=5, separation=2.0))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        cal = bench.calibrate_nu(train, kernel_from_spec("linear"), lam=3.0,
+                                 budget=2000, seed=1)
+    pair = tracer.names.index("kernels.pair")
+    works = [w for name, w in zip(tracer.span_name, tracer.span_work) if name == pair]
+    assert cal.steps > 1 and len(works) == cal.steps
+    assert set(works) == {1}
+    tracer.flush()
+    assert tracer.stats["kernels.pair"].calls == cal.steps
+    assert tracer.stats["bench.calibrate_nu"].calls == 1
