@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Compare two source trees on one benchmark workload, in alternating pairs.
+
+Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N
+       --seconds S [--seed SEED]
+
+PARENT and CHANGE are checkouts with a perfbench/ directory. Each pair runs
+`perfbench/run.py --workload W --seed SEED+k --seconds S --trace 0` once in
+each tree, one process at a time; odd pairs start with PARENT, even pairs
+with CHANGE, so a drift in machine speed falls on both sides alike. Both
+runs of a pair share their seed.
+
+Prints per pair the end-to-end metrics below for both trees, then for each
+metric the two medians and "change lower in k of N". Exits 1 if any run
+fails, prints no result or reports `correct: false`.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+METRICS = ("train_s", "setup_s", "peak_rss_mb", "train_kernel_evals")
+
+
+def _run(tree: str, workload: str, seed: int, seconds: float):
+    """The result object of one benchmark run in tree, or None if it failed."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        return None
+    result = json.loads(lines[-1])
+    if not result.get("correct"):
+        sys.stderr.write(proc.stderr)
+        return None
+    return {name: result["metrics"][name]["value"] for name in METRICS}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed", type=int, default=901, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0:
+        ap.error("--pairs and --seconds must be positive")
+
+    trees = {"parent": args.parent, "change": args.change}
+    pairs = []  # (parent, change) metrics of each pair whose two runs succeeded
+    ok = True
+    print("pair side   " + " ".join(f"{name:>18}" for name in METRICS))
+    for k in range(1, args.pairs + 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        runs = {}
+        for side in order:
+            values = _run(trees[side], args.workload, args.seed + k - 1, args.seconds)
+            if values is None:
+                print(f"{k:>4} {side:<6} failed")
+                ok = False
+                continue
+            runs[side] = values
+            print(f"{k:>4} {side:<6} " + " ".join(f"{values[m]:>18.6g}" for m in METRICS))
+        if len(runs) == 2:
+            pairs.append((runs["parent"], runs["change"]))
+
+    if pairs:
+        print(f"medians over {len(pairs)} pairs:")
+        for m in METRICS:
+            parent = statistics.median(p[m] for p, _ in pairs)
+            change = statistics.median(c[m] for _, c in pairs)
+            lower = sum(c[m] < p[m] for p, c in pairs)
+            print(f"  {m}: parent {parent:.6g}, change {change:.6g}, "
+                  f"change lower in {lower} of {len(pairs)}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -67,7 +67,9 @@ def _pegasos_steps(dataset: Dataset, kernel, config: PegasosConfig, rng):
             eta = 1.0 / (config.lam * t)
             row = kernel.row(dataset, i)  # n evaluations
             raw_alpha[i] += eta / scale
-            raw_resp += (eta / scale) * y[i] * y * row
+            row *= y  # in place, rounding as (eta / scale) * y[i] * y * row
+            row *= (eta / scale) * y[i]
+            raw_resp += row
         if config.average:
             alpha_sum += scale * raw_alpha
             resp_sum += scale * raw_resp
@@ -114,7 +116,9 @@ def _sdca_steps(dataset, kernel, lam, rng):
         if delta != 0.0:
             row = kernel.row(dataset, i)  # n evaluations
             alpha[i] += delta
-            responses += delta * y[i] * y * row
+            row *= y  # in place, rounding as delta * y[i] * y * row
+            row *= delta * y[i]
+            responses += row
         yield i, delta, alpha, responses
 
 

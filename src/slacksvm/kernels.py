@@ -122,7 +122,8 @@ class KernelOracle:
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
         the rows of rows only, a RowSubset of dataset that reuses one gather
-        for every j (len(rows) evaluations)."""
+        for every j (len(rows) evaluations). The row is a fresh array that
+        the caller owns and may overwrite."""
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
         if rows is None:

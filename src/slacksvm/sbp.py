@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset
 from .model import SolverError
 from .recording import check_count, run_steps
-from .waterfill import find_gamma, find_gamma_and_bias, support_set
+from .waterfill import _level_and_bias, find_gamma, find_gamma_and_bias, support_set
 
 # Steps between recomputations of the tracked norm from alpha and responses.
 _NORM_RECOMPUTE_PERIOD = 1000
@@ -47,16 +47,26 @@ class SbpState:
     t: int
     bias: float
     eta0: float
+    # Indices of the positive and the negative examples, taken once per run.
+    classes: tuple[np.ndarray, np.ndarray]
     # Water level of the last no-bias step: the start of the next search.
     level: float | None = None
 
 
 def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
-    """Zero state; eta0 = 1/sqrt(max_i K(x_i, x_i)) (n kernel evaluations)."""
+    """Zero state; eta0 = 1/sqrt(max_i K(x_i, x_i)) (n kernel evaluations).
+
+    Raises SolverError in bias mode unless both classes are present, and
+    when every K(x_i, x_i) is 0, which leaves no step size.
+    """
     n = dataset.n
-    if config.use_bias and (np.all(dataset.labels > 0) or np.all(dataset.labels < 0)):
+    classes = (np.flatnonzero(dataset.labels > 0), np.flatnonzero(dataset.labels < 0))
+    if config.use_bias and not (classes[0].size and classes[1].size):
         raise SolverError("bias mode requires both classes in the training set")
-    eta0 = 1.0 / math.sqrt(float(kernel.diag(dataset).max()))
+    diag_max = float(kernel.diag(dataset).max())
+    if not diag_max > 0.0:
+        raise SolverError("every K(x_i, x_i) is 0: no step size")
+    eta0 = 1.0 / math.sqrt(diag_max)
     return SbpState(
         alpha=np.zeros(n),
         responses=np.zeros(n),
@@ -66,23 +76,28 @@ def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
         t=0,
         bias=0.0,
         eta0=eta0,
+        classes=classes,
     )
 
 
-def _sample_covered(shifted, gamma, y, rng):
-    """Pick the bias-mode update index from a class's covered basin.
+def _sample_covered(c, bias, gamma, classes, rng):
+    """Pick the bias-mode update index from a class's covered basin, for
+    responses c shifted by y * bias and classes the (positive, negative)
+    index arrays.
 
     A fair coin picks the class, then the index is uniform within that
     class's covered set, so the sampling distribution places equal mass on
-    the two classes.
+    the two classes. Only the drawn class is shifted: y * bias is exactly
+    sign * bias there.
     """
     sign = 1.0 if rng.integers(2) == 0 else -1.0
-    cls = np.flatnonzero(y == sign)
-    idx = cls[support_set(shifted[cls], gamma)]
+    cls = classes[0] if sign > 0 else classes[1]
+    shifted = c[cls] + sign * bias
+    idx = support_set(shifted, gamma)
     if idx.size == 0:
         # Basin entirely dry: fall back to the class argmin.
-        idx = cls[shifted[cls] == shifted[cls].min()]
-    return int(idx[rng.integers(idx.size)])
+        idx = np.flatnonzero(shifted == shifted.min())
+    return int(cls[idx[rng.integers(idx.size)]])
 
 
 def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
@@ -93,8 +108,10 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     volume = dataset.n * config.nu
 
     if config.use_bias:
-        gamma, state.bias = find_gamma_and_bias(state.responses, y, volume)
-        i = _sample_covered(state.responses + y * state.bias, gamma, y, rng)
+        pos, neg = state.classes
+        gamma, state.bias = _level_and_bias(state.responses[pos], state.responses[neg],
+                                            volume)
+        i = _sample_covered(state.responses, state.bias, gamma, state.classes, rng)
     else:
         state.level = find_gamma(state.responses, volume, start=state.level)
         idx = support_set(state.responses, state.level)
@@ -104,7 +121,11 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     c_old_i = state.responses[i]
     state.norm_sq += 2.0 * eta * c_old_i + eta * eta * row[i]
     state.alpha[i] += eta
-    state.responses += eta * y[i] * y * row
+    # In place, as (row * y) * (eta * y[i]): labels are exactly +-1, so this
+    # rounds like eta * y[i] * y * row, zero signs included.
+    row *= y
+    row *= eta * y[i]
+    state.responses += row
     if state.norm_sq > 1.0:
         r = math.sqrt(state.norm_sq)
         state.alpha /= r

@@ -174,10 +174,23 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
     if not (np.abs(y) == 1.0).all():
         raise ValueError("labels must be +1 or -1")
     _check_volume(volume)
-    p = np.sort(c[y > 0])
-    q = np.sort(c[y < 0])
+    return _level_and_bias(c[y > 0], c[y < 0], float(volume))
+
+
+def _level_and_bias(p: np.ndarray, q: np.ndarray, volume: float) -> tuple[float, float]:
+    """find_gamma_and_bias without its input checks, on the unsorted
+    positive floors p and negative floors q and a volume >= 0.
+
+    Raises ValueError when a class is empty, when either end of a sorted
+    class is not finite (np.sort puts NaN last, so the two ends cover every
+    floor), or when a sum behind the level overflows.
+    """
+    p = np.sort(p)
+    q = np.sort(q)
     if not (p.size and q.size):
         raise ValueError("both classes must be present; bias is unbounded otherwise")
+    if not all(map(math.isfinite, (p[0], p[-1], q[0], q[-1]))):
+        raise ValueError("responses must be finite")
 
     m = min(p.size, q.size)
     # The paired floors ascend, so only the ends can overflow.
@@ -185,7 +198,7 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
             and math.isfinite(float(p[m - 1]) + float(q[m - 1]))):
         raise ValueError("paired floors p_(j) + q_(j) must be finite")
     floors = p[:m] + q[:m]
-    s = _sorted_level(floors, float(volume))
+    s = _sorted_level(floors, volume)
     k = int(np.searchsorted(floors, s))
     u = _midpoint_level(p, q, k, s)
     v = _midpoint_level(q, p, k, s)

@@ -11,7 +11,7 @@ import numpy as np
 
 from slacksvm.data import DataError
 from slacksvm.kernels import KernelOracle
-from slacksvm.waterfill import find_gamma, support_set
+from slacksvm.waterfill import find_gamma, find_gamma_and_bias, support_set
 
 
 def water_level_sorted(c, volume):
@@ -125,6 +125,36 @@ def bias_level_bisection(c, y, volume: float, max_iter: int = 200):
             break
 
     return find_gamma(c + y * b, volume), float(b)
+
+
+def sbp_bias_step_reference(state, dataset, kernel, config, rng) -> int:
+    """SBP's bias-mode step through the public find_gamma_and_bias, the whole
+    shifted response vector c + y * bias, a class mask drawn per step and a
+    response update through n-long temporaries. Mutates state as sbp_step
+    does, except for the running sums, and returns the sampled index."""
+    y = dataset.labels
+    t = state.t + 1
+    eta = state.eta0 / math.sqrt(t)
+    gamma, state.bias = find_gamma_and_bias(state.responses, y, dataset.n * config.nu)
+    shifted = state.responses + y * state.bias
+    sign = 1.0 if rng.integers(2) == 0 else -1.0
+    cls = np.flatnonzero(y == sign)
+    idx = cls[support_set(shifted[cls], gamma)]
+    if idx.size == 0:
+        idx = cls[shifted[cls] == shifted[cls].min()]
+    i = int(idx[rng.integers(idx.size)])
+
+    row = kernel.row(dataset, i)
+    state.norm_sq += 2.0 * eta * state.responses[i] + eta * eta * row[i]
+    state.alpha[i] += eta
+    state.responses += eta * y[i] * y * row
+    if state.norm_sq > 1.0:
+        r = math.sqrt(state.norm_sq)
+        state.alpha /= r
+        state.responses /= r
+        state.norm_sq = 1.0
+    state.t = t
+    return i
 
 
 def best_regularized_on_grid(x, labels, lam, radius=5.0, steps=200):

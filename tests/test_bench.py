@@ -32,6 +32,22 @@ solver.peg.lambda = 0.0125
 solver.peg.iters = 60
 """
 
+# Training rows with no stored feature: every K(x, x) is 0 under the linear
+# kernel.
+LABEL_ONLY = "+1\n-1\n+1\n"
+
+ZERO_DIAGONAL_PLAN = """
+dataset = file:{path}
+kernel = linear
+solver.peg.kind = pegasos
+solver.peg.iters = 5
+solver.sbp.kind = sbp
+solver.sbp.iters = 5
+solver.sbpb.kind = sbp
+solver.sbpb.bias = 1
+solver.sbpb.iters = 5
+"""
+
 
 class TestPlanParsing:
     def test_full_plan(self):
@@ -190,6 +206,18 @@ solver.sdca.iters = 30
         if result["failures"]:
             assert (tmp_path / "failures.txt").exists()
 
+
+    def test_all_zero_diagonal_is_a_recorded_failure(self, tmp_path):
+        # Label-only rows under the linear kernel leave SBP no step size, with
+        # or without bias: each SBP run fails alone and the plan goes on.
+        labels = tmp_path / "labels.txt"
+        labels.write_text(LABEL_ONLY)
+        plan = parse_plan(ZERO_DIAGONAL_PLAN.format(path=labels))
+        out = tmp_path / "out"
+        result = run_plan(plan, out_dir=str(out))
+        assert sorted(result["runs"]) == [("peg", 0)]
+        assert sorted(result["failures"]) == [("sbp", 0), ("sbpb", 0)]
+        assert (out / "failures.txt").read_text().count("SolverError") == 2
 
 @pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
 def test_last_sample_counts_every_held_out_eval(kind):
@@ -459,6 +487,28 @@ class TestCli:
                          "--nu", "0", "--iters", "20",
                          "--out", str(tmp_path))
         assert r.returncode == 4
+
+    @pytest.mark.parametrize("flags", [(), ("--bias",)], ids=["no-bias", "bias"])
+    def test_all_zero_diagonal_is_4(self, tmp_path, flags):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(LABEL_ONLY)
+        r = self.run_cli("train", str(labels), "--solver", "sbp", "--kernel", "linear",
+                         *flags, "--out", str(tmp_path / "out"))
+        assert r.returncode == 4
+        assert r.stderr.startswith("slacksvm: solver error: ")
+        assert r.stderr.count("\n") == 1
+
+    def test_all_zero_diagonal_in_a_plan_is_4(self, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(LABEL_ONLY)
+        plan = tmp_path / "plan.txt"
+        plan.write_text(ZERO_DIAGONAL_PLAN.format(path=labels))
+        out = tmp_path / "bench"
+        r = self.run_cli("bench", str(plan), "--out", str(out))
+        assert r.returncode == 4
+        assert "Traceback" not in r.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "failures.txt", "peg_seed0.csv"]
 
     def test_train_and_bench_end_to_end(self, tmp_path):
         r = self.run_cli("train", "synthetic:two_gaussians:n=40,seed=1,separation=3.0",

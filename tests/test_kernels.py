@@ -388,6 +388,27 @@ def _sparse_sample(rng, n, dim):
     return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
 
 
+def test_a_returned_row_belongs_to_its_caller():
+    # The solvers add their responses up in the row they get, in place: an
+    # overwritten row changes neither the next call nor the cached norms, on
+    # the feature-major, mat-vec and subset paths of both kernels.
+    rng = np.random.default_rng(21)
+    datasets = (_dense_sample(rng, 30, 2), _dense_sample(rng, 30, 6),
+                _sparse_sample(rng, 30, 40))
+    assert [ds._columns is not None for ds in datasets] == [True, True, False]
+    for ds in datasets:
+        norms = ds.norms.copy()
+        subset = RowSubset(ds, rng.integers(0, ds.n, 12))
+        for kernel in (LinearKernel(), GaussianKernel(0.7)):
+            for rows in (None, subset):
+                for j in (0, ds.n - 1):
+                    row = kernel.row(ds, j, rows)
+                    want = row.copy()
+                    row.fill(np.nan)
+                    assert _same_bits(kernel.row(ds, j, rows), want)
+                    assert _same_bits(ds.norms, norms)
+
+
 @given(st.integers(0, 2**32), st.booleans(),
        st.sampled_from([1, 16, kernels._CROSS_BLOCK_ENTRIES]))
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slacksvm import sbp
 from slacksvm.bench import write_run_csv
@@ -10,7 +13,7 @@ from slacksvm.model import (SolverError, deserialize_model, load_model,
 from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
 from slacksvm.waterfill import find_gamma
 
-from oracles import rescale_check
+from oracles import rescale_check, sbp_bias_step_reference
 
 
 def train_pair(n=60, seed=0, **cfg):
@@ -43,6 +46,20 @@ class TestInit:
         ds = parse_libsvm("+1 1:1\n+1 1:2\n")
         with pytest.raises(SolverError):
             sbp_init(ds, LinearKernel(), SbpConfig(nu=0.0, iterations=1, use_bias=True))
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    def test_all_zero_diagonal_has_no_step_size(self, use_bias):
+        # Label-only rows under the linear kernel: every K(x, x) is 0.
+        ds = parse_libsvm("+1\n-1\n+1\n")
+        with pytest.raises(SolverError, match="K\\(x_i, x_i\\) is 0"):
+            sbp_init(ds, LinearKernel(), SbpConfig(nu=0.1, iterations=1, use_bias=use_bias))
+
+    def test_class_indices_in_every_mode(self):
+        ds = parse_libsvm("-1 1:1\n+1 1:2\n-1 1:3\n")
+        for use_bias in (False, True):
+            state = sbp_init(ds, LinearKernel(),
+                             SbpConfig(nu=0.1, iterations=1, use_bias=use_bias))
+            assert [c.tolist() for c in state.classes] == [[1], [0, 2]]
 
 
 def test_config_validation():
@@ -114,6 +131,53 @@ def test_train_determinism(use_bias):
     assert np.array_equal(m1.alpha, m2.alpha)
     assert m1.bias == m2.bias
     assert r1.samples == r2.samples
+
+
+@pytest.mark.parametrize("spec", ["linear", "gaussian:1.0"])
+def test_bias_step_keeps_the_public_path_bits(spec):
+    # The step's private level on per-run class indices, its one-class
+    # sampler and its in-place update give, step after step, the index, the
+    # response bytes and the bias of the public find_gamma_and_bias on the
+    # whole shifted vector with n-long temporaries.
+    ds = generate(SyntheticSpec(kind="two_gaussians", n=120, seed=7, noise_rate=0.1))
+    config = SbpConfig(nu=0.05, iterations=200, seed=3, use_bias=True)
+    kernel, ref_kernel = kernel_from_spec(spec), kernel_from_spec(spec)
+    drawn = []
+    row = kernel.row
+    kernel.row = lambda dataset, j, rows=None: drawn.append(j) or row(dataset, j, rows)
+    state, ref = sbp_init(ds, kernel, config), sbp_init(ds, ref_kernel, config)
+    rng, ref_rng = np.random.default_rng(config.seed), np.random.default_rng(config.seed)
+    for _ in range(config.iterations):
+        sbp_step(state, ds, kernel, config, rng)
+        assert drawn[-1] == sbp_bias_step_reference(ref, ds, ref_kernel, config, ref_rng)
+        assert state.responses.tobytes() == ref.responses.tobytes()
+        assert np.float64(state.bias).tobytes() == np.float64(ref.bias).tobytes()
+        assert state.alpha.tobytes() == ref.alpha.tobytes()
+        assert state.norm_sq == ref.norm_sq
+    assert len(set(drawn)) > 10 and state.bias != 0.0
+
+
+# Finite values small enough that no product overflows; products still
+# underflow to subnormals and to zeros of either sign.
+_update_floats = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+           hnp.arrays(np.float64, n, elements=_update_floats),
+           hnp.arrays(np.float64, n, elements=st.sampled_from([1.0, -1.0])),
+           hnp.arrays(np.float64, n, elements=_update_floats))),
+       _update_floats, st.integers(0, 39))
+@settings(max_examples=300, deadline=None)
+def test_in_place_response_update_keeps_every_bit(arrays, s, i):
+    # The solvers add the row as (row * y) * (s * y[i]), in place; labels of
+    # exactly +-1 make that round like s * y[i] * y * row, zero signs included.
+    responses, y, row = arrays
+    i %= y.size
+    want = responses + s * y[i] * y * row
+    row *= y
+    row *= s * y[i]
+    responses += row
+    assert responses.tobytes() == want.tobytes()
 
 
 def test_warm_level_keeps_run_bytes(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slacksvm.waterfill import (_newton_level, find_gamma, find_gamma_and_bias,
-                                support_set)
+from slacksvm.waterfill import (_level_and_bias, _newton_level, find_gamma,
+                                find_gamma_and_bias, support_set)
 
 from oracles import bias_grid_values, bias_level_bisection, water_level_sorted
 
@@ -77,6 +77,20 @@ def test_rejects_bad_input():
 def test_rejects_non_finite(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["positive", "negative"])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_level_and_bias_rejects_non_finite_floors(bad, side, where):
+    # The bias step's core skips the public checks but still raises on a
+    # non-finite floor anywhere in either class, beyond the paired floors too.
+    p = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
+    q = np.array([1.0, -0.5, 3.0])
+    floors = p if side == "positive" else q
+    floors[where % floors.size] = bad
+    with pytest.raises(ValueError):
+        _level_and_bias(p, q, 1.0)
 
 
 @given(response_vectors, st.floats(min_value=0.0, max_value=500.0))
