@@ -3,13 +3,21 @@
 
 Usage: python scripts/reference_outputs.py OUT_DIR
 
-OUT_DIR receives 80 files:
+OUT_DIR receives 106 files:
 - bench/: the 41 files of scripts/run_synthetic_bench.py;
 - train/KERNEL/RUN/: the model, run CSV and stdout of `slacksvm train` with a
   held-out set, for six solver settings under the linear and the Gaussian
   kernel (12 runs, 36 files);
 - calibrate/KERNEL.txt: the stdout of `slacksvm calibrate-nu` (2 files);
-- fourier/fourier.csv: `slacksvm fourier` (1 file).
+- fourier/fourier.csv: `slacksvm fourier` (1 file);
+- sparse/train.txt and sparse/test.txt: a sparse LIBSVM pair drawn with numpy
+  alone from a fixed seed (2 files);
+- sparse/KERNEL/RUN/: as train/, on the sparse pair, for four solver settings
+  under both kernels (8 runs, 24 files).
+
+Every other file comes from dense 2-D data; the sparse runs take full rows
+through scipy's mat-vec, the Perceptron's support rows as row subsets, and
+held-out scores through the sparse product.
 
 Paths printed by train are relative to OUT_DIR. The slacksvm package is the
 one on PYTHONPATH, so running this with each tree's src directory and then
@@ -22,6 +30,8 @@ import io
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 from slacksvm import cli
 
@@ -36,6 +46,35 @@ RUNS = {
     "sdca": ("--solver", "sdca", "--iters", "300"),
     "perceptron_passes2": ("--solver", "perceptron", "--passes", "2"),
 }
+SPARSE_RUNS = ("sbp", "sbp_bias", "pegasos", "perceptron_passes2")
+
+
+def _write_sparse_pair(directory) -> tuple:
+    """Write 300 training and 200 held-out LIBSVM rows of dimension 2000:
+    the distinct features of 20 draws with Zipf frequencies a row (17 on
+    average), unit-norm values, and labels from a sparse linear teacher with
+    5% flipped. Returns the two paths."""
+    rng = np.random.default_rng(20121)
+    dimension = 2000
+    frequency = 1.0 / np.arange(1, dimension + 1)
+    frequency /= frequency.sum()
+    teacher = np.zeros(dimension)
+    teacher[:100] = rng.standard_normal(100)
+    paths = []
+    for name, n in (("train", 300), ("test", 200)):
+        lines = []
+        for _ in range(n):
+            features = np.unique(rng.choice(dimension, size=20, p=frequency))
+            values = rng.standard_normal(features.size)
+            values /= np.linalg.norm(values)
+            positive = (values @ teacher[features] >= 0.0) != (rng.random() < 0.05)
+            # float(v)!r: the repr of a numpy float is not a LIBSVM number.
+            lines.append(" ".join(["+1" if positive else "-1"] + [
+                f"{f + 1}:{float(v)!r}" for f, v in zip(features, values)]))
+        paths.append(os.path.join(directory, f"{name}.txt"))
+        with open(paths[-1], "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return tuple(paths)
 
 
 def _cli(stdout_path, *argv) -> None:
@@ -64,13 +103,18 @@ def main() -> int:
         print("run_synthetic_bench.py failed", file=sys.stderr)
         return 1
     os.chdir(out)
+    os.makedirs("sparse", exist_ok=True)
+    sparse_train, sparse_test = _write_sparse_pair("sparse")
     try:
         for name, spec in KERNELS.items():
-            for run, flags in RUNS.items():
-                run_dir = os.path.join("train", name, run)
-                os.makedirs(run_dir, exist_ok=True)
-                _cli(os.path.join(run_dir, "stdout.txt"), "train", TRAIN,
-                     "--kernel", spec, "--test", TEST, *flags, "--out", run_dir)
+            for root, train, test, runs in (("train", TRAIN, TEST, RUNS),
+                                            ("sparse", sparse_train, sparse_test,
+                                             SPARSE_RUNS)):
+                for run in runs:
+                    run_dir = os.path.join(root, name, run)
+                    os.makedirs(run_dir, exist_ok=True)
+                    _cli(os.path.join(run_dir, "stdout.txt"), "train", train,
+                         "--kernel", spec, "--test", test, *RUNS[run], "--out", run_dir)
             os.makedirs("calibrate", exist_ok=True)
             _cli(os.path.join("calibrate", f"{name}.txt"), "calibrate-nu", TRAIN,
                  "--kernel", spec, "--lambda", "0.01")

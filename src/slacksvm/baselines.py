@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import RowSubset
-from .recording import check_count, check_lam, run_steps
+from .kernels import RowSubset, add_row
+from .recording import check_count, check_lam, check_seed, run_steps
 
 
 @dataclass
@@ -26,6 +26,7 @@ class SdcaConfig:
     def __post_init__(self):
         check_lam(self.lam)
         check_count("iterations", self.iterations)
+        check_seed(self.seed)
 
 
 @dataclass
@@ -41,12 +42,12 @@ class PerceptronConfig:
 
     def __post_init__(self):
         check_count("passes", self.passes)
+        check_seed(self.seed)
 
 
 def _pegasos_steps(dataset: Dataset, kernel, config: PegasosConfig, rng):
     """Pegasos's step generator (see pegasos_train)."""
     n = dataset.n
-    y = dataset.labels
     raw_alpha = np.zeros(n)
     raw_resp = np.zeros(n)  # effective responses are scale * raw_resp
     scale = 1.0
@@ -65,11 +66,7 @@ def _pegasos_steps(dataset: Dataset, kernel, config: PegasosConfig, rng):
             scale *= 1.0 - 1.0 / t
         if violation:
             eta = 1.0 / (config.lam * t)
-            row = kernel.row(dataset, i)  # n evaluations
-            raw_alpha[i] += eta / scale
-            row *= y  # in place, rounding as (eta / scale) * y[i] * y * row
-            row *= (eta / scale) * y[i]
-            raw_resp += row
+            add_row(kernel, dataset, i, eta / scale, raw_alpha, raw_resp)  # n evaluations
         if config.average:
             alpha_sum += scale * raw_alpha
             resp_sum += scale * raw_resp
@@ -100,7 +97,6 @@ def _sdca_steps(dataset, kernel, lam, rng):
     """Shared SDCA inner loop, without end: after each step it yields
     (i, delta, alpha, responses), the last two updated in place."""
     n = dataset.n
-    y = dataset.labels
     box = 1.0 / (lam * n)
     alpha = np.zeros(n)
     responses = np.zeros(n)
@@ -114,11 +110,7 @@ def _sdca_steps(dataset, kernel, lam, rng):
             delta = (1.0 - responses.item(i)) / kii
             delta = min(max(delta, -alpha_i), box - alpha_i)
         if delta != 0.0:
-            row = kernel.row(dataset, i)  # n evaluations
-            alpha[i] += delta
-            row *= y  # in place, rounding as delta * y[i] * y * row
-            row *= delta * y[i]
-            responses += row
+            add_row(kernel, dataset, i, delta, alpha, responses)  # n evaluations
         yield i, delta, alpha, responses
 
 

@@ -21,33 +21,23 @@ from .data import (DataError, Dataset, SyntheticSpec, generate, hinge_loss,
 from .fourier import linearize, make_fourier_map
 from .kernels import kernel_from_spec
 from .model import SolverError, evaluate
-from .recording import RunRecord, check_lam
+from .recording import RunRecord, Sample, check_lam, check_seed
 from .sbp import SbpConfig, sbp_train
 
-RUN_CSV_COLUMNS = ("iteration", "train_kernel_evals", "eval_kernel_evals",
-                   "empirical_hinge", "test_zero_one", "wall_clock_ns")
+RUN_CSV_COLUMNS = Sample._fields
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain decimal for ints."""
+    """Shortest round-trip decimal for floats, numpy's included (their own
+    repr names the type), and plain decimal otherwise."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
 def write_run_csv(record: RunRecord, path) -> None:
     lines = [",".join(RUN_CSV_COLUMNS)]
-    for s in record.samples:
-        lines.append(",".join((
-            str(s.iteration),
-            str(s.train_kernel_evals),
-            str(s.eval_kernel_evals),
-            _fmt(float(s.empirical_hinge)),
-            _fmt(float(s.test_zero_one)),
-            str(s.wall_clock_ns),
-        )))
+    lines.extend(",".join(map(_fmt, sample)) for sample in record.samples)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -168,11 +158,15 @@ def parse_plan(text: str) -> BenchPlan:
 
     Top-level keys are those of _PLAN_KEYS; ``solver.NAME.KEY = VALUE``
     entries set ``kind`` (default NAME) or a parameter of that kind (see
-    SOLVER_KINDS) for a per-plan solver id NAME. An unknown key or an
-    unreadable value raises ValueError naming its line.
+    SOLVER_KINDS) for a per-plan solver id NAME. An unknown key, a key set
+    twice or an unreadable value raises ValueError naming its line.
     """
     top: dict = {}
     solver_params: dict = {}   # name -> {key: (value, lineno)}
+    key_lines: dict = {}       # key -> the line that first set it
+    # The first key set again, raised once every value has been read, so an
+    # unreadable value is named before the repeat.
+    twice = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -182,6 +176,9 @@ def parse_plan(text: str) -> BenchPlan:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        first = key_lines.setdefault(key, lineno)
+        if first != lineno and twice is None:
+            twice = f"plan line {lineno}: {key} is already set on line {first}"
         if key.startswith("solver."):
             parts = key.split(".")
             if len(parts) != 3:
@@ -209,6 +206,8 @@ def parse_plan(text: str) -> BenchPlan:
             raise ValueError(f"plan line {lineno}: solver {name}: {exc}") from None
         params = {key: value for key, (value, _) in entries.items()}
         solvers.append(SolverSpec(name=name, kind=kind, params=params))
+    if twice is not None:
+        raise ValueError(twice)
 
     if "dataset" not in top or "kernel" not in top:
         raise ValueError("plan must set dataset and kernel")
@@ -233,6 +232,8 @@ def load_dataset(spec: str, positive_class=None) -> Dataset:
                 k = k.strip()
                 if k not in _SYNTHETIC_KEYS:
                     raise DataError(f"unknown synthetic parameter {k!r} in {spec!r}")
+                if k in kwargs:
+                    raise DataError(f"synthetic parameter {k} given twice in {spec!r}")
                 cast = int if k in ("n", "dimension", "seed") else float
                 try:
                     value = cast(v)
@@ -270,7 +271,7 @@ def run_plan(plan: BenchPlan, out_dir=None) -> dict:
                 _, record = train_solver(solver.kind, solver.params, dataset,
                                          kernel_from_spec(plan.kernel), seed,
                                          test_data, timing=plan.timing)
-            except (SolverError, DataError, ValueError) as exc:
+            except (SolverError, ValueError) as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
                 continue
             runs[key] = record
@@ -303,10 +304,10 @@ def _write_aggregate(runs: dict, path) -> None:
                             dtype=np.float64)
             lines.append(",".join((
                 name, str(j),
-                _fmt(float(np.median(evals))),
-                _fmt(float(np.median(errs))),
-                _fmt(float(np.quantile(errs, 0.25))),
-                _fmt(float(np.quantile(errs, 0.75))),
+                _fmt(np.median(evals)),
+                _fmt(np.median(errs)),
+                _fmt(np.quantile(errs, 0.25)),
+                _fmt(np.quantile(errs, 0.75)),
             )))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -333,6 +334,7 @@ def calibrate_nu(dataset: Dataset, kernel, lam: float, budget: int,
     visible.
     """
     check_lam(lam)
+    check_seed(seed)
     if budget < dataset.n + 1:
         raise ValueError("budget too small for even one solver step")
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ import sys
 
 from .bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag, load_dataset,
                     parse_plan, run_plan, train_solver, write_run_csv)
-from .data import DataError, parse_libsvm
+from .data import DataError
 from .kernels import GaussianKernel, kernel_from_spec
 from .model import SolverError, save_model
 
@@ -70,11 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", default=".", metavar="DIR")
     train.add_argument("--timing", action="store_true",
                        help="record wall-clock times (breaks byte-level determinism)")
+    train.set_defaults(run=_cmd_train)
 
     bench = sub.add_parser("bench", help="run a benchmark plan file")
     bench.add_argument("plan", help="flat key-value plan file")
     bench.add_argument("--out", default=None, metavar="DIR",
                        help="override the plan's output directory")
+    bench.set_defaults(run=_cmd_bench)
 
     cal = sub.add_parser("calibrate-nu",
                          help="derive a slack budget nu from a lambda")
@@ -85,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="kernel-evaluation cap for the inner solve")
     cal.add_argument("--seed", type=int, default=0)
     cal.add_argument("--positive-class", default=None, metavar="LABEL")
+    cal.set_defaults(run=_cmd_calibrate)
 
     four = sub.add_parser("fourier",
                           help="feature-vs-kernel cost comparison CSV")
@@ -99,14 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     four.add_argument("--seed", type=int, default=0)
     four.add_argument("--positive-class", default=None, metavar="LABEL")
     four.add_argument("--out", default=".", metavar="DIR")
+    four.set_defaults(run=_cmd_fourier)
     return parser
 
 
 def _load(path_or_spec, positive_class):
-    if path_or_spec.startswith(("file:", "synthetic:")):
-        return load_dataset(path_or_spec, positive_class=positive_class)
-    with open(path_or_spec) as fh:
-        return parse_libsvm(fh, positive_class=positive_class)
+    """A dataset spec, or a bare path read as file:PATH."""
+    if not path_or_spec.startswith(("file:", "synthetic:")):
+        path_or_spec = "file:" + path_or_spec
+    return load_dataset(path_or_spec, positive_class=positive_class)
 
 
 def _check_out(path) -> None:
@@ -166,17 +170,13 @@ def _cmd_fourier(args) -> int:
     _check_out(args.out)
     kernel = kernel_from_spec(args.kernel)
     if not isinstance(kernel, GaussianKernel):
-        print("slacksvm: error: fourier comparison requires a Gaussian kernel",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("fourier comparison requires a Gaussian kernel")
     dataset = _load(args.data, args.positive_class)
     test_data = _load(args.test, args.positive_class)
     try:
         k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     except ValueError:
-        print("slacksvm: error: --k-list must be comma-separated integers",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--k-list must be comma-separated integers") from None
     lam = args.lam if args.lam is not None else 1.0 / dataset.n
     csv_text = fourier_plan(dataset, kernel.sigma_sq, k_list, lam, args.iters,
                             test_data, seed=args.seed)
@@ -195,15 +195,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "calibrate-nu":
-            return _cmd_calibrate(args)
-        if args.command == "fourier":
-            return _cmd_fourier(args)
-        return EXIT_USAGE
+        return args.run(args)
     except (OSError, UnicodeDecodeError, DataError, MemoryError) as exc:
         # UnicodeDecodeError and DataError are ValueErrors: caught first.
         print(f"slacksvm: data error: {exc}", file=sys.stderr)

@@ -244,6 +244,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
     """Build the dataset described by spec, deterministically in the seed."""
     if spec.n < 1 or spec.dimension < 1:
         raise DataError("n and dimension must be positive")
+    if spec.seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "two_gaussians":
         if spec.separation <= 0 or not 0 <= spec.noise_rate < 1:

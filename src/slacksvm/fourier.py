@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .recording import check_seed
 
 
 @dataclass
@@ -45,6 +46,7 @@ def make_fourier_map(k: int, dim: int, sigma_sq: float, seed: int) -> FourierMap
         raise ValueError("sigma_sq must be positive")
     if dim < 1:
         raise ValueError("dimension must be positive")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return FourierMap(directions=rng.standard_normal((k, dim)),
                       sigma_sq=sigma_sq, seed=seed)

@@ -199,10 +199,6 @@ class KernelOracle:
                 (left[lo:hi] @ right).toarray(out=block)
             yield lo, self._values(block, norms_i[lo:hi], other.norms[None, :])
 
-    @property
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
 
 class LinearKernel(KernelOracle):
     def _values(self, products, norms_i, norms_j):
@@ -238,6 +234,21 @@ class GaussianKernel(KernelOracle):
     @property
     def spec_string(self):
         return f"gaussian:{self.sigma_sq!r}"
+
+
+def add_row(kernel, dataset: Dataset, i: int, s: float, alpha, responses) -> float:
+    """alpha[i] += s and responses += s * y[i] * y * K(., x_i) through the
+    kernel's row i (n evaluations); returns K(x_i, x_i). The row is scaled in
+    place, as (row * y) * (s * y[i]): labels are exactly +-1, so this rounds
+    like s * y[i] * y * row, zero signs included."""
+    y = dataset.labels
+    row = kernel.row(dataset, i)
+    kii = row.item(i)
+    alpha[i] += s
+    row *= y
+    row *= s * y[i]
+    responses += row
+    return kii
 
 
 def kernel_from_spec(spec: str) -> KernelOracle:

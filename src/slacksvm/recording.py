@@ -55,6 +55,13 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is a non-negative integer, as numpy's
+    generators take."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def check_lam(lam) -> None:
     """Raise ValueError unless the regularization weight is positive and finite."""
     if not 0 < lam < math.inf:

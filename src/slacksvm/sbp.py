@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .kernels import add_row
 from .model import SolverError
-from .recording import check_count, run_steps
+from .recording import check_count, check_seed, run_steps
 from .waterfill import _level_and_bias, find_gamma, find_gamma_and_bias, support_set
 
 # Steps between recomputations of the tracked norm from alpha and responses.
@@ -35,6 +36,7 @@ class SbpConfig:
         if not 0 <= self.nu < math.inf:
             raise ValueError("nu must be non-negative and finite")
         check_count("iterations", self.iterations)
+        check_seed(self.seed)
 
 
 @dataclass
@@ -102,7 +104,6 @@ def _sample_covered(c, bias, gamma, classes, rng):
 
 def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     """One full iteration; mutates state, costs exactly n kernel evaluations."""
-    y = dataset.labels
     t = state.t + 1
     eta = state.eta0 / math.sqrt(t)
     volume = dataset.n * config.nu
@@ -117,15 +118,9 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
         idx = support_set(state.responses, state.level)
         i = int(idx[rng.integers(idx.size)])
 
-    row = kernel.row(dataset, i)  # n evaluations
     c_old_i = state.responses[i]
-    state.norm_sq += 2.0 * eta * c_old_i + eta * eta * row[i]
-    state.alpha[i] += eta
-    # In place, as (row * y) * (eta * y[i]): labels are exactly +-1, so this
-    # rounds like eta * y[i] * y * row, zero signs included.
-    row *= y
-    row *= eta * y[i]
-    state.responses += row
+    kii = add_row(kernel, dataset, i, eta, state.alpha, state.responses)  # n evaluations
+    state.norm_sq += 2.0 * eta * c_old_i + eta * eta * kii
     if state.norm_sq > 1.0:
         r = math.sqrt(state.norm_sq)
         state.alpha /= r

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slacksvm import cli, data
-from slacksvm.bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag,
+from slacksvm.bench import (SOLVER_KINDS, _fmt, calibrate_nu, fourier_plan, is_flag,
                             load_dataset, parse_plan, run_plan, train_solver,
                             write_run_csv)
 from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
@@ -79,11 +79,15 @@ class TestPlanParsing:
          "line 5: unreadable value 'rbf' for kernel"),
         (PLAN.replace("kernel = linear", "kernel = gaussian:-1"),
          "line 5: unreadable value 'gaussian:-1' for kernel"),
+        (PLAN + "kernel = gaussian:1\n", "line 16: kernel is already set on line 5"),
+        (PLAN + "solver.sbp.iters = 7\n",
+         "line 16: solver.sbp.iters is already set on line 12"),
     ], ids=["no-equals", "no-dataset", "unknown-kind", "no-solvers",
             "deep-solver-key", "top-level-typo", "solver-key-typo",
             "key-of-other-kind", "other-kind-key-unreadable", "unreadable-value",
             "unreadable-flag", "perceptron-iters", "unreadable-repeat",
-            "unreadable-timing", "unknown-kernel", "kernel-out-of-range"])
+            "unreadable-timing", "unknown-kernel", "kernel-out-of-range",
+            "kernel-twice", "solver-key-twice"])
     def test_rejects_garbage(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_plan(text)
@@ -119,6 +123,9 @@ class TestDatasetSpecs:
         ("synthetic:two_gaussians:n=ten", "unreadable value 'ten' for n"),
         ("synthetic:two_gaussians:n=10,separation=x", "unreadable value 'x'"),
         ("synthetic:two_gaussians:n=10,separation=nan", "non-finite value 'nan'"),
+        ("synthetic:two_gaussians:n=10,seed=-1",
+         "seed must be a non-negative integer, got -1"),
+        ("synthetic:two_gaussians:n=10,n=20", "parameter n given twice"),
     ])
     def test_bad_synthetic_spec(self, spec, message):
         with pytest.raises(DataError, match=message):
@@ -218,6 +225,16 @@ solver.sdca.iters = 30
         assert sorted(result["runs"]) == [("peg", 0)]
         assert sorted(result["failures"]) == [("sbp", 0), ("sbpb", 0)]
         assert (out / "failures.txt").read_text().count("SolverError") == 2
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
+def test_negative_seed_is_named_before_training(kind):
+    kernel = LinearKernel()
+    ds = generate(SyntheticSpec(kind="two_gaussians", n=20, seed=1))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        train_solver(kind, {}, ds, kernel, -1)
+    assert kernel.eval_count == 0
+
 
 @pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
 def test_last_sample_counts_every_held_out_eval(kind):
@@ -326,6 +343,52 @@ def test_run_csv_schema(tmp_path):
                         "empirical_hinge,test_zero_one,wall_clock_ns")
     assert lines[1] == "1,100,0,0.5,0.25,0"
     assert lines[2].startswith("2,200,0,nan,0.125")
+
+
+def _timed_column(path):
+    """(every line of a run CSV without its last field, that field's values)."""
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",wall_clock_ns")
+    return ([line.rsplit(",", 1)[0] for line in lines],
+            [int(line.rsplit(",", 1)[1]) for line in lines[1:]])
+
+
+def _assert_timing_adds_only_wall_clock(plain_csv, timed_csv):
+    plain, zeros = _timed_column(plain_csv)
+    timed, ns = _timed_column(timed_csv)
+    assert timed == plain
+    assert set(zeros) == {0}
+    assert ns[0] > 0 and ns == sorted(ns)
+
+
+def test_timing_adds_only_wall_clock(tmp_path):
+    # Timing is opt-in: with it, wall_clock_ns is positive and non-decreasing
+    # down the CSV and every other byte is the untimed run's.
+    train = "synthetic:two_gaussians:n=60,seed=1,noise_rate=0.1"
+    test = "synthetic:two_gaussians:n=40,seed=2"
+    for out, flags in (("plain", ()), ("timed", ("--timing",))):
+        assert cli.main(["train", train, "--test", test, "--iters", "100",
+                         "--out", str(tmp_path / out), *flags]) == 0
+    _assert_timing_adds_only_wall_clock(tmp_path / "plain" / "sbp_seed0.csv",
+                                        tmp_path / "timed" / "sbp_seed0.csv")
+
+    run_plan(parse_plan(PLAN), out_dir=str(tmp_path / "plan_plain"))
+    run_plan(parse_plan(PLAN + "timing = 1\n"), out_dir=str(tmp_path / "plan_timed"))
+    names = sorted(os.listdir(tmp_path / "plan_plain"))
+    assert names == sorted(os.listdir(tmp_path / "plan_timed"))
+    for name in names:
+        plain, timed = tmp_path / "plan_plain" / name, tmp_path / "plan_timed" / name
+        if name == "aggregate.csv":
+            assert timed.read_bytes() == plain.read_bytes()
+        else:
+            _assert_timing_adds_only_wall_clock(plain, timed)
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.float64(0.1), "0.1"), (float("nan"), "nan"), (-0.0, "-0.0"),
+    (np.int64(3), "3")])
+def test_fmt_writes_numbers_not_their_type(value, text):
+    assert _fmt(value) == text
 
 
 class TestCalibrateNu:
@@ -474,6 +537,8 @@ class TestCli:
     @pytest.mark.parametrize("spec", ["synthetic:two_gaussians:n=10,foo=1",
                                       "synthetic:nope",
                                       "synthetic:two_gaussians:n=ten",
+                                      "synthetic:two_gaussians:n=10,seed=-1",
+                                      "synthetic:two_gaussians:n=10,n=20",
                                       "synthetic:two_gaussians:n=1000000000000000"])
     def test_bad_synthetic_spec_is_3(self, tmp_path, spec):
         r = self.run_cli("train", spec, "--out", str(tmp_path))
@@ -576,11 +641,12 @@ class TestCli:
 
     def test_plan_typo_is_2(self, tmp_path):
         # The plan is read whole before any data or output: a bad kernel spec
-        # stops it like a typo, naming its line.
+        # or a key set twice stops it like a typo, naming its line.
         plan = tmp_path / "plan.txt"
         for text, line in ((PLAN + "solver.sbp.itres = 7\n", 16),
                            (PLAN.replace("kernel = linear", "kernel = rbf"), 5),
-                           (PLAN.replace("kernel = linear", "kernel = gaussian:-1"), 5)):
+                           (PLAN.replace("kernel = linear", "kernel = gaussian:-1"), 5),
+                           (PLAN + "kernel = gaussian:1\n", 16)):
             plan.write_text(text)
             r = self.run_cli("bench", str(plan), "--out", str(tmp_path / "bench"))
             assert r.returncode == 2
@@ -607,6 +673,28 @@ class TestCli:
         r = self.run_cli("fourier", str(f), "--test", str(f),
                          "--kernel", "linear")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("command", ["train", "calibrate-nu", "fourier"])
+    def test_negative_seed_is_2_naming_it(self, tmp_path, command):
+        spec = "synthetic:two_gaussians:n=20,seed=1"
+        extra = {"train": ("--out", str(tmp_path / "out")),
+                 "calibrate-nu": ("--lambda", "0.1"),
+                 "fourier": ("--test", spec, "--out", str(tmp_path / "out"))}[command]
+        r = self.run_cli(command, spec, "--seed", "-1", *extra)
+        assert r.returncode == 2
+        assert r.stderr == "slacksvm: error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_plan_seed_fails_each_run_naming_it(self, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(PLAN.replace("seed = 10", "seed = -1").replace("repeat = 3",
+                                                                      "repeat = 1"))
+        out = tmp_path / "bench"
+        r = self.run_cli("bench", str(plan), "--out", str(out))
+        assert r.returncode == 4 and "Traceback" not in r.stderr
+        assert (out / "failures.txt").read_text() == "".join(
+            f"{name} seed=-1 ValueError: seed must be a non-negative integer, got -1\n"
+            for name in ("peg", "sbp"))
 
     @pytest.mark.parametrize("args", [
         ("train", "--kernel", "gaussian:inf"),

@@ -28,6 +28,8 @@ def test_bad_parameters():
         make_fourier_map(4, 5, 0.0, 0)
     with pytest.raises(ValueError):
         make_fourier_map(4, 0, 1.0, 0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        make_fourier_map(4, 5, 1.0, -1)
 
 
 def test_unit_norm_exact():

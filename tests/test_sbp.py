@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from slacksvm import sbp
 from slacksvm.bench import write_run_csv
 from slacksvm.data import SyntheticSpec, generate, parse_libsvm
-from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
+from slacksvm.kernels import GaussianKernel, LinearKernel, add_row, kernel_from_spec
 from slacksvm.model import (SolverError, deserialize_model, load_model,
                             save_model, score_batch, serialize_model)
 from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
@@ -169,15 +171,30 @@ _update_floats = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
        _update_floats, st.integers(0, 39))
 @settings(max_examples=300, deadline=None)
 def test_in_place_response_update_keeps_every_bit(arrays, s, i):
-    # The solvers add the row as (row * y) * (s * y[i]), in place; labels of
+    # add_row scales the row in place, as (row * y) * (s * y[i]); labels of
     # exactly +-1 make that round like s * y[i] * y * row, zero signs included.
     responses, y, row = arrays
     i %= y.size
     want = responses + s * y[i] * y * row
-    row *= y
-    row *= s * y[i]
-    responses += row
+    alpha = np.arange(y.size, dtype=np.float64)
+    want_alpha = alpha.copy()
+    want_alpha[i] += s
+
+    class DrawnRow:
+        eval_count = 0
+
+        def row(self, dataset, j):
+            assert j == i
+            self.eval_count += dataset.n
+            return row.copy()
+
+    kernel = DrawnRow()
+    dataset = SimpleNamespace(labels=y, n=y.size)
+    kii = add_row(kernel, dataset, i, s, alpha, responses)
     assert responses.tobytes() == want.tobytes()
+    assert np.float64(kii).tobytes() == row[i].tobytes()
+    assert alpha.tobytes() == want_alpha.tobytes()
+    assert kernel.eval_count == y.size
 
 
 def test_warm_level_keeps_run_bytes(tmp_path, monkeypatch):
