@@ -10,9 +10,10 @@ each tree, one process at a time; odd pairs start with PARENT, even pairs
 with CHANGE, so a drift in machine speed falls on both sides alike. Both
 runs of a pair share their seed.
 
-Prints per pair the end-to-end metrics below for both trees, then for each
-metric the two medians and "change lower in k of N". Exits 1 if any run
-fails, prints no result or reports `correct: false`.
+Prints per pair the five end-to-end metrics below for both trees, then for
+each metric the two medians, the parent's interquartile spread and "change
+lower in k of N" ("higher" for kevals_per_s, where higher is better). Exits
+1 if any run fails, prints no result or reports `correct: false`.
 """
 
 import argparse
@@ -22,7 +23,8 @@ import statistics
 import subprocess
 import sys
 
-METRICS = ("train_s", "setup_s", "peak_rss_mb", "train_kernel_evals")
+METRICS = ("train_s", "kevals_per_s", "setup_s", "peak_rss_mb", "train_kernel_evals")
+HIGHER_IS_BETTER = {"kevals_per_s"}
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float):
@@ -75,11 +77,18 @@ def main(argv=None) -> int:
     if pairs:
         print(f"medians over {len(pairs)} pairs:")
         for m in METRICS:
-            parent = statistics.median(p[m] for p, _ in pairs)
+            parents = [p[m] for p, _ in pairs]
             change = statistics.median(c[m] for _, c in pairs)
-            lower = sum(c[m] < p[m] for p, c in pairs)
-            print(f"  {m}: parent {parent:.6g}, change {change:.6g}, "
-                  f"change lower in {lower} of {len(pairs)}")
+            # statistics.quantiles needs two points; one pair has no spread.
+            q1, _, q3 = (statistics.quantiles(parents, n=4, method="inclusive")
+                         if len(parents) > 1 else (parents[0],) * 3)
+            if m in HIGHER_IS_BETTER:
+                word, better = "higher", sum(c[m] > p[m] for p, c in pairs)
+            else:
+                word, better = "lower", sum(c[m] < p[m] for p, c in pairs)
+            print(f"  {m}: parent {statistics.median(parents):.6g} "
+                  f"(IQR {q3 - q1:.3g}), change {change:.6g}, "
+                  f"change {word} in {better} of {len(pairs)}")
     return 0 if ok else 1
 
 

@@ -7,7 +7,6 @@ the regularized dual, and the single-pass online Perceptron.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,19 @@ import numpy as np
 from .data import Dataset
 from .kernels import RowSubset, add_row
 from .recording import check_count, check_lam, check_seed, run_steps
+
+
+# Coordinate indices drawn per numpy call. PCG64 keeps the unused half of a
+# 64-bit output in the bit generator, not per call, so a block yields the
+# same values as one scalar draw per step; a run's unused tail is never read.
+_DRAW_BLOCK = 1024
+
+
+def _indices(rng, n: int):
+    """Uniform indices in [0, n) from rng, without end: the values of one
+    rng.integers(n) per step, drawn _DRAW_BLOCK at a time."""
+    while True:
+        yield from rng.integers(n, size=_DRAW_BLOCK).tolist()
 
 
 @dataclass
@@ -59,8 +71,7 @@ def _pegasos_steps(dataset: Dataset, kernel, config: PegasosConfig, rng):
             return resp_sum / t, alpha_sum / t, 0.0
         return scale * raw_resp, scale * raw_alpha, 0.0
 
-    for t in itertools.count(1):
-        i = int(rng.integers(n))
+    for t, i in enumerate(_indices(rng, n), 1):
         violation = scale * raw_resp[i] < 1.0
         if t > 1:
             scale *= 1.0 - 1.0 / t
@@ -100,8 +111,7 @@ def _sdca_steps(dataset, kernel, lam, rng):
     box = 1.0 / (lam * n)
     alpha = np.zeros(n)
     responses = np.zeros(n)
-    while True:
-        i = int(rng.integers(n))
+    for i in _indices(rng, n):
         kii = kernel.pair(dataset, i)
         if kii == 0.0:
             delta = 0.0  # flat direction, skip

@@ -255,11 +255,11 @@ def run_plan(plan: BenchPlan, out_dir=None) -> dict:
     Solver failures are recorded in failures.txt and do not abort the plan.
     Returns {"runs": {...}, "failures": {...}, "out_dir": path}.
     """
-    out = out_dir if out_dir is not None else plan.out
-    os.makedirs(out, exist_ok=True)
     dataset = load_dataset(plan.dataset, positive_class=plan.positive_class)
     test_data = (load_dataset(plan.test, positive_class=plan.positive_class)
                  if plan.test else None)
+    out = out_dir if out_dir is not None else plan.out
+    os.makedirs(out, exist_ok=True)  # after the data: a failed load leaves none
 
     runs: dict = {}
     failures: dict = {}

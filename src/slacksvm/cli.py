@@ -17,6 +17,7 @@ from .bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag, load_data
 from .data import DataError
 from .kernels import GaussianKernel, kernel_from_spec
 from .model import SolverError, save_model
+from .recording import check_count, check_lam, check_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,8 +157,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    dataset = _load(args.data, args.positive_class)
+    # Usage first: the data is read only for arguments that could run. The
+    # budget's bound n + 1 needs the data, so calibrate_nu checks it.
     kernel = kernel_from_spec(args.kernel)
+    check_lam(args.lam)
+    check_seed(args.seed)
+    check_count("--budget", args.budget)
+    dataset = _load(args.data, args.positive_class)
     result = calibrate_nu(dataset, kernel, args.lam, args.budget, seed=args.seed)
     print(f"nu: {result.nu!r}")
     print(f"norm: {result.norm!r}  hinge: {result.hinge!r}")
@@ -171,12 +177,18 @@ def _cmd_fourier(args) -> int:
     kernel = kernel_from_spec(args.kernel)
     if not isinstance(kernel, GaussianKernel):
         raise ValueError("fourier comparison requires a Gaussian kernel")
-    dataset = _load(args.data, args.positive_class)
-    test_data = _load(args.test, args.positive_class)
     try:
         k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     except ValueError:
         raise ValueError("--k-list must be comma-separated integers") from None
+    if not k_list or min(k_list) < 1:
+        raise ValueError("--k-list must name at least one k, each at least 1")
+    check_count("--iters", args.iters)
+    if args.lam is not None:
+        check_lam(args.lam)
+    check_seed(args.seed)
+    dataset = _load(args.data, args.positive_class)
+    test_data = _load(args.test, args.positive_class)
     lam = args.lam if args.lam is not None else 1.0 / dataset.n
     csv_text = fourier_plan(dataset, kernel.sigma_sq, k_list, lam, args.iters,
                             test_data, seed=args.seed)

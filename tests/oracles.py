@@ -4,13 +4,14 @@ Everything here is deliberately naive: sorting, dense grids, brute force.
 Production code must match these, never the other way around.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from slacksvm.data import DataError
-from slacksvm.kernels import KernelOracle
+from slacksvm.kernels import KernelOracle, add_row
 from slacksvm.waterfill import find_gamma, find_gamma_and_bias, support_set
 
 
@@ -155,6 +156,36 @@ def sbp_bias_step_reference(state, dataset, kernel, config, rng) -> int:
         state.norm_sq = 1.0
     state.t = t
     return i
+
+
+def pegasos_steps_reference(dataset, kernel, config, rng):
+    """Pegasos's step generator as it was before block draws: one scalar
+    rng.integers(n) per step, otherwise baselines._pegasos_steps line for
+    line, so a run through recording.run_steps must give the same bytes."""
+    n = dataset.n
+    raw_alpha = np.zeros(n)
+    raw_resp = np.zeros(n)
+    scale = 1.0
+    alpha_sum = np.zeros(n) if config.average else None
+    resp_sum = np.zeros(n) if config.average else None
+
+    def predict():
+        if config.average:
+            return resp_sum / t, alpha_sum / t, 0.0
+        return scale * raw_resp, scale * raw_alpha, 0.0
+
+    for t in itertools.count(1):
+        i = int(rng.integers(n))
+        violation = scale * raw_resp[i] < 1.0
+        if t > 1:
+            scale *= 1.0 - 1.0 / t
+        if violation:
+            eta = 1.0 / (config.lam * t)
+            add_row(kernel, dataset, i, eta / scale, raw_alpha, raw_resp)
+        if config.average:
+            alpha_sum += scale * raw_alpha
+            resp_sum += scale * raw_resp
+        yield predict
 
 
 def best_regularized_on_grid(x, labels, lam, radius=5.0, steps=200):

@@ -1,15 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from slacksvm.baselines import (PegasosConfig, PerceptronConfig, SdcaConfig,
-                                pegasos_train, perceptron_train,
+from slacksvm.baselines import (_DRAW_BLOCK, PegasosConfig, PerceptronConfig, SdcaConfig,
+                                _indices, _sdca_steps, pegasos_train, perceptron_train,
                                 sdca_dual_value, sdca_train)
+from slacksvm.bench import write_run_csv
 from slacksvm.data import SyntheticSpec, generate, parse_libsvm
 from slacksvm.kernels import LinearKernel, kernel_from_spec
-from slacksvm.model import TrainedModel, evaluate, score
-from slacksvm.recording import geometric_schedule
+from slacksvm.model import TrainedModel, evaluate, score, serialize_model
+from slacksvm.recording import geometric_schedule, run_steps
 
-from oracles import PrecomputedGramKernel, perceptron_reference, sdca_delta_oracle
+from oracles import (PrecomputedGramKernel, pegasos_steps_reference,
+                     perceptron_reference, sdca_delta_oracle)
 
 
 def margin_instance(n=80, seed=0, margin=0.3):
@@ -19,6 +23,40 @@ def margin_instance(n=80, seed=0, margin=0.3):
 
 def dense_gram(ds):
     return LinearKernel().cross(ds, np.arange(ds.n), ds)
+
+
+class TestIndexStream:
+    # Block draws must give the values of one scalar draw per step, or every
+    # Pegasos and SDCA output would move with the block size.
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 2000, 20000, 2**31 - 1, 2**31,
+                                   2**32 - 1, 2**32, 2**32 + 5, 2**62])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_blocks_equal_scalar_draws(self, n, seed):
+        steps = 3 * _DRAW_BLOCK + 5
+        scalar = np.random.default_rng(seed)
+        drawn = list(itertools.islice(_indices(np.random.default_rng(seed), n), steps))
+        assert drawn == [int(scalar.integers(n)) for _ in range(steps)]
+
+    def test_sdca_visits_the_scalar_stream(self):
+        ds = margin_instance(n=37, seed=2)
+        steps = _sdca_steps(ds, LinearKernel(), 0.05, np.random.default_rng(9))
+        visited = [i for i, _, _, _ in itertools.islice(steps, 2500)]
+        scalar = np.random.default_rng(9)
+        assert visited == [int(scalar.integers(ds.n)) for _ in range(2500)]
+
+    @pytest.mark.parametrize("average", [False, True])
+    def test_pegasos_matches_one_draw_per_step(self, tmp_path, average):
+        ds, test = margin_instance(n=60, seed=1), margin_instance(n=30, seed=2)
+        cfg = PegasosConfig(lam=0.02, iterations=2500, seed=4, average=average)
+        runs = {"blocks": pegasos_train(ds, LinearKernel(), cfg, test_data=test),
+                "scalar": run_steps(pegasos_steps_reference, cfg.iterations, ds,
+                                    LinearKernel(), cfg, test, solver="pegasos")}
+        for name, (_, record) in runs.items():
+            write_run_csv(record, tmp_path / f"{name}.csv")
+        assert ((tmp_path / "blocks.csv").read_bytes()
+                == (tmp_path / "scalar.csv").read_bytes())
+        assert (serialize_model(runs["blocks"][0])
+                == serialize_model(runs["scalar"][0]))
 
 
 class TestPegasos:

@@ -757,6 +757,45 @@ class TestCli:
         assert "data error" in capsys.readouterr().err
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("args", [
+        ("calibrate-nu", "--kernel", "rbf", "--lambda", "1"),
+        ("calibrate-nu", "--lambda", "-1"),
+        ("calibrate-nu", "--lambda", "1", "--seed", "-1"),
+        ("calibrate-nu", "--lambda", "1", "--budget", "0"),
+        ("fourier", "--k-list", "a,b"),
+        ("fourier", "--k-list", ","),
+        ("fourier", "--k-list", "4,0"),
+        ("fourier", "--iters", "0"),
+        ("fourier", "--lambda", "-1"),
+        ("fourier", "--seed", "-1"),
+    ])
+    def test_usage_error_stops_before_the_data_is_read(self, tmp_path, monkeypatch,
+                                                        capsys, args):
+        # A missing data file would exit 3; the usage error is found first.
+        def reached(*_args, **_kwargs):
+            raise AssertionError("read the data past a usage error")
+
+        monkeypatch.setattr(cli, "_load", reached)
+        command, *flags = args
+        missing = str(tmp_path / "missing.svm")
+        extra = (("--test", missing, "--out", str(tmp_path / "out"))
+                 if command == "fourier" else ())
+        assert cli.main([command, missing, *flags, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("slacksvm: error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_makes_no_directory_when_its_data_fails(self, tmp_path):
+        plan = tmp_path / "plan.txt"
+        out = tmp_path / "made_anyway"
+        plan.write_text(f"dataset = file:{tmp_path / 'missing.svm'}\nkernel = linear\n"
+                        f"out = {out}\n"
+                        "solver.sdca.kind = sdca\nsolver.sdca.iters = 5\n")
+        r = self.run_cli("bench", str(plan))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr and "data error" in r.stderr
+        assert not out.exists()
+
     def test_data_file_not_utf8_is_3(self, tmp_path):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"+1 1:1 # caf\xe9\n-1 1:-1\n")
