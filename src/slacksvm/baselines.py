@@ -145,24 +145,30 @@ def _perceptron_steps(dataset: Dataset, kernel, config: PerceptronConfig, rng):
     """The Perceptron's step generator, config.passes permutations long; its
     predictor has no training margins, so the run records no hinge."""
     n = dataset.n
-    y = dataset.labels
+    y = dataset.labels.tolist()
     alpha = np.zeros(n, dtype=np.int64)
 
     def predict():
         return None, alpha.astype(np.float64), 0.0
 
-    # The rows of the ascending support set, gathered, and its coefficients
-    # change only on a mistake; before the first there are none.
-    support = coef = None
+    # The ascending support set, its coefficients alpha[sv] * y[sv] and its
+    # rows, taken again only when the set grows; before the first mistake
+    # there are none.
+    sv, coef, support = np.zeros(0, dtype=np.int64), np.zeros(0), None
     for _ in range(config.passes):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             score_i = 0.0
             if support is not None:
-                score_i = float(coef @ kernel.row(dataset, int(i), support))
+                score_i = float(coef @ kernel.row(dataset, i, support))
             if y[i] * score_i <= 0.0:  # sign(0) counts as a mistake
                 alpha[i] += 1
-                sv = np.flatnonzero(alpha)
-                support, coef = RowSubset(dataset, sv), alpha[sv] * y[sv]
+                k = sv.searchsorted(i)
+                if k < sv.size and sv[k] == i:
+                    coef[k] += y[i]
+                else:
+                    sv = np.concatenate((sv[:k], [i], sv[k:]))
+                    coef = np.concatenate((coef[:k], [y[i]], coef[k:]))
+                    support = RowSubset(dataset, sv)
             yield predict
 
 

@@ -102,22 +102,30 @@ def is_flag(kind: str, key: str) -> bool:
     return _solver_kind(kind)[2][key][1] is _flag
 
 
+def solver_config(kind: str, params: dict, seed: int, n: int):
+    """The config of one solver of the given kind for a dataset of n rows:
+    its params (plan key -> text) over the kind's defaults, 1/n where the
+    default is None. An unknown kind or key, an unreadable value or a value
+    out of range raises ValueError. Only the 1/n defaults depend on n, and
+    they are valid for every n, so any n checks the seed and every given
+    value."""
+    config_cls, _, table = _solver_kind(kind)
+    kwargs = {field_name: 1.0 / n if default is None else default
+              for field_name, _, default in table.values()}
+    kwargs.update(_read_param(kind, key, text) for key, text in params.items())
+    return config_cls(seed=seed, **kwargs)
+
+
 def train_solver(kind: str, params: dict, dataset: Dataset, kernel, seed: int,
                  test_data: Dataset | None = None, eval_kernel=None,
                  timing: bool = False):
     """Train one solver of the given kind, its params (plan key -> text)
-    over the kind's defaults; returns (TrainedModel, RunRecord).
-
-    An unknown kind or key, or an unreadable value, raises ValueError before
-    any training; so does the config for a value out of range.
+    over the kind's defaults; returns (TrainedModel, RunRecord). A bad
+    config raises ValueError before any training (see solver_config).
     """
-    config_cls, train_name, table = _solver_kind(kind)
-    kwargs = {field_name: 1.0 / dataset.n if default is None else default
-              for field_name, _, default in table.values()}
-    kwargs.update(_read_param(kind, key, text) for key, text in params.items())
-    config = config_cls(seed=seed, **kwargs)
-    return globals()[train_name](dataset, kernel, config, test_data,
-                                 eval_kernel, timing)
+    config = solver_config(kind, params, seed, dataset.n)
+    return globals()[SOLVER_KINDS[kind][1]](dataset, kernel, config, test_data,
+                                            eval_kernel, timing)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .bench import (SOLVER_KINDS, calibrate_nu, fourier_plan, is_flag, load_dataset,
-                    parse_plan, run_plan, train_solver, write_run_csv)
+                    parse_plan, run_plan, solver_config, train_solver, write_run_csv)
 from .data import DataError
 from .kernels import GaussianKernel, kernel_from_spec
 from .model import SolverError, save_model
@@ -128,10 +128,13 @@ def _check_out(path) -> None:
 def _cmd_train(args) -> int:
     _check_out(args.out)
     kernel = kernel_from_spec(args.kernel)
-    dataset = _load(args.data, args.positive_class)
-    test_data = _load(args.test, args.positive_class) if args.test else None
     params = {key: getattr(args, key) for key in _solver_keys()
               if getattr(args, key) is not None}
+    # Usage first: a config for any n checks the seed and every given flag;
+    # only lambda's 1/n default needs the data.
+    solver_config(args.solver, params, args.seed, 1)
+    dataset = _load(args.data, args.positive_class)
+    test_data = _load(args.test, args.positive_class) if args.test else None
     model, record = train_solver(args.solver, params, dataset, kernel, args.seed,
                                  test_data, timing=args.timing)
 

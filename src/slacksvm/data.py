@@ -105,7 +105,7 @@ class Dataset:
         self.indptr, self.indices, self.values = indptr, indices, values
         self.labels, self.norms = labels, norms
         self._columns = _feature_major(rows, indices, values, n, self.dimension)
-        self._matrix = None
+        self._matrix = self._transposed = None
 
     @classmethod
     def from_dense(cls, x, labels) -> Dataset:
@@ -132,6 +132,14 @@ class Dataset:
             self._matrix = sp.csr_matrix((self.values, self.indices, self.indptr),
                                          shape=(self.n, self.dimension))
         return self._matrix
+
+    @property
+    def transposed(self) -> sp.csr_matrix:
+        """matrix.T as CSR, one row a feature, converted once on first use:
+        the right factor of every sparse product with this dataset."""
+        if self._transposed is None:
+            self._transposed = self.matrix.T.tocsr()
+        return self._transposed
 
 
 def _as_lines(source):

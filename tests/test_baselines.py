@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from slacksvm import baselines
 from slacksvm.baselines import (_DRAW_BLOCK, PegasosConfig, PerceptronConfig, SdcaConfig,
                                 _indices, _sdca_steps, pegasos_train, perceptron_train,
                                 sdca_dual_value, sdca_train)
 from slacksvm.bench import write_run_csv
-from slacksvm.data import SyntheticSpec, generate, parse_libsvm
-from slacksvm.kernels import LinearKernel, kernel_from_spec
+from slacksvm.data import Dataset, SyntheticSpec, generate, parse_libsvm
+from slacksvm.kernels import LinearKernel, RowSubset, kernel_from_spec
 from slacksvm.model import TrainedModel, evaluate, score, serialize_model
 from slacksvm.recording import geometric_schedule, run_steps
 
@@ -19,6 +20,30 @@ from oracles import (PrecomputedGramKernel, pegasos_steps_reference,
 def margin_instance(n=80, seed=0, margin=0.3):
     return generate(SyntheticSpec(kind="margin_separable", n=n, dimension=2,
                                   seed=seed, margin=margin, radius=1.0))
+
+
+def gaussians(n, seed, dimension=3):
+    """Noisy overlapping classes: many mistakes, repeated on later passes."""
+    return generate(SyntheticSpec(kind="two_gaussians", n=n, dimension=dimension,
+                                  seed=seed, separation=1.0, noise_rate=0.1))
+
+
+def wide_gaussians(n, seed):
+    """gaussians at dimension 5, above the rows summed feature by feature."""
+    return gaussians(n, seed, dimension=5)
+
+
+def sparse_instance(n, seed, dimension=40):
+    """n rows of 1 to 4 stored entries from dimension features, too sparse
+    for a feature-major copy, labeled by a linear teacher with 10% flipped."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, dimension))
+    for i in range(n):
+        features = rng.choice(dimension, int(rng.integers(1, 5)), replace=False)
+        x[i, features] = rng.standard_normal(features.size)
+    labels = np.where((x @ rng.standard_normal(dimension) >= 0.0)
+                      != (rng.random(n) < 0.1), 1, -1)
+    return Dataset.from_dense(x, labels)
 
 
 def dense_gram(ds):
@@ -194,21 +219,31 @@ class TestPerceptron:
         m2, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=7))
         assert np.array_equal(m1.alpha, m2.alpha)
 
-    @pytest.mark.parametrize("passes", [1, 3])
-    @pytest.mark.parametrize("spec", ["linear", "gaussian:0.5"])
-    def test_matches_reference_loop(self, spec, passes):
+    # The dense cases keep the ids they had before the other data was added.
+    @pytest.mark.parametrize("data,spec,passes", [
+        pytest.param(data, spec, passes,
+                     id=f"{spec}-{passes}" if data == "dense" else f"{data}-{spec}-{passes}")
+        for data in ("dense", "sparse", "dense_large")
+        for spec in ("linear", "gaussian:0.5") for passes in (1, 3)])
+    def test_matches_reference_loop(self, data, spec, passes):
         # Noisy overlapping classes: later passes repeat mistakes on examples
         # already in the support set, which changes its coefficients only.
-        def gaussians(n, seed):
-            return generate(SyntheticSpec(kind="two_gaussians", n=n, dimension=3,
-                                          seed=seed, separation=1.0, noise_rate=0.1))
-        ds, test = gaussians(40, 5), gaussians(25, 6)
+        # Sparse subset rows read row i by a sorted search and dense ones sum
+        # feature columns; the reference slices full rows, which at
+        # dimension 5 come from scipy's mat-vec. dense_large grows its
+        # support past 200 rows.
+        n, test_n, make = {"dense": (40, 25, gaussians), "sparse": (60, 30, sparse_instance),
+                           "dense_large": (500, 25, wide_gaussians)}[data]
+        ds, test = make(n, 5), make(test_n, 6)
+        assert (ds._columns is None) == (data == "sparse")
         kernel, eval_kernel = kernel_from_spec(spec), kernel_from_spec(spec)
         model, record = perceptron_train(ds, kernel, PerceptronConfig(passes=passes, seed=2),
                                          test_data=test, eval_kernel=eval_kernel)
         alpha, sizes, after = perceptron_reference(ds, kernel_from_spec(spec), passes, 2)
         if passes > 1:
             assert alpha.max() > 1
+        if data == "dense_large":
+            assert np.count_nonzero(alpha) > 200
 
         assert np.array_equal(model.alpha, alpha)
         assert model.metadata["mistakes"] == alpha.sum()
@@ -224,6 +259,24 @@ class TestPerceptron:
         assert [(s.iteration, s.train_kernel_evals, s.eval_kernel_evals,
                  s.test_zero_one, s.wall_clock_ns) for s in record.samples] == expected
         assert all(np.isnan(s.empirical_hinge) for s in record.samples)
+
+    @pytest.mark.parametrize("data", ["dense", "sparse"])
+    def test_repeat_mistakes_take_no_new_rows(self, monkeypatch, data):
+        # The support's rows are taken again only when the set grows: one
+        # RowSubset per distinct support member, none for a repeat mistake.
+        built = []
+
+        def counted(dataset, rows):
+            built.append(len(rows))
+            return RowSubset(dataset, rows)
+
+        monkeypatch.setattr(baselines, "RowSubset", counted)
+        make = gaussians if data == "dense" else sparse_instance
+        model, _ = perceptron_train(make(40, 5), kernel_from_spec("gaussian:0.5"),
+                                    PerceptronConfig(passes=3, seed=2))
+        support = np.count_nonzero(model.alpha)
+        assert model.metadata["mistakes"] > support
+        assert built == list(range(1, support + 1))
 
     def test_multi_pass_flagged(self):
         ds = margin_instance(n=20, seed=0)

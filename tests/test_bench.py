@@ -768,6 +768,9 @@ class TestCli:
         ("fourier", "--iters", "0"),
         ("fourier", "--lambda", "-1"),
         ("fourier", "--seed", "-1"),
+        ("train", "--seed", "-1"),
+        ("train", "--iters", "0"),
+        ("train", "--solver", "pegasos", "--lambda", "-1"),
     ])
     def test_usage_error_stops_before_the_data_is_read(self, tmp_path, monkeypatch,
                                                         capsys, args):

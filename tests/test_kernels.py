@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -386,6 +387,67 @@ def _sparse_sample(rng, n, dim):
         features = rng.choice(dim, int(rng.integers(1, 5)), replace=False)
         x[i, features] = rng.standard_normal(features.size) * 10.0 ** rng.integers(-2, 3)
     return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+
+
+@given(st.integers(0, 2**32), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_subset_rows_are_the_full_row_sliced(seed, dense):
+    # Dense subsets sum their own feature columns and sparse ones find row
+    # j's values by a sorted search; either way row(ds, j, RowSubset(ds,
+    # rows)) is row(ds, j)[rows] bit for bit, signs of zero included, for
+    # repeated, unordered and empty rows, with and without j among them.
+    rng = np.random.default_rng(seed)
+    if dense:
+        ds = _dense_sample(rng, int(rng.integers(1, 25)), int(rng.integers(1, 8)))
+    else:
+        ds = _sparse_sample(rng, int(rng.integers(1, 25)), int(rng.integers(8, 60)))
+    assert (ds._columns is not None) == dense
+    for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+        for j in range(ds.n):
+            rows = rng.integers(0, ds.n, int(rng.integers(0, 2 * ds.n)))
+            assert _same_bits(kernel.row(ds, j, RowSubset(ds, rows)), kernel.row(ds, j)[rows])
+
+
+def test_sparse_subset_rows_need_no_dense_vector():
+    # A subset row's cost follows the stored entries, not the dimension:
+    # at the largest LIBSVM index a vector of dimension floats would take
+    # 16 GiB.
+    ds = parse_libsvm("+1 2147483647:2\n-1 1:1 2147483647:-1\n")
+    assert ds.dimension == 2**31 - 1 and ds._columns is None
+    tracemalloc.start()
+    try:
+        for kernel, want in ((LinearKernel(), [[4.0, -2.0], [-2.0, 2.0]]),
+                             (GaussianKernel(0.5), [[1.0, np.exp(-10.0)], [np.exp(-10.0), 1.0]])):
+            for j in (0, 1):
+                assert kernel.row(ds, j, RowSubset(ds, [0, 1])).tolist() == want[j]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sparse_scoring_converts_the_held_out_set_once(monkeypatch):
+    # The held-out set's transpose, the right factor of every sparse block,
+    # is built on the first scoring call and kept with the dataset.
+    rng = np.random.default_rng(4)
+    ds, other = _sparse_sample(rng, 30, 40), _sparse_sample(rng, 20, 35)
+    kernel = GaussianKernel(0.9)
+    rows = rng.integers(0, ds.n, 12)
+    coef = rng.standard_normal(rows.size)
+    want = coef @ cross_reference(kernel, ds, rows, other)
+    conversions = []
+    convert = sp.csc_matrix.tocsr
+
+    def counted(self, *args, **kwargs):
+        conversions.append(self.shape)
+        return convert(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csc_matrix, "tocsr", counted)
+    first = kernel.scores(ds, rows, coef, other)
+    assert conversions == [(other.dimension, other.n)]
+    assert np.array_equal(kernel.scores(ds, rows, coef, other), first)
+    assert conversions == [(other.dimension, other.n)]
+    assert np.array_equal(first, want)
 
 
 def test_a_returned_row_belongs_to_its_caller():
