@@ -3,7 +3,7 @@
 
 Usage: python scripts/reference_outputs.py OUT_DIR
 
-OUT_DIR receives 106 files:
+OUT_DIR receives 142 files and their manifest:
 - bench/: the 41 files of scripts/run_synthetic_bench.py;
 - train/KERNEL/RUN/: the model, run CSV and stdout of `slacksvm train` with a
   held-out set, for six solver settings under the linear and the Gaussian
@@ -13,25 +13,35 @@ OUT_DIR receives 106 files:
 - sparse/train.txt and sparse/test.txt: a sparse LIBSVM pair drawn with numpy
   alone from a fixed seed (2 files);
 - sparse/KERNEL/RUN/: as train/, on the sparse pair, for four solver settings
-  under both kernels (8 runs, 24 files).
+  under both kernels (8 runs, 24 files);
+- dense10/KERNEL/RUN/: as train/, on dense data of dimension 10 under the
+  linear kernel and gaussian:0.3, a width whose 2 sigma^2 is not a power of
+  two (12 runs, 36 files);
+- manifest.json: the SHA-256 of each file above, with environment(), the
+  versions and CPU features the bytes depend on.
 
-Every other file comes from dense 2-D data; the sparse runs take full rows
-through scipy's mat-vec, the Perceptron's support rows as row subsets, and
-held-out scores through the sparse product.
+The other dense files come from 2-D data. The sparse runs take their rows
+through scipy's mat-vec and held-out scores through the sparse product;
+dense rows of 10 stored entries are summed feature column by column.
 
 Paths printed by train are relative to OUT_DIR. The slacksvm package is the
 one on PYTHONPATH, so running this with each tree's src directory and then
-`diff -r` on the two directories checks that a change keeps every byte.
-Exits 1 if any command fails.
+`diff -r` on the two directories checks that a change keeps every byte;
+tests/test_reference_outputs.py checks a fresh set against the committed
+tests/reference_manifest.json. Exits 1 if any command fails.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
+import scipy
 
 from slacksvm import cli
 
@@ -47,6 +57,38 @@ RUNS = {
     "perceptron_passes2": ("--solver", "perceptron", "--passes", "2"),
 }
 SPARSE_RUNS = ("sbp", "sbp_bias", "pegasos", "perceptron_passes2")
+DENSE10_TRAIN = "synthetic:two_gaussians:n=300,dimension=10,seed=3,separation=2.0,noise_rate=0.05"
+DENSE10_TEST = "synthetic:two_gaussians:n=200,dimension=10,seed=4,separation=2.0,noise_rate=0.05"
+DENSE10_KERNELS = {"linear": "linear", "gaussian0.3": "gaussian:0.3"}
+
+
+def environment() -> dict:
+    """The numpy and scipy versions, the machine and numpy's CPU features:
+    numpy's exp and scipy's compiled loops choose their code by them, so a
+    manifest holds only where they match."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "machine": platform.machine(),
+            "cpu_features": sorted(name for name, on in __cpu_features__.items() if on)}
+
+
+def write_manifest(directory) -> None:
+    """Write directory/manifest.json: environment() and the SHA-256 of every
+    other file under directory, by its '/'-separated relative path."""
+    hashes = {}
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            key = os.path.relpath(path, directory).replace(os.sep, "/")
+            if key != "manifest.json":
+                with open(path, "rb") as fh:
+                    hashes[key] = hashlib.sha256(fh.read()).hexdigest()
+    manifest = {"environment": environment(), "sha256": dict(sorted(hashes.items()))}
+    with open(os.path.join(directory, "manifest.json"), "w", newline="\n") as fh:
+        fh.write(json.dumps(manifest, indent=1) + "\n")
 
 
 def _write_sparse_pair(directory) -> tuple:
@@ -105,17 +147,19 @@ def main() -> int:
     os.chdir(out)
     os.makedirs("sparse", exist_ok=True)
     sparse_train, sparse_test = _write_sparse_pair("sparse")
+    sets = (("train", KERNELS, TRAIN, TEST, RUNS),
+            ("sparse", KERNELS, sparse_train, sparse_test, SPARSE_RUNS),
+            ("dense10", DENSE10_KERNELS, DENSE10_TRAIN, DENSE10_TEST, RUNS))
     try:
-        for name, spec in KERNELS.items():
-            for root, train, test, runs in (("train", TRAIN, TEST, RUNS),
-                                            ("sparse", sparse_train, sparse_test,
-                                             SPARSE_RUNS)):
+        for root, kernels, train, test, runs in sets:
+            for name, spec in kernels.items():
                 for run in runs:
                     run_dir = os.path.join(root, name, run)
                     os.makedirs(run_dir, exist_ok=True)
                     _cli(os.path.join(run_dir, "stdout.txt"), "train", train,
                          "--kernel", spec, "--test", test, *RUNS[run], "--out", run_dir)
-            os.makedirs("calibrate", exist_ok=True)
+        os.makedirs("calibrate", exist_ok=True)
+        for name, spec in KERNELS.items():
             _cli(os.path.join("calibrate", f"{name}.txt"), "calibrate-nu", TRAIN,
                  "--kernel", spec, "--lambda", "0.01")
         _cli(None, "fourier", TRAIN, "--test", TEST, "--kernel", KERNELS["gaussian"],
@@ -123,6 +167,7 @@ def main() -> int:
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
+    write_manifest(out)
     print(f"wrote reference outputs to {out}")
     return 0
 
