@@ -305,18 +305,16 @@ def _write_aggregate(runs: dict, path) -> None:
     for name in sorted(by_solver):
         records = by_solver[name]
         depth = min(len(r.samples) for r in records)
-        for j in range(depth):
-            evals = np.array([r.samples[j].train_kernel_evals for r in records],
-                             dtype=np.float64)
-            errs = np.array([r.samples[j].test_zero_one for r in records],
-                            dtype=np.float64)
-            lines.append(",".join((
-                name, str(j),
-                _fmt(np.median(evals)),
-                _fmt(np.median(errs)),
-                _fmt(np.quantile(errs, 0.25)),
-                _fmt(np.quantile(errs, 0.75)),
-            )))
+        # (repeats, depth) arrays reduced along the repeats: each value is
+        # the one a reduction of its column alone gives.
+        evals = np.array([[s.train_kernel_evals for s in r.samples[:depth]]
+                          for r in records], dtype=np.float64)
+        errs = np.array([[s.test_zero_one for s in r.samples[:depth]]
+                         for r in records], dtype=np.float64)
+        columns = (np.median(evals, axis=0), np.median(errs, axis=0),
+                   *np.quantile(errs, [0.25, 0.75], axis=0))
+        for j, values in enumerate(zip(*columns)):
+            lines.append(",".join((name, str(j), *map(_fmt, values))))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

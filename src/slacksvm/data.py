@@ -30,16 +30,6 @@ def _first(bad, rows, reason):
         raise DataError(reason, int(rows[hits[0]]))
 
 
-def _row_sums(segments, terms, count: int) -> np.ndarray:
-    """[sum of terms[k] over segments[k] == s] for s in range(count), each
-    sum taken term after term from 0.0, as scipy's CSR mat-vec and sparse
-    product sum a row's stored products. Every inner product, a squared norm
-    included, is summed this way, so it has one value on every path; a
-    pairwise or BLAS sum would round differently."""
-    sums = np.bincount(segments, weights=terms, minlength=count)
-    return sums.astype(np.float64, copy=False)  # no terms: integer zeros
-
-
 def _feature_major(rows, indices, values, n: int, dimension: int):
     """The entries as a dense dimension x n array, one row a feature, when
     at least half of the n * dimension entries are stored; None otherwise,
@@ -64,13 +54,15 @@ class Dataset:
     checks that indices are non-negative and strictly ascending within each
     row, that no explicit zero is stored, that labels are -1 or +1, and that
     ``dimension`` is above the largest index. ``norms[i]``, the squared norm
-    of row i summed as _row_sums sums every inner product, is cached so
+    of row i summed as every inner product is summed, is cached so
     kernels never pay for it, and must be at most _MAX_NORM: that rejects
     nan and inf values and values whose squares overflow, and keeps
     ``norms[i] + norms[j] - 2 <x_i, x_j>`` finite for any two rows, in one
     dataset or two. Dense data also keeps ``_columns``, the entries feature
-    by feature (see _feature_major), from which the kernels take full rows
-    and cross products; on sparse data it is None.
+    by feature (see _feature_major), from which the kernels take rows and
+    cross products; on sparse data it is None. ``matrix``, ``transposed``
+    and ``_every_row`` (the kernels' RowSubset of every row) are built on
+    first use and kept.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -94,8 +86,12 @@ class Dataset:
         if bad.size:
             raise DataError(f"label must be -1 or +1, got {float(labels[bad[0]])!r}",
                             int(bad[0]))
+        # Each squared norm is summed term after term from 0.0 in storage
+        # order, as every inner product is, so K(x, x) has one value on every
+        # path; a pairwise or BLAS sum would round otherwise.
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = _row_sums(rows, values * values, n)
+            norms = np.bincount(rows, weights=values * values, minlength=n)
+        norms = norms.astype(np.float64, copy=False)  # no entries: integer zeros
         _first(~(norms <= _MAX_NORM), np.arange(n), "feature values must be finite "
                f"with a squared norm of at most {_MAX_NORM:.4g}")
         max_id = int(indices.max()) if indices.size else -1
@@ -105,7 +101,7 @@ class Dataset:
         self.indptr, self.indices, self.values = indptr, indices, values
         self.labels, self.norms = labels, norms
         self._columns = _feature_major(rows, indices, values, n, self.dimension)
-        self._matrix = self._transposed = None
+        self._matrix = self._transposed = self._every_row = None
 
     @classmethod
     def from_dense(cls, x, labels) -> Dataset:
@@ -157,14 +153,15 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     ascending indices of at most _MAX_FEATURE_INDEX. Labels may be ``+1/-1``
     or ``0/1`` (0 maps to -1); any other label set requires
-    ``positive_class`` for an explicit one-vs-rest mapping. Blank lines and
-    ``#`` comments are skipped; CRLF is accepted.
+    ``positive_class`` for an explicit one-vs-rest mapping. A ``#`` starts
+    a comment that runs to the end of its line, as SVM-light's ``<features>
+    # <info>``; blank lines are skipped and CRLF is accepted.
     """
     indptr, indices, values, labels, linenos = [0], [], [], [], []
     target = float(positive_class) if positive_class is not None else None
     for lineno, raw in enumerate(_as_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         tokens = line.split()
         try:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .data import Dataset, _row_sums
+from .data import Dataset
 
 
 def _stored(dataset: Dataset, j: int):
@@ -12,14 +13,6 @@ def _stored(dataset: Dataset, j: int):
     CSR arrays."""
     lo, hi = dataset.indptr[j], dataset.indptr[j + 1]
     return dataset.indices[lo:hi], dataset.values[lo:hi]
-
-
-def _dense(dataset: Dataset, j: int) -> np.ndarray:
-    """Row j of dataset as a dense vector of length dataset.dimension."""
-    features, weights = _stored(dataset, j)
-    out = np.zeros(dataset.dimension)
-    out[features] = weights
-    return out
 
 
 def _feature_sums(columns: np.ndarray, features, weights, out: np.ndarray) -> np.ndarray:
@@ -38,14 +31,6 @@ def _feature_sums(columns: np.ndarray, features, weights, out: np.ndarray) -> np
         out += scratch
     return out
 
-
-# The most stored entries of a row whose full row of a dense dataset is summed
-# feature by feature: that takes one pass over all n rows per entry, and
-# scipy's CSR mat-vec one pass over every stored entry plus a cost per row.
-# On a 2-core x86-64 host, with n = 500 to 20,000, the passes took 60-100%
-# of the mat-vec's time for rows of 1 to 3 entries, 80-110% for 4, and
-# 120-170% for 10 to 300.
-_ROW_FEATURE_PASSES = 3
 
 # Kernel values per block of cross and scores (256 KB of float64): the product
 # of one block, and the Gaussian's norm sums over it, stay a few hundred KB.
@@ -74,51 +59,47 @@ def _checked_rows(rows, n: int) -> np.ndarray:
 
 class RowSubset:
     """Rows of one dataset, taken once for any number of subset rows, with
-    their cached squared norms. Dense data keeps the rows' feature-major
-    columns, `dataset._columns[:, rows]`; sparse data keeps the rows' stored
-    entries in storage order and each entry's segment (its position in
-    rows)."""
+    their cached squared norms; rows None takes every row and shares the
+    dataset's arrays. Dense data keeps the rows' feature-major columns,
+    `dataset._columns[:, rows]`; sparse data keeps the rows as a CSR matrix
+    over their own distinct features, `features`, ascending."""
 
     def __init__(self, dataset: Dataset, rows):
-        rows = _checked_rows(rows, dataset.n)
         self.dataset = dataset
-        self.rows = rows
-        self.norms = dataset.norms[rows]
-        self.columns = None
-        if dataset._columns is not None:
-            self.columns = dataset._columns.take(rows, axis=1)  # [:, rows] at a fifth of the cost
-            return
-        ends = dataset.indptr[rows + 1]
-        counts = ends - dataset.indptr[rows]
-        # Position in the CSR arrays of the stored entries of the selected
-        # rows, row after row: gathered entry k of a row sits at k + (end - last).
-        pos = np.repeat(ends - np.cumsum(counts), counts)
-        pos += np.arange(pos.size)
-        self.indices = dataset.indices[pos]
-        self.values = dataset.values[pos]
-        self.segments = np.repeat(np.arange(rows.size), counts)
+        self.norms, self.columns = dataset.norms, dataset._columns
+        if rows is not None:
+            rows = _checked_rows(rows, dataset.n)
+            self.norms = self.norms[rows]
+            if self.columns is not None:
+                self.columns = self.columns.take(rows, axis=1)  # [:, rows] at a fifth of the cost
+        if self.columns is None:
+            matrix = dataset.matrix if rows is None else dataset.matrix[rows]
+            self.features, at = np.unique(matrix.indices, return_inverse=True)
+            self.matrix = sp.csr_matrix((matrix.data, at, matrix.indptr),
+                                        shape=(self.norms.size, self.features.size))
 
     def __len__(self) -> int:
-        return self.rows.size
+        return self.norms.size
 
     def products(self, j: int) -> np.ndarray:
         """[<x_i, x_j>] for i in rows, as a fresh array equal to
         (dataset.matrix @ x_j)[rows] bit for bit. Dense rows sum their
         columns over row j's stored features (_feature_sums); sparse rows
-        find row j's value of each stored entry by a sorted search of row
-        j's indices, 0.0 where row j stores none, and sum the products by
-        _row_sums. Either way each sum runs from 0.0 in ascending feature
-        order, with a +-0 term for a feature only one row stores."""
+        take scipy's mat-vec of row j's values placed at the subset's
+        features, 0.0 where row j stores none. Either way each sum runs from
+        0.0 in ascending feature order, with a +-0 term for a feature only
+        one row stores."""
         features, weights = _stored(self.dataset, j)
         if self.columns is not None:
             return _feature_sums(self.columns, features.tolist(), weights.tolist(),
-                                 np.zeros(self.rows.size))
-        x = np.zeros(self.indices.size)
-        if features.size:
-            at = np.minimum(np.searchsorted(features, self.indices), features.size - 1)
-            hit = features[at] == self.indices
-            x[hit] = weights[at[hit]]
-        return _row_sums(self.segments, x * self.values, self.rows.size)
+                                 np.zeros(len(self)))
+        x = np.zeros(self.features.size)
+        if self.features.size:
+            at = np.searchsorted(self.features, features)
+            np.minimum(at, self.features.size - 1, out=at)
+            hit = self.features[at] == features
+            x[at[hit]] = weights[hit]
+        return self.matrix @ x
 
 
 class KernelOracle:
@@ -148,20 +129,16 @@ class KernelOracle:
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
         the rows of rows only, a RowSubset of dataset taken once for every
-        j (len(rows) evaluations). The row is a fresh array that
-        the caller owns and may overwrite."""
+        j (len(rows) evaluations). The whole dataset is the RowSubset of
+        every row, built on first use and kept with the dataset. The row is
+        a fresh array that the caller owns and may overwrite."""
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
         if rows is None:
-            self.eval_count += dataset.n
-            features, weights = _stored(dataset, j)
-            if dataset._columns is not None and features.size <= _ROW_FEATURE_PASSES:
-                products = _feature_sums(dataset._columns, features.tolist(),
-                                         weights.tolist(), np.zeros(dataset.n))
-            else:
-                products = dataset.matrix @ _dense(dataset, j)
-            return self._values(products, dataset.norms, dataset.norms[j])
-        if not (isinstance(rows, RowSubset) and rows.dataset is dataset):
+            if dataset._every_row is None:
+                dataset._every_row = RowSubset(dataset, None)
+            rows = dataset._every_row
+        elif not (isinstance(rows, RowSubset) and rows.dataset is dataset):
             raise ValueError("rows must be a RowSubset of dataset")
         self.eval_count += len(rows)
         return self._values(rows.products(j), rows.norms, dataset.norms[j])

@@ -228,9 +228,9 @@ class TestPerceptron:
     def test_matches_reference_loop(self, data, spec, passes):
         # Noisy overlapping classes: later passes repeat mistakes on examples
         # already in the support set, which changes its coefficients only.
-        # Sparse subset rows read row i by a sorted search and dense ones sum
-        # feature columns; the reference slices full rows, which at
-        # dimension 5 come from scipy's mat-vec. dense_large grows its
+        # Subset rows of sparse data take scipy's mat-vec over the subset's
+        # own features and dense ones sum feature columns; the reference
+        # slices full rows, the subset of every row. dense_large grows its
         # support past 200 rows.
         n, test_n, make = {"dense": (40, 25, gaussians), "sparse": (60, 30, sparse_instance),
                            "dense_large": (500, 25, wide_gaussians)}[data]

@@ -23,6 +23,12 @@ class TestParse:
     def test_comments_blank_lines_crlf(self):
         ds = parse_libsvm("# header\n\n+1 1:1\r\n-1 1:-1\n")
         assert ds.n == 2
+        # SVM-light's trailing comment, `<features> # <info>`, also after a
+        # label with no features.
+        ds = parse_libsvm("+1 1:1 # note\n-1 2:3 #tight:1\r\n+1 # x\n")
+        assert ds.labels.tolist() == [1.0, -1.0, 1.0]
+        assert ds.indptr.tolist() == [0, 1, 2, 2]
+        assert ds.indices.tolist() == [0, 1] and ds.values.tolist() == [1.0, 3.0]
 
     def test_zero_one_labels(self):
         ds = parse_libsvm("1 1:1\n0 1:2\n")

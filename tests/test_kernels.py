@@ -11,6 +11,7 @@ from slacksvm import kernels
 from slacksvm.data import DataError, Dataset, parse_libsvm
 from slacksvm.kernels import GaussianKernel, LinearKernel, RowSubset, kernel_from_spec
 from slacksvm.model import TrainedModel, score_batch
+from slacksvm.sbp import SbpConfig, sbp_train
 
 from oracles import PrecomputedGramKernel, cross_reference
 
@@ -130,7 +131,7 @@ def test_row_at_is_the_full_row_sliced(seed, d):
     ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
     shared = rng.choice(n, int(rng.integers(0, n)), replace=False)
     for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
-        subset = RowSubset(ds, shared)  # one gather, reused for every j
+        subset = RowSubset(ds, shared)  # taken once, reused for every j
         for j in range(n):
             rows = np.append(rng.choice(n, int(rng.integers(0, n)), replace=False), j)
             rng.shuffle(rows)
@@ -148,7 +149,7 @@ def test_row_at_is_the_full_row_sliced(seed, d):
 def test_row_at_sums_stored_entries_in_storage_order(seed, d):
     # Rows with more than 8 stored entries tell a sequential sum from a
     # pairwise one; all-zero rows, repeated indices and an empty rows are the
-    # edges of the CSR gather. Each must equal the sliced full row exactly.
+    # edges of a subset's rows. Each must equal the sliced full row exactly.
     rng = np.random.default_rng(seed)
     n = 20
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
@@ -157,7 +158,7 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
     ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
     shared = rng.integers(0, n, int(rng.integers(1, 2 * n)))
     for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
-        subset = RowSubset(ds, shared)  # one gather, reused for every j
+        subset = RowSubset(ds, shared)  # taken once, reused for every j
         for j in range(n):
             rows = rng.integers(0, n, int(rng.integers(1, 2 * n)))
             before = kernel.eval_count
@@ -311,11 +312,11 @@ def _same_bits(got, want):
 @settings(max_examples=100, deadline=None)
 def test_feature_major_products_are_the_csr_products(seed, d, budget):
     # Dense data sums columns[f] * v from a zeroed buffer over ascending
-    # features: the full row (rows of more than _ROW_FEATURE_PASSES entries
-    # take the mat-vec) and cross, in one or several blocks, between two
-    # datasets whose dimensions differ either way. Every value equals the
-    # scipy product, and so does the sign of every zero: a negative value
-    # against a zero makes a -0 term, which a sum begun at +0.0 drops.
+    # features: full and subset rows, whatever their width, and cross, in
+    # one or several blocks, between two datasets whose dimensions differ
+    # either way. Every value equals the scipy product, and so does the sign
+    # of every zero: a negative value against a zero makes a -0 term, which a
+    # sum begun at +0.0 drops.
     rng = np.random.default_rng(seed)
     ds = _dense_sample(rng, int(rng.integers(1, 25)), d)
     other = _dense_sample(rng, int(rng.integers(1, 12)), int(rng.integers(1, d + 3)))
@@ -338,7 +339,8 @@ def test_feature_major_products_are_the_csr_products(seed, d, budget):
 def test_sparse_data_keeps_the_csr_paths():
     # 50,000 features and 50 stored entries a row, drawn with Zipf-like
     # frequencies so that rows share features: far too sparse for a dense
-    # copy, so rows and cross are the scipy products, as before.
+    # copy, so rows and cross are the scipy products, a full row the mat-vec
+    # of the matrix over the dataset's distinct features.
     rng = np.random.default_rng(11)
     freq = 1.0 / np.arange(1, 50_001) ** 1.1
     freq /= freq.sum()
@@ -392,8 +394,8 @@ def _sparse_sample(rng, n, dim):
 @given(st.integers(0, 2**32), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_subset_rows_are_the_full_row_sliced(seed, dense):
-    # Dense subsets sum their own feature columns and sparse ones find row
-    # j's values by a sorted search; either way row(ds, j, RowSubset(ds,
+    # Dense subsets sum their own feature columns and sparse ones take the
+    # mat-vec over their own features; either way row(ds, j, RowSubset(ds,
     # rows)) is row(ds, j)[rows] bit for bit, signs of zero included, for
     # repeated, unordered and empty rows, with and without j among them.
     rng = np.random.default_rng(seed)
@@ -409,9 +411,9 @@ def test_subset_rows_are_the_full_row_sliced(seed, dense):
 
 
 def test_sparse_subset_rows_need_no_dense_vector():
-    # A subset row's cost follows the stored entries, not the dimension:
-    # at the largest LIBSVM index a vector of dimension floats would take
-    # 16 GiB.
+    # A row's cost follows the stored entries, not the dimension, for full
+    # and subset rows and through a whole SBP run: at the largest LIBSVM
+    # index a vector of dimension floats would take 16 GiB.
     ds = parse_libsvm("+1 2147483647:2\n-1 1:1 2147483647:-1\n")
     assert ds.dimension == 2**31 - 1 and ds._columns is None
     tracemalloc.start()
@@ -419,7 +421,11 @@ def test_sparse_subset_rows_need_no_dense_vector():
         for kernel, want in ((LinearKernel(), [[4.0, -2.0], [-2.0, 2.0]]),
                              (GaussianKernel(0.5), [[1.0, np.exp(-10.0)], [np.exp(-10.0), 1.0]])):
             for j in (0, 1):
+                assert kernel.row(ds, j).tolist() == want[j]
                 assert kernel.row(ds, j, RowSubset(ds, [0, 1])).tolist() == want[j]
+                assert kernel.row(ds, j, RowSubset(ds, [1 - j])).tolist() == [want[j][1 - j]]
+            model, _ = sbp_train(ds, kernel, SbpConfig(nu=0.1, iterations=50, seed=1))
+            assert model.kernel_evals == 50 * ds.n + ds.n
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -453,7 +459,7 @@ def test_sparse_scoring_converts_the_held_out_set_once(monkeypatch):
 def test_a_returned_row_belongs_to_its_caller():
     # The solvers add their responses up in the row they get, in place: an
     # overwritten row changes neither the next call nor the cached norms, on
-    # the feature-major, mat-vec and subset paths of both kernels.
+    # full and subset rows of dense and sparse data, under both kernels.
     rng = np.random.default_rng(21)
     datasets = (_dense_sample(rng, 30, 2), _dense_sample(rng, 30, 6),
                 _sparse_sample(rng, 30, 40))
