@@ -18,11 +18,11 @@ OUT_DIR receives 142 files and their manifest:
   linear kernel and gaussian:0.3, a width whose 2 sigma^2 is not a power of
   two (12 runs, 36 files);
 - manifest.json: the SHA-256 of each file above, with environment(), the
-  versions and CPU features the bytes depend on.
+  versions, BLAS and CPU features the bytes depend on.
 
 The other dense files come from 2-D data. The sparse runs take their rows
 through scipy's mat-vec and held-out scores through the sparse product;
-dense rows of 10 stored entries are summed feature column by column.
+dense rows and held-out blocks are numpy matmuls, which BLAS sums.
 
 Paths printed by train are relative to OUT_DIR. The slacksvm package is the
 one on PYTHONPATH, so running this with each tree's src directory and then
@@ -63,14 +63,18 @@ DENSE10_KERNELS = {"linear": "linear", "gaussian0.3": "gaussian:0.3"}
 
 
 def environment() -> dict:
-    """The numpy and scipy versions, the machine and numpy's CPU features:
-    numpy's exp and scipy's compiled loops choose their code by them, so a
-    manifest holds only where they match."""
+    """The numpy and scipy versions, numpy's BLAS (name, version and
+    configuration string), the machine and numpy's CPU features: numpy's
+    exp, BLAS's kernels and scipy's compiled loops choose their code by
+    them, so a manifest holds only where they match. A DYNAMIC_ARCH BLAS
+    picks its kernels by CPU at run time, which the CPU features pin."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": [blas.get(key) for key in ("name", "version", "openblas configuration")],
             "machine": platform.machine(),
             "cpu_features": sorted(name for name, on in __cpu_features__.items() if on)}
 

@@ -30,17 +30,6 @@ def _first(bad, rows, reason):
         raise DataError(reason, int(rows[hits[0]]))
 
 
-def _feature_major(rows, indices, values, n: int, dimension: int):
-    """The entries as a dense dimension x n array, one row a feature, when
-    at least half of the n * dimension entries are stored; None otherwise,
-    so sparse data holds no dense copy and keeps the CSR paths."""
-    if 2 * indices.size < n * dimension:
-        return None
-    columns = np.zeros((dimension, n))
-    columns[indices, rows] = values
-    return columns
-
-
 # The largest squared row norm: under it, n_i + n_j and 2 <x_i, x_j> are
 # both finite, so a squared distance is never inf - inf.
 _MAX_NORM = np.finfo(np.float64).max / 4
@@ -54,15 +43,16 @@ class Dataset:
     checks that indices are non-negative and strictly ascending within each
     row, that no explicit zero is stored, that labels are -1 or +1, and that
     ``dimension`` is above the largest index. ``norms[i]``, the squared norm
-    of row i summed as every inner product is summed, is cached so
-    kernels never pay for it, and must be at most _MAX_NORM: that rejects
-    nan and inf values and values whose squares overflow, and keeps
-    ``norms[i] + norms[j] - 2 <x_i, x_j>`` finite for any two rows, in one
-    dataset or two. Dense data also keeps ``_columns``, the entries feature
-    by feature (see _feature_major), from which the kernels take rows and
-    cross products; on sparse data it is None. ``matrix``, ``transposed``
-    and ``_every_row`` (the kernels' RowSubset of every row) are built on
-    first use and kept.
+    of row i summed in storage order, is cached so kernels never pay for
+    it, and must be at most _MAX_NORM: that rejects nan and inf values and
+    values whose squares overflow, and keeps ``norms[i] + norms[j] - 2
+    <x_i, x_j>`` finite for any two rows, in one dataset or two. Dense
+    data, with at least half of its n x dimension entries stored, also
+    keeps ``_dense``, the entries as one C-contiguous n x dimension array,
+    whose rows the kernels multiply through BLAS; on sparse data it is
+    None, so no dense copy is held. ``matrix``, ``transposed`` and
+    ``_every_row`` (the kernels' RowSubset of every row) are built on first
+    use and kept.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -87,8 +77,9 @@ class Dataset:
             raise DataError(f"label must be -1 or +1, got {float(labels[bad[0]])!r}",
                             int(bad[0]))
         # Each squared norm is summed term after term from 0.0 in storage
-        # order, as every inner product is, so K(x, x) has one value on every
-        # path; a pairwise or BLAS sum would round otherwise.
+        # order, as scipy sums a sparse row's products, so a sparse row's own
+        # product is its norm; BLAS sums a dense row in its own order, which
+        # may round otherwise.
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.bincount(rows, weights=values * values, minlength=n)
         norms = norms.astype(np.float64, copy=False)  # no entries: integer zeros
@@ -100,7 +91,10 @@ class Dataset:
             raise DataError("dimension smaller than the largest feature index")
         self.indptr, self.indices, self.values = indptr, indices, values
         self.labels, self.norms = labels, norms
-        self._columns = _feature_major(rows, indices, values, n, self.dimension)
+        self._dense = None
+        if 2 * indices.size >= n * self.dimension:
+            self._dense = np.zeros((n, self.dimension))
+            self._dense[rows, indices] = values
         self._matrix = self._transposed = self._every_row = None
 
     @classmethod
@@ -130,11 +124,15 @@ class Dataset:
         return self._matrix
 
     @property
-    def transposed(self) -> sp.csr_matrix:
-        """matrix.T as CSR, one row a feature, converted once on first use:
-        the right factor of every sparse product with this dataset."""
+    def transposed(self) -> tuple:
+        """(features, t): the distinct stored features, ascending, and the
+        rows over them transposed to CSR, one row a feature, built once on
+        first use: the right factor of every sparse product with this
+        dataset, with a row pointer per stored feature, not per dimension."""
         if self._transposed is None:
-            self._transposed = self.matrix.T.tocsr()
+            features, at = np.unique(self.indices, return_inverse=True)
+            self._transposed = features, sp.csc_matrix(
+                (self.values, at, self.indptr), shape=(features.size, self.n)).tocsr()
         return self._transposed
 
 

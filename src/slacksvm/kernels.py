@@ -15,23 +15,6 @@ def _stored(dataset: Dataset, j: int):
     return dataset.indices[lo:hi], dataset.values[lo:hi]
 
 
-def _feature_sums(columns: np.ndarray, features, weights, out: np.ndarray) -> np.ndarray:
-    """Add columns[f] * w to the zeroed out for each f, w of features and
-    weights, in that order, through one scratch buffer of out's shape; w is
-    a scalar, or a column of weights that makes each term an outer product.
-    Each sum starts at 0.0 and takes one rounded product, then one rounded
-    sum (no fused multiply-add), per feature: with features ascending that
-    is the storage order in which scipy's CSR mat-vec and sparse product sum
-    a row's stored products. Terms of an entry not stored are +-0, which
-    leave a sum begun at +0.0 unchanged, so the sums equal the CSR ones bit
-    for bit, signs of zero included."""
-    scratch = np.empty_like(out)
-    for f, w in zip(features, weights):
-        np.multiply(columns[f], w, out=scratch)
-        out += scratch
-    return out
-
-
 # Kernel values per block of cross and scores (256 KB of float64): the product
 # of one block, and the Gaussian's norm sums over it, stay a few hundred KB.
 # Larger blocks cost page faults, as their temporaries are mapped afresh on
@@ -60,19 +43,19 @@ def _checked_rows(rows, n: int) -> np.ndarray:
 class RowSubset:
     """Rows of one dataset, taken once for any number of subset rows, with
     their cached squared norms; rows None takes every row and shares the
-    dataset's arrays. Dense data keeps the rows' feature-major columns,
-    `dataset._columns[:, rows]`; sparse data keeps the rows as a CSR matrix
+    dataset's arrays. Dense data keeps the rows of the dataset's row-major
+    copy, `dataset._dense[rows]`; sparse data keeps the rows as a CSR matrix
     over their own distinct features, `features`, ascending."""
 
     def __init__(self, dataset: Dataset, rows):
         self.dataset = dataset
-        self.norms, self.columns = dataset.norms, dataset._columns
+        self.norms, self.dense = dataset.norms, dataset._dense
         if rows is not None:
             rows = _checked_rows(rows, dataset.n)
             self.norms = self.norms[rows]
-            if self.columns is not None:
-                self.columns = self.columns.take(rows, axis=1)  # [:, rows] at a fifth of the cost
-        if self.columns is None:
+            if self.dense is not None:
+                self.dense = self.dense.take(rows, axis=0)
+        if self.dense is None:
             matrix = dataset.matrix if rows is None else dataset.matrix[rows]
             self.features, at = np.unique(matrix.indices, return_inverse=True)
             self.matrix = sp.csr_matrix((matrix.data, at, matrix.indptr),
@@ -82,17 +65,17 @@ class RowSubset:
         return self.norms.size
 
     def products(self, j: int) -> np.ndarray:
-        """[<x_i, x_j>] for i in rows, as a fresh array equal to
-        (dataset.matrix @ x_j)[rows] bit for bit. Dense rows sum their
-        columns over row j's stored features (_feature_sums); sparse rows
-        take scipy's mat-vec of row j's values placed at the subset's
-        features, 0.0 where row j stores none. Either way each sum runs from
-        0.0 in ascending feature order, with a +-0 term for a feature only
-        one row stores."""
+        """[<x_i, x_j>] for i in rows, as a fresh array. Dense rows are one
+        matmul of the gathered rows with x_j (BLAS's gemv, the dataset's copy
+        itself for every row), summed in BLAS's order: a subset row is the
+        same matmul on the same gathered rows, not always the full row
+        sliced. Sparse rows take scipy's mat-vec of row j's values placed at
+        the subset's features, 0.0 where row j stores none, and equal
+        (dataset.matrix @ x_j)[rows] bit for bit: each sum runs from 0.0 in
+        ascending feature order."""
+        if self.dense is not None:
+            return self.dense @ self.dataset._dense[j]
         features, weights = _stored(self.dataset, j)
-        if self.columns is not None:
-            return _feature_sums(self.columns, features.tolist(), weights.tolist(),
-                                 np.zeros(len(self)))
         x = np.zeros(self.features.size)
         if self.features.size:
             at = np.searchsorted(self.features, features)
@@ -109,10 +92,14 @@ class KernelOracle:
     unit all solvers report.
 
     A kernel is one map _values(products, norms_i, norms_j) of the inner
-    products read from the dataset's arrays (a fresh array, which it maps in place
-    and returns, or one pair's float) and the cached squared norms. Products
-    and norms are summed alike, so the product of a row with itself is its
-    norm on every path and a Gaussian's n_i + n_j - 2p is then exactly 0.
+    products read from the dataset's arrays (a fresh array, which it maps in
+    place and returns, or one pair's float) and the cached squared norms.
+    pair and diag read the norms, so K(x, x) is the norm there (linear) and
+    exactly 1.0 (Gaussian). Sparse products sum in storage order as the
+    norms do, so a sparse row's own entry equals pair. Dense products come
+    from BLAS, whose product of a row with itself may differ from its norm
+    in the last bits: a dense row's own entry need not equal pair, and a
+    Gaussian's is 1.0 or just below it, as n_i + n_j - 2p is clamped at 0.
     """
 
     def __init__(self):
@@ -176,18 +163,26 @@ class KernelOracle:
         return out
 
     def _blocks(self, dataset: Dataset, rows: np.ndarray, other: Dataset):
-        """Yield (lo, block): the kernel values between dataset[rows[lo:lo +
-        len(block)]] and other, a block of rows at a time, each a view of one
-        buffer that the next block overwrites. Two dense datasets sum one
-        outer product per common feature into the zeroed block; otherwise the
-        block is a sparse product of the CSR matrices. Either way it equals
-        the one-shot product bit for bit."""
-        m = min(dataset.dimension, other.dimension)
-        dense = dataset._columns is not None and other._columns is not None
-        if not dense:
-            left = dataset.matrix[rows, :m]
-            # The conversion `@` would make on every call, kept by other.
-            right = other.transposed if m == other.dimension else other.transposed[:m]
+        """Yield (lo, block): the kernel values between dataset[rows[lo:hi]]
+        and other, hi = lo + len(block), a block of rows at a time, each a
+        view of one buffer that the next block overwrites. Two dense
+        datasets multiply the block's rows, gathered from dataset's copy, by
+        other's copy transposed over their common features: one np.matmul
+        into the buffer, summed in BLAS's order. Otherwise the block is
+        scipy's sparse product of the rows with other's transpose over
+        other's own distinct features (features other lacks add no term), so
+        it equals the one-shot product bit for bit."""
+        dense = dataset._dense is not None and other._dense is not None
+        if dense:
+            m = min(dataset.dimension, other.dimension)
+            left, right = dataset._dense[:, :m], other._dense[:, :m].T
+        else:
+            # The rows over other's stored features, in the same order.
+            (features, right), left = other.transposed, dataset.matrix[rows]
+            kept = np.isin(left.indices, features)
+            left = sp.csr_matrix((left.data[kept], np.searchsorted(features, left.indices[kept]),
+                                  np.concatenate(([0], np.cumsum(kept)))[left.indptr]),
+                                 shape=(rows.size, features.size))
         norms_i = dataset.norms[rows][:, None]
         step = max(1, _CROSS_BLOCK_ENTRIES // other.n)
         buffer = np.empty((min(step, rows.size), other.n))
@@ -195,9 +190,7 @@ class KernelOracle:
             hi = min(lo + step, rows.size)
             block = buffer[:hi - lo]
             if dense:
-                block.fill(0.0)
-                weights = dataset._columns[:m, rows[lo:hi], None]
-                _feature_sums(other._columns, range(m), weights, block)
+                np.matmul(left[rows[lo:hi]], right, out=block)
             else:
                 (left[lo:hi] @ right).toarray(out=block)
             yield lo, self._values(block, norms_i[lo:hi], other.norms[None, :])

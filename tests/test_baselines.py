@@ -29,13 +29,13 @@ def gaussians(n, seed, dimension=3):
 
 
 def wide_gaussians(n, seed):
-    """gaussians at dimension 5, above the rows summed feature by feature."""
+    """gaussians at dimension 5, wider than the 2-D default."""
     return gaussians(n, seed, dimension=5)
 
 
 def sparse_instance(n, seed, dimension=40):
     """n rows of 1 to 4 stored entries from dimension features, too sparse
-    for a feature-major copy, labeled by a linear teacher with 10% flipped."""
+    for a dense copy, labeled by a linear teacher with 10% flipped."""
     rng = np.random.default_rng(seed)
     x = np.zeros((n, dimension))
     for i in range(n):
@@ -229,13 +229,14 @@ class TestPerceptron:
         # Noisy overlapping classes: later passes repeat mistakes on examples
         # already in the support set, which changes its coefficients only.
         # Subset rows of sparse data take scipy's mat-vec over the subset's
-        # own features and dense ones sum feature columns; the reference
-        # slices full rows, the subset of every row. dense_large grows its
-        # support past 200 rows.
+        # own features and dense ones one matmul of the gathered rows; the
+        # reference slices full rows, the subset of every row, which on dense
+        # data BLAS may sum otherwise in the last bits, too little to move a
+        # mistake here. dense_large grows its support past 200 rows.
         n, test_n, make = {"dense": (40, 25, gaussians), "sparse": (60, 30, sparse_instance),
                            "dense_large": (500, 25, wide_gaussians)}[data]
         ds, test = make(n, 5), make(test_n, 6)
-        assert (ds._columns is None) == (data == "sparse")
+        assert (ds._dense is None) == (data == "sparse")
         kernel, eval_kernel = kernel_from_spec(spec), kernel_from_spec(spec)
         model, record = perceptron_train(ds, kernel, PerceptronConfig(passes=passes, seed=2),
                                          test_data=test, eval_kernel=eval_kernel)

@@ -155,13 +155,23 @@ class TestRunPlan:
         for name in os.listdir(a):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_bytes_do_not_depend_on_the_feature_major_copy(self, tmp_path, monkeypatch):
-        # The dense data's feature-major sums are a faster way to the same
-        # products: the run CSVs and the saved models of a four-solver plan
-        # with a held-out set are the same bytes with the copy and without.
-        plan = parse_plan("""
-dataset = synthetic:two_gaussians:n=60,seed=7,separation=2.0,noise_rate=0.1
-test = synthetic:two_gaussians:n=50,seed=8,separation=2.0
+    def test_bytes_do_not_depend_on_the_dense_copy_where_sums_are_exact(self, tmp_path,
+                                                                        monkeypatch):
+        # Dense data takes its products from BLAS through its dense copy,
+        # sparse data from scipy's CSR products; they sum in other orders.
+        # On data of small integers every sum is exact in any order, so the
+        # run CSVs and the saved models of a four-solver plan with a
+        # held-out set are the same bytes with the copy and without: the
+        # dense path multiplies the same entries.
+        rng = np.random.default_rng(7)
+        for name, n in (("train", 60), ("test", 50)):
+            x = rng.integers(-3, 4, size=(n, 3)).astype(float)
+            x[:, 0] += np.where(np.arange(n) % 2, 2.0, -2.0)
+            (tmp_path / f"{name}.svm").write_text(serialize_libsvm(
+                data.Dataset.from_dense(x, np.where(np.arange(n) % 2, 1, -1))))
+        plan = parse_plan(f"""
+dataset = file:{tmp_path / "train.svm"}
+test = file:{tmp_path / "test.svm"}
 kernel = gaussian:1.0
 seed = 3
 solver.sbp.kind = sbp
@@ -185,10 +195,16 @@ solver.perc.kind = perceptron
                 model, _ = train_solver(s.kind, s.params, dataset,
                                         kernel_from_spec(plan.kernel), plan.seed)
                 files[s.name + ".model"] = serialize_model(model).encode()
-            return dataset._columns is not None, files
+            return dataset._dense is not None, files
 
         dense, with_copy = outputs(tmp_path / "dense")
-        monkeypatch.setattr(data, "_feature_major", lambda *args: None)
+        init = data.Dataset.__init__
+
+        def without_copy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._dense = None
+
+        monkeypatch.setattr(data.Dataset, "__init__", without_copy)
         patched, without = outputs(tmp_path / "csr")
         assert dense and not patched
         assert len(with_copy) == 4 + 1 + 4

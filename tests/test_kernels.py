@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slacksvm import kernels
+from slacksvm import cli, kernels
 from slacksvm.data import DataError, Dataset, parse_libsvm
 from slacksvm.kernels import GaussianKernel, LinearKernel, RowSubset, kernel_from_spec
 from slacksvm.model import TrainedModel, score_batch
@@ -19,6 +21,40 @@ from oracles import PrecomputedGramKernel, cross_reference
 def ex(values, label=1):
     """A one-row dataset holding the dense vector values."""
     return Dataset.from_dense([values], [label])
+
+
+def as_sparse(ds):
+    """ds's rows at three times its dimension: too sparse for a dense copy,
+    so every product takes the CSR paths, with ds's products and norms."""
+    return Dataset(ds.indptr, ds.indices, ds.values, ds.labels, dimension=3 * ds.dimension)
+
+
+def row_reference(kernel, ds, j, rows=None):
+    """row(ds, j) or row(ds, j, RowSubset(ds, rows)), computed apart and not
+    counted. Dense data: one np.matmul of the gathered rows (for every row,
+    of the dense copy itself) with x_j. Sparse data: scipy's mat-vec of the
+    whole matrix with x_j, sliced. Either way mapped by the kernel."""
+    if ds._dense is not None:
+        products = np.matmul(ds._dense if rows is None else ds._dense[rows], ds._dense[j])
+    else:
+        products = ds.matrix @ ds.matrix[j].toarray().ravel()
+        products = products if rows is None else products[rows]
+    return kernel._values(products, ds.norms if rows is None else ds.norms[rows], ds.norms[j])
+
+
+def cross_path_reference(kernel, a, rows, b, budget=kernels._CROSS_BLOCK_ENTRIES):
+    """cross(a, rows, b) at the block budget, computed apart and not
+    counted. Two dense datasets: one np.matmul per block of budget // b.n
+    rows (at least one), of a's gathered rows with b's dense copy transposed,
+    over their common features. Otherwise scipy's one-shot product
+    (oracles.cross_reference). Either way mapped by the kernel."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if a._dense is None or b._dense is None or rows.size == 0:
+        return cross_reference(kernel, a, rows, b)
+    m, step = min(a.dimension, b.dimension), max(1, budget // b.n)
+    products = np.concatenate([np.matmul(a._dense[rows[lo:lo + step], :m], b._dense[:, :m].T)
+                               for lo in range(0, rows.size, step)])
+    return kernel._values(products, a.norms[rows][:, None], b.norms[None, :])
 
 
 def test_linear_pair_is_dot_product():
@@ -48,30 +84,42 @@ def test_gaussian_pinned_value():
 @given(st.integers(0, 2**32), st.integers(1, 40))
 @settings(max_examples=100, deadline=None)
 def test_one_self_product_on_every_path(seed, d):
-    # K(x, x) has one value, whichever path reads it: the cached squared
-    # norm (linear) or exactly 1.0 (Gaussian), where n + n - 2n == 0. The
-    # self-pair reads the cache; a cross with a twin dataset of equal rows,
-    # the full row, a subset row, the diagonal and cross sum the row's
-    # products. Rows of up to 40 entries whose magnitudes differ within a row
-    # tell the storage-order sum from any other.
+    # The self-pair and the diagonal read K(x, x) from the cached squared
+    # norm, on either layout: the norm itself (linear) or exactly 1.0
+    # (Gaussian). On sparse data every other path sums the row's products
+    # in storage order, as the norm is summed, so a cross with a twin dataset
+    # of equal rows, the full row, a subset row and cross give that value
+    # too; rows of up to 40 entries whose magnitudes differ within a row tell
+    # the storage-order sum from any other. On dense data those paths take
+    # BLAS's product of the row with itself, which may differ from the norm
+    # in its last bits: the linear row's own entry is the gemv's, and the
+    # Gaussian's is its map, at most 1.0 since n + n - 2p is clamped at 0.
     rng = np.random.default_rng(seed)
     n = 12
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
     x[rng.random((n, d)) < rng.uniform(0.0, 0.6)] = 0.0
     labels = np.where(rng.random(n) < 0.5, 1, -1)
-    ds, twin = Dataset.from_dense(x, labels), Dataset.from_dense(x, labels)
-    for kernel, want in ((LinearKernel(), ds.norms), (GaussianKernel(0.7), np.ones(n))):
+    ds = Dataset.from_dense(x, labels)
+    sparse, twin = as_sparse(ds), as_sparse(Dataset.from_dense(x, labels))
+    lin, gauss = LinearKernel(), GaussianKernel(0.7)
+    for kernel, want in ((lin, ds.norms), (gauss, np.ones(n))):
         cost = 0  # one evaluation a pair, as many as entries read otherwise
         for j in range(n):
             rows = np.append(rng.integers(0, n, int(rng.integers(0, n))), j)
-            assert kernel.pair(ds, j) == want[j]
-            assert kernel.cross(ds, [j], twin)[0, j] == want[j]
-            assert kernel.row(ds, j)[j] == want[j]
-            assert kernel.row(ds, j, RowSubset(ds, rows))[-1] == want[j]
-            cost += 1 + n + n + rows.size
+            assert kernel.pair(ds, j) == kernel.pair(sparse, j) == want[j]
+            assert kernel.cross(sparse, [j], twin)[0, j] == want[j]
+            assert kernel.row(sparse, j)[j] == want[j]
+            assert kernel.row(sparse, j, RowSubset(sparse, rows))[-1] == want[j]
+            cost += 2 + n + n + rows.size
         assert np.array_equal(kernel.diag(ds), want)
-        assert np.array_equal(np.diag(kernel.cross(ds, np.arange(n), ds)), want)
-        assert kernel.eval_count == cost + n + n * n
+        assert np.array_equal(kernel.diag(sparse), want)
+        assert np.array_equal(np.diag(kernel.cross(sparse, np.arange(n), sparse)), want)
+        assert kernel.eval_count == cost + 2 * n + n * n
+    if ds._dense is not None:
+        for j in range(n):
+            own = lin.row(ds, j)[j]
+            assert own == (ds._dense @ ds._dense[j])[j]
+            assert gauss.row(ds, j)[j] == gauss._values(own, ds.norms[j], ds.norms[j]) <= 1.0
 
 
 def test_gaussian_self_similarity_is_one():
@@ -110,38 +158,55 @@ def test_row_matches_pairs(seed, sigma_sq):
     x = rng.standard_normal((n, d))
     x[rng.random((n, d)) < 0.3] = 0.0
     labels = np.where(rng.random(n) < 0.5, 1, -1)
-    ds = Dataset.from_dense(x, labels)
-    for kernel in (LinearKernel(), GaussianKernel(sigma_sq)):
-        j = int(rng.integers(n))
-        row = kernel.row(ds, j)
-        assert row[j] == kernel.pair(ds, j)
-        np.testing.assert_allclose(row, cross_reference(kernel, ds, np.arange(n), ds)[:, j],
-                                   rtol=1e-10, atol=1e-12)
+    # The self-pair reads the norm; the row's own entry equals it on sparse
+    # data, and on dense data the row is the one gemv of the copy with x_j.
+    dense = Dataset.from_dense(x, labels)
+    for ds in (dense, as_sparse(dense)):
+        for kernel in (LinearKernel(), GaussianKernel(sigma_sq)):
+            j = int(rng.integers(n))
+            row = kernel.row(ds, j)
+            norm = ds.norms.item(j)
+            assert kernel.pair(ds, j) == kernel._values(norm, norm, norm)
+            if ds._dense is None:
+                assert row[j] == kernel.pair(ds, j)
+            else:
+                assert np.array_equal(row, row_reference(kernel, ds, j))
+            np.testing.assert_allclose(row, cross_reference(kernel, ds, np.arange(n), ds)[:, j],
+                                       rtol=1e-10, atol=1e-12)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_row_at_is_the_full_row_sliced(seed, d):
-    # row(ds, j, rows) is row(ds, j)[rows] bit for bit, the self-entry
-    # included, at a cost of len(rows) evaluations.
+    # On sparse data row(ds, j, rows) is row(ds, j)[rows] bit for bit, the
+    # self-entry included. On dense data it is the same matmul on the same
+    # gathered rows, which BLAS need not sum as it sums the full row. Either
+    # way it costs len(rows) evaluations, and a subset taken once and reused
+    # for every j gives the bits of a fresh one.
     rng = np.random.default_rng(seed)
     n = 30
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3)
     x[rng.random((n, d)) < 0.2] = 0.0
-    ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+    dense = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
     shared = rng.choice(n, int(rng.integers(0, n)), replace=False)
-    for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
-        subset = RowSubset(ds, shared)  # taken once, reused for every j
-        for j in range(n):
-            rows = np.append(rng.choice(n, int(rng.integers(0, n)), replace=False), j)
-            rng.shuffle(rows)
-            before = kernel.eval_count
-            assert np.array_equal(kernel.row(ds, j, RowSubset(ds, rows)),
-                                  kernel.row(ds, j)[rows])
-            assert kernel.eval_count - before == rows.size + n
-            before = kernel.eval_count
-            assert np.array_equal(kernel.row(ds, j, subset), kernel.row(ds, j)[shared])
-            assert kernel.eval_count - before == shared.size + n
+    for ds in (dense, as_sparse(dense)):
+        for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+            subset = RowSubset(ds, shared)  # taken once, reused for every j
+            for j in range(n):
+                rows = np.append(rng.choice(n, int(rng.integers(0, n)), replace=False), j)
+                rng.shuffle(rows)
+                full = kernel.row(ds, j)
+                before = kernel.eval_count
+                got = kernel.row(ds, j, RowSubset(ds, rows))
+                assert kernel.eval_count - before == rows.size
+                assert np.array_equal(got, row_reference(kernel, ds, j, rows))
+                before = kernel.eval_count
+                got = kernel.row(ds, j, subset)
+                assert kernel.eval_count - before == shared.size
+                assert np.array_equal(got, kernel.row(ds, j, RowSubset(ds, shared)))
+                assert np.array_equal(got, row_reference(kernel, ds, j, shared))
+                if ds._dense is None:
+                    assert np.array_equal(got, full[shared])
 
 
 @given(st.integers(0, 2**32), st.integers(1, 40))
@@ -149,31 +214,34 @@ def test_row_at_is_the_full_row_sliced(seed, d):
 def test_row_at_sums_stored_entries_in_storage_order(seed, d):
     # Rows with more than 8 stored entries tell a sequential sum from a
     # pairwise one; all-zero rows, repeated indices and an empty rows are the
-    # edges of a subset's rows. Each must equal the sliced full row exactly.
+    # edges of a subset's rows. On sparse data each must equal the sliced
+    # full row exactly, scipy's storage-order mat-vec; on dense data the
+    # same matmul on the same gathered rows.
     rng = np.random.default_rng(seed)
     n = 20
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
     x[rng.random((n, d)) < rng.uniform(0.0, 0.6)] = 0.0
     x[rng.random(n) < 0.2] = 0.0
-    ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+    dense = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
     shared = rng.integers(0, n, int(rng.integers(1, 2 * n)))
-    for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
-        subset = RowSubset(ds, shared)  # taken once, reused for every j
-        for j in range(n):
-            rows = rng.integers(0, n, int(rng.integers(1, 2 * n)))
+    for ds in (dense, as_sparse(dense)):
+        for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+            subset = RowSubset(ds, shared)  # taken once, reused for every j
+            for j in range(n):
+                rows = rng.integers(0, n, int(rng.integers(1, 2 * n)))
+                before = kernel.eval_count
+                got = kernel.row(ds, j, RowSubset(ds, rows))
+                assert kernel.eval_count - before == rows.size
+                assert got.dtype == np.float64
+                assert np.array_equal(got, row_reference(kernel, ds, j, rows))
+                before = kernel.eval_count
+                got = kernel.row(ds, j, subset)
+                assert kernel.eval_count - before == shared.size
+                assert got.dtype == np.float64
+                assert np.array_equal(got, row_reference(kernel, ds, j, shared))
             before = kernel.eval_count
-            got = kernel.row(ds, j, RowSubset(ds, rows))
-            assert kernel.eval_count - before == rows.size
-            assert got.dtype == np.float64
-            assert np.array_equal(got, kernel.row(ds, j)[rows])
-            before = kernel.eval_count
-            got = kernel.row(ds, j, subset)
-            assert kernel.eval_count - before == shared.size
-            assert got.dtype == np.float64
-            assert np.array_equal(got, kernel.row(ds, j)[shared])
-        before = kernel.eval_count
-        assert kernel.row(ds, int(rng.integers(n)), RowSubset(ds, [])).shape == (0,)
-        assert kernel.eval_count == before
+            assert kernel.row(ds, int(rng.integers(n)), RowSubset(ds, [])).shape == (0,)
+            assert kernel.eval_count == before
 
 
 @given(st.integers(0, 2**32), st.integers(1, 6), st.floats(0.1, 10.0))
@@ -262,10 +330,12 @@ def _sample(rng, n, dim):
        st.sampled_from([1, 3, 16, 64, kernels._CROSS_BLOCK_ENTRIES]))
 @settings(max_examples=100, deadline=None)
 def test_blocked_cross_is_the_one_shot_product(seed, d, budget):
-    # Whatever the block size, cross equals the whole product mapped at once,
-    # bit for bit: blocks of several rows, one row per block once other.n
-    # exceeds the budget, empty rows, rows with no stored entries, repeated
-    # rows, and datasets of different dimension, both ways round.
+    # Whatever the block size, a cross with a sparse side equals scipy's
+    # whole product mapped at once, bit for bit, and one between two dense
+    # datasets equals one np.matmul per block of the same rows: blocks of
+    # several rows, one row per block once other.n exceeds the budget, empty
+    # rows, rows with no stored entries, repeated rows, and datasets of
+    # different dimension, both ways round.
     rng = np.random.default_rng(seed)
     ds = _sample(rng, int(rng.integers(1, 30)), d)
     other = _sample(rng, int(rng.integers(1, 12)), int(rng.integers(1, d + 3)))
@@ -278,12 +348,13 @@ def test_blocked_cross_is_the_one_shot_product(seed, d, budget):
                     got = kernel.cross(a, rows, b)
                     assert kernel.eval_count - before == rows.size * b.n
                     assert got.shape == (rows.size, b.n)
-                    assert np.array_equal(got, cross_reference(kernel, a, rows, b))
+                    assert np.array_equal(got, cross_path_reference(kernel, a, rows, b, budget))
 
 
 def test_cross_blocks_at_the_module_budget():
     # The same at the shipped budget: 300 rows against 1000 take three
-    # blocks, and against more columns than the budget one row a block.
+    # blocks, and against more columns than the budget one row a block
+    # (numpy's matmul takes a one-row block through gemv, not gemm).
     rng = np.random.default_rng(5)
     ds = _sample(rng, 300, 3)
     cases = ((rng.integers(0, ds.n, 300), _sample(rng, 1000, 3)),
@@ -291,12 +362,12 @@ def test_cross_blocks_at_the_module_budget():
     for rows, other in cases:
         for kernel in (LinearKernel(), GaussianKernel(0.8)):
             assert np.array_equal(kernel.cross(ds, rows, other),
-                                  cross_reference(kernel, ds, rows, other))
+                                  cross_path_reference(kernel, ds, rows, other))
 
 
 def _dense_sample(rng, n, dim):
     """n rows of dimension dim, signs and scales mixed, with up to half of
-    the entries zero: dense enough for a feature-major copy."""
+    the entries zero: dense enough for a dense copy."""
     x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-2, 3, size=(n, 1))
     x.flat[rng.choice(n * dim, int(rng.integers(0, n * dim // 2 + 1)), replace=False)] = 0.0
     return Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
@@ -310,30 +381,43 @@ def _same_bits(got, want):
 @given(st.integers(0, 2**32), st.integers(1, 7),
        st.sampled_from([1, 16, kernels._CROSS_BLOCK_ENTRIES]))
 @settings(max_examples=100, deadline=None)
-def test_feature_major_products_are_the_csr_products(seed, d, budget):
-    # Dense data sums columns[f] * v from a zeroed buffer over ascending
-    # features: full and subset rows, whatever their width, and cross, in
-    # one or several blocks, between two datasets whose dimensions differ
-    # either way. Every value equals the scipy product, and so does the sign
-    # of every zero: a negative value against a zero makes a -0 term, which a
-    # sum begun at +0.0 drops.
+def test_dense_products_are_blas_matmuls(seed, d, budget):
+    # Dense data takes its products from numpy's matmul: full and subset
+    # rows are one matmul of the gathered rows with x_j, whatever their
+    # width, and cross, in one or several blocks, between two datasets whose
+    # dimensions differ either way, one matmul per block. Each equals
+    # np.matmul on the same operands bit for bit, signs of zero included. On
+    # the same rows rounded to small integers every sum is exact in any
+    # order, so there each product equals scipy's CSR product: the dense
+    # path multiplies the right entries. (Only the values are compared
+    # there: BLAS may give -0 where scipy's sum begun at +0.0 gives +0.)
     rng = np.random.default_rng(seed)
     ds = _dense_sample(rng, int(rng.integers(1, 25)), d)
     other = _dense_sample(rng, int(rng.integers(1, 12)), int(rng.integers(1, d + 3)))
-    assert ds._columns is not None and other._columns is not None
+    assert ds._dense is not None and other._dense is not None
     with mock.patch.object(kernels, "_CROSS_BLOCK_ENTRIES", budget):
         for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
             shared = rng.integers(0, ds.n, int(rng.integers(0, 2 * ds.n)))
             subset = RowSubset(ds, shared)
             for j in range(ds.n):
-                x = ds.matrix[j].toarray().ravel()
-                want = kernel._values(ds.matrix @ x, ds.norms, ds.norms[j])
-                assert _same_bits(kernel.row(ds, j), want)
-                assert _same_bits(kernel.row(ds, j, subset), want[shared])
+                assert _same_bits(kernel.row(ds, j), row_reference(kernel, ds, j))
+                assert _same_bits(kernel.row(ds, j, subset), row_reference(kernel, ds, j, shared))
             for a, b in ((ds, other), (other, ds)):
                 rows = rng.integers(0, a.n, int(rng.integers(0, 3 * a.n)))
                 assert _same_bits(kernel.cross(a, rows, b),
-                                  cross_reference(kernel, a, rows, b))
+                                  cross_path_reference(kernel, a, rows, b, budget))
+            exact, exact_other = (Dataset.from_dense(np.round(z.matrix.toarray()), z.labels)
+                                  for z in (ds, other))
+            for j in range(exact.n):
+                x = exact.matrix[j].toarray().ravel()
+                want = kernel._values(exact.matrix @ x, exact.norms, exact.norms[j])
+                assert np.array_equal(kernel.row(exact, j), want)
+                if exact._dense is not None:
+                    assert np.array_equal(kernel.row(exact, j, RowSubset(exact, shared)),
+                                          want[shared])
+            for a, b in ((exact, exact_other), (exact_other, exact)):
+                rows = rng.integers(0, a.n, int(rng.integers(0, 3 * a.n)))
+                assert np.array_equal(kernel.cross(a, rows, b), cross_reference(kernel, a, rows, b))
 
 
 def test_sparse_data_keeps_the_csr_paths():
@@ -352,7 +436,7 @@ def test_sparse_data_keeps_the_csr_paths():
                        np.where(rng.random(n) < 0.5, 1, -1), dimension=50_000)
 
     ds, other = zipf_rows(40), zipf_rows(15)
-    assert ds._columns is None and other._columns is None
+    assert ds._dense is None and other._dense is None
     for kernel in (LinearKernel(), GaussianKernel(20.0)):
         for j in range(ds.n):
             x = ds.matrix[j].toarray().ravel()
@@ -383,7 +467,7 @@ def test_cross_peak_memory_is_near_its_result():
 
 def _sparse_sample(rng, n, dim):
     """n rows of dimension dim with 1 to 4 stored entries each: too sparse
-    for a feature-major copy, so products take the CSR paths."""
+    for a dense copy, so products take the CSR paths."""
     x = np.zeros((n, dim))
     for i in range(n):
         features = rng.choice(dim, int(rng.integers(1, 5)), replace=False)
@@ -394,20 +478,22 @@ def _sparse_sample(rng, n, dim):
 @given(st.integers(0, 2**32), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_subset_rows_are_the_full_row_sliced(seed, dense):
-    # Dense subsets sum their own feature columns and sparse ones take the
-    # mat-vec over their own features; either way row(ds, j, RowSubset(ds,
-    # rows)) is row(ds, j)[rows] bit for bit, signs of zero included, for
-    # repeated, unordered and empty rows, with and without j among them.
+    # Sparse subsets take the mat-vec over their own features, and
+    # row(ds, j, RowSubset(ds, rows)) is row(ds, j)[rows] bit for bit, signs
+    # of zero included, for repeated, unordered and empty rows, with and
+    # without j among them. Dense subsets multiply their gathered rows by
+    # x_j, which equals the same np.matmul on the same rows bit for bit.
     rng = np.random.default_rng(seed)
     if dense:
         ds = _dense_sample(rng, int(rng.integers(1, 25)), int(rng.integers(1, 8)))
     else:
         ds = _sparse_sample(rng, int(rng.integers(1, 25)), int(rng.integers(8, 60)))
-    assert (ds._columns is not None) == dense
+    assert (ds._dense is not None) == dense
     for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
         for j in range(ds.n):
             rows = rng.integers(0, ds.n, int(rng.integers(0, 2 * ds.n)))
-            assert _same_bits(kernel.row(ds, j, RowSubset(ds, rows)), kernel.row(ds, j)[rows])
+            want = row_reference(kernel, ds, j, rows) if dense else kernel.row(ds, j)[rows]
+            assert _same_bits(kernel.row(ds, j, RowSubset(ds, rows)), want)
 
 
 def test_sparse_subset_rows_need_no_dense_vector():
@@ -415,7 +501,7 @@ def test_sparse_subset_rows_need_no_dense_vector():
     # and subset rows and through a whole SBP run: at the largest LIBSVM
     # index a vector of dimension floats would take 16 GiB.
     ds = parse_libsvm("+1 2147483647:2\n-1 1:1 2147483647:-1\n")
-    assert ds.dimension == 2**31 - 1 and ds._columns is None
+    assert ds.dimension == 2**31 - 1 and ds._dense is None
     tracemalloc.start()
     try:
         for kernel, want in ((LinearKernel(), [[4.0, -2.0], [-2.0, 2.0]]),
@@ -432,9 +518,29 @@ def test_sparse_subset_rows_need_no_dense_vector():
     assert peak < 1 << 20
 
 
+def test_sparse_held_out_scoring_needs_no_dimension_long_array(tmp_path):
+    # `train --test` on a file whose largest index is 2**31 - 1 scores every
+    # checkpoint on the held-out set, transposed over its own stored
+    # features: a transpose over the dimension would ask for 8 GiB of row
+    # pointers.
+    path = tmp_path / "huge.svm"
+    path.write_text("+1 2147483647:2\n-1 1:1 2147483647:-1\n")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["train", str(path), "--iters", "50", "--test", str(path),
+                             "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+
+
 def test_sparse_scoring_converts_the_held_out_set_once(monkeypatch):
-    # The held-out set's transpose, the right factor of every sparse block,
-    # is built on the first scoring call and kept with the dataset.
+    # The held-out set's transpose over its own stored features, the right
+    # factor of every sparse block, is built on the first scoring call and
+    # kept with the dataset.
     rng = np.random.default_rng(4)
     ds, other = _sparse_sample(rng, 30, 40), _sparse_sample(rng, 20, 35)
     kernel = GaussianKernel(0.9)
@@ -449,10 +555,11 @@ def test_sparse_scoring_converts_the_held_out_set_once(monkeypatch):
         return convert(self, *args, **kwargs)
 
     monkeypatch.setattr(sp.csc_matrix, "tocsr", counted)
+    stored = np.unique(other.indices).size
     first = kernel.scores(ds, rows, coef, other)
-    assert conversions == [(other.dimension, other.n)]
+    assert conversions == [(stored, other.n)]
     assert np.array_equal(kernel.scores(ds, rows, coef, other), first)
-    assert conversions == [(other.dimension, other.n)]
+    assert conversions == [(stored, other.n)]
     assert np.array_equal(first, want)
 
 
@@ -463,7 +570,7 @@ def test_a_returned_row_belongs_to_its_caller():
     rng = np.random.default_rng(21)
     datasets = (_dense_sample(rng, 30, 2), _dense_sample(rng, 30, 6),
                 _sparse_sample(rng, 30, 40))
-    assert [ds._columns is not None for ds in datasets] == [True, True, False]
+    assert [ds._dense is not None for ds in datasets] == [True, True, False]
     for ds in datasets:
         norms = ds.norms.copy()
         subset = RowSubset(ds, rng.integers(0, ds.n, 12))
@@ -481,23 +588,24 @@ def test_a_returned_row_belongs_to_its_caller():
        st.sampled_from([1, 16, kernels._CROSS_BLOCK_ENTRIES]))
 @settings(max_examples=100, deadline=None)
 def test_scores_are_the_one_shot_reduce(seed, dense, budget):
-    # scores(a, rows, coef, b) is coef @ K(a[rows], b) of the one-shot
-    # product: summed a block at a time, so it differs only in the order of
-    # the sum over rows, within 1e-12 of the sum of the terms' magnitudes,
-    # and with the same sign wherever that bound cannot flip it. A one-hot
-    # coef reads one row of the reused block buffer, bit for bit.
+    # scores(a, rows, coef, b) is coef @ K(a[rows], b) of cross's values
+    # (the one-shot product with a sparse side, one matmul per block between
+    # dense datasets): summed a block at a time, so it differs only in the
+    # order of the sum over rows, within 1e-12 of the sum of the terms'
+    # magnitudes, and with the same sign wherever that bound cannot flip it.
+    # A one-hot coef reads one row of the reused block buffer, bit for bit.
     rng = np.random.default_rng(seed)
     sample = _dense_sample if dense else _sparse_sample
     d = int(rng.integers(1, 7)) if dense else int(rng.integers(20, 60))
     ds = sample(rng, int(rng.integers(1, 30)), d)
     other = sample(rng, int(rng.integers(1, 12)), d + int(rng.integers(-d // 2, 3)))
-    assert (ds._columns is not None) == (other._columns is not None) == dense
+    assert (ds._dense is not None) == (other._dense is not None) == dense
     with mock.patch.object(kernels, "_CROSS_BLOCK_ENTRIES", budget):
         for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
             for a, b in ((ds, other), (other, ds)):
                 rows = rng.integers(0, a.n, int(rng.integers(0, 3 * a.n)))
                 coef = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-2, 3, rows.size)
-                ref = cross_reference(kernel, a, rows, b)
+                ref = cross_path_reference(kernel, a, rows, b, budget)
                 want, bound = coef @ ref, 1e-12 * (np.abs(coef) @ np.abs(ref))
                 before = kernel.eval_count
                 got = kernel.scores(a, rows, coef, b)

@@ -46,3 +46,32 @@ def test_reference_outputs_keep_their_bytes(tmp_path):
     differ = sorted(path for path in want["sha256"].keys() | got.keys()
                     if want["sha256"].get(path) != got.get(path))
     assert not differ, f"{len(differ)} reference files differ: {differ}"
+
+
+@pytest.mark.parametrize("run", ["sbp", "perceptron_passes2"])
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, run):
+    # Dense rows and held-out blocks are BLAS calls, which OpenBLAS may split
+    # over threads. 1000 training rows of dimension 10 make each row a gemv
+    # of 10,000 entries, and 200 held-out rows make each block of 163 rows a
+    # gemm of 326,000 multiply-adds, above OpenBLAS's thresholds for taking
+    # more than one thread. `train --test` under gaussian:0.3 writes the same
+    # model, run CSV and stdout with one thread and with two.
+    script = _script()
+    train = script.DENSE10_TRAIN.replace("n=300", "n=1000")
+    written = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.abspath(SRC),
+                                                          env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from slacksvm import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "train", train, "--kernel", "gaussian:0.3",
+             "--test", script.DENSE10_TEST, *script.RUNS[run], "--out", "run"],
+            cwd=cwd, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        files = {path.name: path.read_bytes() for path in (cwd / "run").iterdir()}
+        written.append((files, done.stdout))
+    assert len(written[0][0]) == 2
+    assert written[0] == written[1]

@@ -67,8 +67,9 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     assert tracer.stats["waterfill.find_gamma"].calls >= 20
     # The set-up metrics read these: the file is parsed once, and a dataset
     # wraps its CSR matrix lazily, on the first kernel call that reads it.
-    # The plan's two dense datasets take their products from the
-    # feature-major copy and build none; the sparse one builds its own.
+    # The plan's two dense datasets take their products from their dense
+    # row-major copies through matmul and build none; the sparse one builds
+    # its own.
     assert tracer.stats["data.parse_libsvm"].calls == 1
     assert ("data.matrix", "bench.run_plan") not in tracer.nested_calls
     assert tracer.stats["data.matrix"].calls == 1
