@@ -4,7 +4,7 @@
 Usage: python scripts/reference_outputs.py OUT_DIR
 
 OUT_DIR receives 142 files and their manifest:
-- bench/: the 41 files of scripts/run_synthetic_bench.py;
+- bench/: the 41 files of `slacksvm bench scripts/synthetic_bench.plan`;
 - train/KERNEL/RUN/: the model, run CSV and stdout of `slacksvm train` with a
   held-out set, for six solver settings under the linear and the Gaussian
   kernel (12 runs, 36 files);
@@ -37,7 +37,6 @@ import io
 import json
 import os
 import platform
-import subprocess
 import sys
 
 import numpy as np
@@ -60,6 +59,7 @@ SPARSE_RUNS = ("sbp", "sbp_bias", "pegasos", "perceptron_passes2")
 DENSE10_TRAIN = "synthetic:two_gaussians:n=300,dimension=10,seed=3,separation=2.0,noise_rate=0.05"
 DENSE10_TEST = "synthetic:two_gaussians:n=200,dimension=10,seed=4,separation=2.0,noise_rate=0.05"
 DENSE10_KERNELS = {"linear": "linear", "gaussian0.3": "gaussian:0.3"}
+PLAN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "synthetic_bench.plan")
 
 
 def environment() -> dict:
@@ -142,12 +142,6 @@ def main() -> int:
         return 2
     out = os.path.abspath(sys.argv[1])
     os.makedirs(out, exist_ok=True)
-    script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "run_synthetic_bench.py")
-    if subprocess.run([sys.executable, script, os.path.join(out, "bench")],
-                      stdout=subprocess.DEVNULL).returncode != 0:
-        print("run_synthetic_bench.py failed", file=sys.stderr)
-        return 1
     os.chdir(out)
     os.makedirs("sparse", exist_ok=True)
     sparse_train, sparse_test = _write_sparse_pair("sparse")
@@ -155,6 +149,7 @@ def main() -> int:
             ("sparse", KERNELS, sparse_train, sparse_test, SPARSE_RUNS),
             ("dense10", DENSE10_KERNELS, DENSE10_TRAIN, DENSE10_TEST, RUNS))
     try:
+        _cli(None, "bench", PLAN, "--out", "bench")
         for root, kernels, train, test, runs in sets:
             for name, spec in kernels.items():
                 for run in runs:

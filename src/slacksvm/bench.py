@@ -370,29 +370,24 @@ def fourier_plan(dataset: Dataset, sigma_sq: float, k_list, lam: float,
     inner products, the unit of one Gaussian kernel evaluation (thanks to
     cached self-norms).
 
-    For each k: build the map, linearize train and test sets (k inner
-    products per example), train linear Pegasos on the features, report
-    held-out error.
+    Every map and the solver's config are built first, so a bad k, width,
+    lambda or iteration count fails before any training. Then for each k:
+    linearize train and test sets (k inner products per example), train
+    linear Pegasos on the features, report held-out error.
     """
-    k_list = list(k_list)
-    if not k_list:
+    fmaps = [make_fourier_map(int(k), dataset.dimension, sigma_sq, seed) for k in k_list]
+    if not fmaps:
         raise ValueError("k_list must be nonempty")
-    if any(k < 1 for k in k_list):
-        raise ValueError("every k must be positive")
-    if not sigma_sq > 0:
-        raise ValueError("fourier comparison requires a Gaussian kernel")
+    config = PegasosConfig(lam=lam, iterations=iterations, seed=seed)
 
     lines = ["method,k,cost_inner_products,test_zero_one"]
-    for k in k_list:
-        fmap = make_fourier_map(int(k), dataset.dimension, sigma_sq, seed)
+    for fmap in fmaps:
         lin_train = linearize(fmap, dataset)
         lin_test = linearize(fmap, test_data)
-        lin_kernel = kernel_from_spec("linear")
-        config = PegasosConfig(lam=lam, iterations=iterations, seed=seed)
-        model, _ = pegasos_train(lin_train, lin_kernel, config)
+        model, _ = pegasos_train(lin_train, kernel_from_spec("linear"), config)
         err = evaluate(model, lin_test, kernel_from_spec("linear"))[1]
         lines.append(",".join((
-            "fourier", str(int(k)),
+            "fourier", str(fmap.k),
             str(fmap.inner_product_count),
             _fmt(err),
         )))

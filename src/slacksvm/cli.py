@@ -25,13 +25,6 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _solver_keys() -> dict:
     """Each plan key of SOLVER_KINDS -> the kinds that take it, in table order."""
     keys: dict = {}
@@ -42,8 +35,8 @@ def _solver_keys() -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="slacksvm",
-                     description="Kernel SVM solvers under kernel-evaluation budgets")
+    parser = argparse.ArgumentParser(
+        prog="slacksvm", description="Kernel SVM solvers under kernel-evaluation budgets")
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="train one solver on one dataset")
@@ -152,6 +145,7 @@ def _cmd_train(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.plan) as fh:
         plan = parse_plan(fh.read())
+    _check_out(args.out if args.out is not None else plan.out)
     result = run_plan(plan, out_dir=args.out)
     print(f"wrote {len(result['runs'])} run CSVs to {result['out_dir']}")
     for (name, seed), msg in sorted(result["failures"].items()):

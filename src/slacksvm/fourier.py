@@ -27,16 +27,11 @@ class FourierMap:
 
     directions: np.ndarray  # shape (k, original dimension)
     sigma_sq: float
-    seed: int
     inner_product_count: int = 0
 
     @property
     def k(self) -> int:
         return self.directions.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return 2 * self.k
 
 
 def make_fourier_map(k: int, dim: int, sigma_sq: float, seed: int) -> FourierMap:
@@ -48,8 +43,7 @@ def make_fourier_map(k: int, dim: int, sigma_sq: float, seed: int) -> FourierMap
         raise ValueError("dimension must be positive")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    return FourierMap(directions=rng.standard_normal((k, dim)),
-                      sigma_sq=sigma_sq, seed=seed)
+    return FourierMap(directions=rng.standard_normal((k, dim)), sigma_sq=sigma_sq)
 
 
 def _project(fmap: FourierMap, mat, dim: int) -> np.ndarray:

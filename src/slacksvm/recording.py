@@ -81,7 +81,8 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
     default a fresh oracle of kernel's spec. Both counters count from before
     the first step and are read after the checkpoint's held-out scoring,
     which costs evaluations on eval_kernel only. The last checkpoint's model
-    is returned; SolverError if none.
+    is returned; SolverError if none, or if a checkpoint's alpha or bias is
+    not finite.
     """
     record = RunRecord(metadata={**asdict(config), **metadata, "rng": RNG_IDENTITY})
     schedule = geometric_schedule(count)
@@ -96,6 +97,8 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
         margins, alpha, bias = predict()
         evals, model, test_error = kernel.eval_count - start, None, math.nan
         if alpha is not None:
+            if not (np.isfinite(alpha).all() and math.isfinite(bias)):
+                raise SolverError(f"non-finite model at iteration {t}")
             model = TrainedModel(alpha, bias, dataset, kernel.spec_string,
                                  getattr(config, "use_bias", False), evals,
                                  dict(record.metadata))

@@ -221,7 +221,10 @@ def sdca_delta_oracle(c_i, alpha_i, k_ii, box, grid_size=None):
 
 def perceptron_reference(dataset, kernel, passes: int, seed: int):
     """Online Perceptron that recomputes its support set at every visit and
-    scores with the full kernel row sliced to it.
+    scores with the kernel values the row contract names for it: on dense
+    data one matmul of the ascending support's rows with x_i, mapped by
+    kernel._values; on sparse data the full kernel row sliced to it, which
+    the contract makes the same bits.
 
     Visits follow the same seeded permutations as the library's Perceptron.
     Returns (alpha, the support size at each visit, alpha after each step
@@ -230,6 +233,7 @@ def perceptron_reference(dataset, kernel, passes: int, seed: int):
     """
     n = dataset.n
     y = dataset.labels
+    dense = dataset._dense
     rng = np.random.default_rng(seed)
     alpha = np.zeros(n, dtype=np.int64)
     sizes, after = [], {}
@@ -239,7 +243,12 @@ def perceptron_reference(dataset, kernel, passes: int, seed: int):
             sizes.append(sv.size)
             score = 0.0
             if sv.size:
-                score = float((alpha[sv] * y[sv]) @ kernel.row(dataset, int(i))[sv])
+                if dense is not None:
+                    values = kernel._values(np.matmul(dense[sv], dense[i]),
+                                            dataset.norms[sv], dataset.norms[i])
+                else:
+                    values = kernel.row(dataset, int(i))[sv]
+                score = float((alpha[sv] * y[sv]) @ values)
             if y[i] * score <= 0.0:
                 alpha[i] += 1
             after[len(sizes)] = alpha.copy()

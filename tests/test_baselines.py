@@ -229,10 +229,10 @@ class TestPerceptron:
         # Noisy overlapping classes: later passes repeat mistakes on examples
         # already in the support set, which changes its coefficients only.
         # Subset rows of sparse data take scipy's mat-vec over the subset's
-        # own features and dense ones one matmul of the gathered rows; the
-        # reference slices full rows, the subset of every row, which on dense
-        # data BLAS may sum otherwise in the last bits, too little to move a
-        # mistake here. dense_large grows its support past 200 rows.
+        # own features, the full row's bits, and dense ones one matmul of the
+        # gathered rows, which the reference computes alike from a support
+        # it rebuilds at every visit. dense_large grows its support past 200
+        # rows.
         n, test_n, make = {"dense": (40, 25, gaussians), "sparse": (60, 30, sparse_instance),
                            "dense_large": (500, 25, wide_gaussians)}[data]
         ds, test = make(n, 5), make(test_n, 6)

@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import subprocess
 import sys
@@ -6,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from slacksvm import cli, data
+from slacksvm import bench, cli, data
 from slacksvm.bench import (SOLVER_KINDS, _fmt, calibrate_nu, fourier_plan, is_flag,
                             load_dataset, parse_plan, run_plan, train_solver,
                             write_run_csv)
@@ -57,6 +56,16 @@ class TestPlanParsing:
         assert plan.kernel == "linear"
         assert [s.name for s in plan.solvers] == ["peg", "sbp"]
         assert plan.solvers[1].params["nu"] == "0.1"
+
+    def test_synthetic_bench_plan(self):
+        # The ready-made comparison: four solvers, ten seeds each.
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                            "synthetic_bench.plan")
+        with open(path) as fh:
+            plan = parse_plan(fh.read())
+        assert sorted((s.name, s.kind) for s in plan.solvers) == [
+            (kind, kind) for kind in ("pegasos", "perceptron", "sbp", "sdca")]
+        assert (plan.repeat, plan.seed, plan.kernel) == (10, 0, "gaussian:1.0")
 
     @pytest.mark.parametrize("text, message", [
         ("dataset synthetic\n", "line 1: expected key = value"),
@@ -334,21 +343,6 @@ def test_last_checkpoint_is_the_returned_model(kind, params):
                                                      rel=1e-12)
 
 
-def test_synthetic_bench_script_exits_1_when_a_run_failed(tmp_path, monkeypatch):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                        "run_synthetic_bench.py")
-    spec = importlib.util.spec_from_file_location("run_synthetic_bench", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    plan = ("dataset = synthetic:two_gaussians:n=20,seed=1\nkernel = linear\n"
-            "solver.perc.kind = perceptron\n")
-    failing = "solver.sbp.kind = sbp\nsolver.sbp.iters = 0\n"
-    for text, code in ((plan, 0), (plan + failing, 1)):
-        monkeypatch.setattr(script, "PLAN", text)
-        monkeypatch.setattr(sys, "argv", ["run_synthetic_bench.py", str(tmp_path / str(code))])
-        assert script.main() == code
-
-
 def test_run_csv_schema(tmp_path):
     record = RunRecord(samples=[Sample(1, 100, 0, 0.5, 0.25, 0),
                                 Sample(2, 200, 0, float("nan"), 0.125, 0)])
@@ -462,6 +456,16 @@ class TestFourierPlan:
         with pytest.raises(ValueError):
             fourier_plan(train, 0.5, [], lam=0.01, iterations=10, test_data=test)
 
+    @pytest.mark.parametrize("k_list,sigma_sq", [([4, 0], 0.5), ([4], 0.0)])
+    def test_bad_k_or_width_fails_before_training(self, monkeypatch, k_list, sigma_sq):
+        def reached(*args, **kwargs):
+            raise AssertionError("trained past a bad k or width")
+
+        monkeypatch.setattr(bench, "linearize", reached)
+        train, test = self.make_sets()
+        with pytest.raises(ValueError):
+            fourier_plan(train, sigma_sq, k_list, lam=0.01, iterations=10, test_data=test)
+
     def test_large_k_approaches_kernel_solution(self):
         train, test = self.make_sets()
         # Exact-kernel reference: a long dual-coordinate run.
@@ -488,6 +492,27 @@ class TestCli:
     def test_usage_error_is_2(self):
         assert self.run_cli("train").returncode == 2
         assert self.run_cli("frobnicate").returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        (),
+        ("bench",),
+        ("train", "x", "--solver", "nope"),
+        ("train", "x", "--seed", "z"),
+        ("calibrate-nu", "x", "--lambda", "abc"),
+        ("fourier", "x"),
+    ])
+    def test_usage_error_is_the_commands_usage_then_its_error(self, capsys, args):
+        # argparse's own format: the usage block of the command that failed,
+        # then one line "PROG: error: MESSAGE", on stderr alone.
+        prog = " ".join(("slacksvm", *args[:1]))
+        assert cli.main(list(args)) == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == ""
+        assert lines[0].startswith(f"usage: {prog} [-h]")
+        assert all(line.startswith(" ") for line in lines[1:-1])
+        assert lines[-1].startswith(f"{prog}: error: ")
+        assert "Traceback" not in err
 
     def test_data_error_is_3(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -683,6 +708,26 @@ class TestCli:
             "peg_seed10.csv", "peg_seed11.csv", "peg_seed12.csv"]
         assert (out / "failures.txt").read_text().count("sbp seed=") == 3
 
+    def test_non_finite_model_is_4(self, tmp_path):
+        # Pegasos's step 1/(lambda t) overflows: the model would hold inf.
+        # train writes nothing; bench lists the run as failed. In a
+        # subprocess, so that numpy's overflow warning stays a warning.
+        spec = "synthetic:two_gaussians:n=20,seed=1"
+        r = self.run_cli("train", spec, "--solver", "pegasos", "--lambda", "1e-320",
+                         "--iters", "3", "--out", str(tmp_path / "out"))
+        assert r.returncode == 4
+        assert "non-finite model at iteration 1" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"dataset = {spec}\nkernel = linear\n"
+                        "solver.peg.kind = pegasos\nsolver.peg.lambda = 1e-320\n"
+                        "solver.peg.iters = 3\n")
+        r = self.run_cli("bench", str(plan), "--out", str(tmp_path / "bench"))
+        assert r.returncode == 4
+        assert (tmp_path / "bench" / "failures.txt").read_text() == (
+            "peg seed=0 SolverError: non-finite model at iteration 1\n")
+
     def test_fourier_rejects_linear_kernel(self, tmp_path):
         f = tmp_path / "d.txt"
         f.write_text("+1 1:1\n-1 1:-1\n")
@@ -803,6 +848,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("slacksvm: error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_bench_out_under_a_file_is_3_before_the_data_is_read(self, tmp_path, out):
+        # The plan's data file is missing too; the output path is named.
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"dataset = file:{tmp_path / 'missing.svm'}\nkernel = linear\n"
+                        "solver.sdca.kind = sdca\n")
+        r = self.run_cli("bench", str(plan), "--out", str(tmp_path / out))
+        assert r.returncode == 3
+        assert str(taken) in r.stderr and "missing.svm" not in r.stderr
+        assert "Traceback" not in r.stderr and taken.read_text() == "kept"
 
     def test_bench_makes_no_directory_when_its_data_fails(self, tmp_path):
         plan = tmp_path / "plan.txt"

@@ -164,8 +164,8 @@ class TestDataset:
         # product is, so that K(x, x) has one value on every kernel path.
         base = generate(SyntheticSpec(kind="two_gaussians", n=200, dimension=5, seed=3))
         fmap = make_fourier_map(32, base.dimension, 1.0, seed=4)
-        assert fmap.feature_dim == 64
         ds = linearize(fmap, base)
+        assert ds.dimension == 2 * fmap.k == 64
         dense = ds.matrix.toarray()
         for i in range(ds.n):
             total = 0.0

@@ -14,7 +14,7 @@ def dense_rows(*rows):
 def test_map_shape_and_determinism():
     fmap = make_fourier_map(16, 5, 1.0, seed=42)
     assert fmap.directions.shape == (16, 5)
-    assert fmap.feature_dim == 32
+    assert 2 * fmap.k == 32
     again = make_fourier_map(16, 5, 1.0, seed=42)
     assert np.array_equal(fmap.directions, again.directions)
     other = make_fourier_map(16, 5, 1.0, seed=43)

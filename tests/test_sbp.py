@@ -13,7 +13,7 @@ from slacksvm.kernels import GaussianKernel, LinearKernel, add_row, kernel_from_
 from slacksvm.model import (SolverError, deserialize_model, load_model,
                             save_model, score_batch, serialize_model)
 from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
-from slacksvm.waterfill import find_gamma
+from slacksvm.waterfill import _level_and_bias, find_gamma, support_set
 
 from oracles import rescale_check, sbp_bias_step_reference
 
@@ -266,6 +266,21 @@ def test_bias_mode_handles_shifted_classes():
     scores = score_batch(model, ds, LinearKernel())
     assert np.all(ds.labels * scores > 0)
     assert model.bias != 0.0
+
+
+def test_dry_basin_falls_back_to_the_class_argmin():
+    # At responses of 1.3e11, rounding leaves the shifted negative floors
+    # (2.42997742 and 8.6) above the level 2.42996979 plus its tolerance:
+    # a draw of that class finds no covered index and takes its argmin, 2.
+    c = np.array([133218353411.02612, 133218353419.5,
+                  -133218353406.16618, -133218353400.0])
+    classes = (np.array([0, 1]), np.array([2, 3]))
+    gamma, bias = _level_and_bias(c[classes[0]], c[classes[1]], 0.0)
+    assert (gamma, bias) == (2.4299697875976562, -133218353408.59616)
+    assert support_set(c[classes[1]] - bias, gamma).size == 0
+    drawn = {sbp._sample_covered(c, bias, gamma, classes, np.random.default_rng(seed))
+             for seed in range(50)}
+    assert drawn == {0, 2}
 
 
 MODEL_HEADER = "n=3 kernel=linear use_bias=0 bias=0.0\n"
