@@ -145,7 +145,7 @@ class BenchPlan:
     test: str | None = None
     timing: bool = False
     out: str = "bench_out"
-    positive_class: str | None = None
+    positive_class: float | None = None
 
     def __post_init__(self):
         if self.repeat < 1:
@@ -157,7 +157,7 @@ class BenchPlan:
 # Top-level plan keys and their readers; the defaults are BenchPlan's. The
 # kernel is read here, at parse time, so a bad spec stops the whole plan.
 _PLAN_KEYS = {"dataset": str, "test": str, "repeat": int, "seed": int,
-              "timing": _flag, "out": str, "positive_class": str,
+              "timing": _flag, "out": str, "positive_class": float,
               "kernel": lambda text: kernel_from_spec(text).spec_string}
 
 

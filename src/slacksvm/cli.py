@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--test", metavar="FILE", default=None,
                        help="held-out set for test-error curves")
-    train.add_argument("--positive-class", default=None, metavar="LABEL",
+    train.add_argument("--positive-class", type=float, default=None, metavar="LABEL",
                        help="one-vs-rest mapping for non-binary labels")
     train.add_argument("--out", default=".", metavar="DIR")
     train.add_argument("--timing", action="store_true",
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--budget", type=int, default=10**6,
                      help="kernel-evaluation cap for the inner solve")
     cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--positive-class", default=None, metavar="LABEL")
+    cal.add_argument("--positive-class", type=float, default=None, metavar="LABEL")
     cal.set_defaults(run=_cmd_calibrate)
 
     four = sub.add_parser("fourier",
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     four.add_argument("--lambda", dest="lam", type=float, default=None)
     four.add_argument("--iters", type=int, default=1000)
     four.add_argument("--seed", type=int, default=0)
-    four.add_argument("--positive-class", default=None, metavar="LABEL")
+    four.add_argument("--positive-class", type=float, default=None, metavar="LABEL")
     four.add_argument("--out", default=".", metavar="DIR")
     four.set_defaults(run=_cmd_fourier)
     return parser

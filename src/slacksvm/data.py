@@ -50,9 +50,9 @@ class Dataset:
     data, with at least half of its n x dimension entries stored, also
     keeps ``_dense``, the entries as one C-contiguous n x dimension array,
     whose rows the kernels multiply through BLAS; on sparse data it is
-    None, so no dense copy is held. ``matrix``, ``transposed`` and
-    ``_every_row`` (the kernels' RowSubset of every row) are built on first
-    use and kept.
+    None, so no dense copy is held. ``matrix``, ``compact``, ``transposed``
+    and ``_every_row`` (the kernels' RowSubset of every row) are built on
+    first use and kept.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -95,7 +95,7 @@ class Dataset:
         if 2 * indices.size >= n * self.dimension:
             self._dense = np.zeros((n, self.dimension))
             self._dense[rows, indices] = values
-        self._matrix = self._transposed = self._every_row = None
+        self._matrix = self._compact = self._transposed = self._every_row = None
 
     @classmethod
     def from_dense(cls, x, labels) -> Dataset:
@@ -122,6 +122,17 @@ class Dataset:
             self._matrix = sp.csr_matrix((self.values, self.indices, self.indptr),
                                          shape=(self.n, self.dimension))
         return self._matrix
+
+    @property
+    def compact(self) -> sp.csr_matrix:
+        """The rows as CSR over their distinct stored features, ascending,
+        built from ``matrix`` on first use: the kernels' sparse rows."""
+        if self._compact is None:
+            matrix = self.matrix
+            features, at = np.unique(matrix.indices, return_inverse=True)
+            self._compact = sp.csr_matrix((matrix.data, at, matrix.indptr),
+                                          shape=(self.n, features.size))
+        return self._compact
 
     @property
     def transposed(self) -> tuple:

@@ -8,13 +8,6 @@ import scipy.sparse as sp
 from .data import Dataset
 
 
-def _stored(dataset: Dataset, j: int):
-    """Row j's stored feature indices, ascending, and values: views of the
-    CSR arrays."""
-    lo, hi = dataset.indptr[j], dataset.indptr[j + 1]
-    return dataset.indices[lo:hi], dataset.values[lo:hi]
-
-
 # Kernel values per block of cross and scores (256 KB of float64): the product
 # of one block, and the Gaussian's norm sums over it, stay a few hundred KB.
 # Larger blocks cost page faults, as their temporaries are mapped afresh on
@@ -44,8 +37,8 @@ class RowSubset:
     """Rows of one dataset, taken once for any number of subset rows, with
     their cached squared norms; rows None takes every row and shares the
     dataset's arrays. Dense data keeps the rows of the dataset's row-major
-    copy, `dataset._dense[rows]`; sparse data keeps the rows as a CSR matrix
-    over their own distinct features, `features`, ascending."""
+    copy, `dataset._dense[rows]`; sparse data keeps the rows of its compact
+    matrix, `dataset.compact[rows]`."""
 
     def __init__(self, dataset: Dataset, rows):
         self.dataset = dataset
@@ -56,10 +49,7 @@ class RowSubset:
             if self.dense is not None:
                 self.dense = self.dense.take(rows, axis=0)
         if self.dense is None:
-            matrix = dataset.matrix if rows is None else dataset.matrix[rows]
-            self.features, at = np.unique(matrix.indices, return_inverse=True)
-            self.matrix = sp.csr_matrix((matrix.data, at, matrix.indptr),
-                                        shape=(self.norms.size, self.features.size))
+            self.matrix = dataset.compact if rows is None else dataset.compact[rows]
 
     def __len__(self) -> int:
         return self.norms.size
@@ -69,19 +59,16 @@ class RowSubset:
         matmul of the gathered rows with x_j (BLAS's gemv, the dataset's copy
         itself for every row), summed in BLAS's order: a subset row is the
         same matmul on the same gathered rows, not always the full row
-        sliced. Sparse rows take scipy's mat-vec of row j's values placed at
-        the subset's features, 0.0 where row j stores none, and equal
-        (dataset.matrix @ x_j)[rows] bit for bit: each sum runs from 0.0 in
-        ascending feature order."""
+        sliced. Sparse rows take scipy's mat-vec of row j of the compact
+        matrix, placed at its compact columns, 0.0 where row j stores none,
+        and equal (dataset.matrix @ x_j)[rows] bit for bit: each sum runs
+        from 0.0 in ascending feature order."""
         if self.dense is not None:
             return self.dense @ self.dataset._dense[j]
-        features, weights = _stored(self.dataset, j)
-        x = np.zeros(self.features.size)
-        if self.features.size:
-            at = np.searchsorted(self.features, features)
-            np.minimum(at, self.features.size - 1, out=at)
-            hit = self.features[at] == features
-            x[at[hit]] = weights[hit]
+        compact = self.dataset.compact
+        lo, hi = compact.indptr[j], compact.indptr[j + 1]
+        x = np.zeros(compact.shape[1])
+        x[compact.indices[lo:hi]] = compact.data[lo:hi]
         return self.matrix @ x
 
 

@@ -279,6 +279,24 @@ class TestPerceptron:
         assert model.metadata["mistakes"] > support
         assert built == list(range(1, support + 1))
 
+    def test_sparse_support_rows_slice_one_compact_matrix(self, monkeypatch):
+        # A sparse dataset decides the column space of its products once:
+        # np.unique runs for its compact matrix, and each new support set
+        # takes rows of that matrix without deciding it again.
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        ds = sparse_instance(200, 7)
+        monkeypatch.setattr(np, "unique", counted)
+        model, _ = perceptron_train(ds, kernel_from_spec("gaussian:1.0"),
+                                    PerceptronConfig(passes=1, seed=3))
+        assert np.count_nonzero(model.alpha) > 10
+        assert len(calls) == 1
+
     def test_multi_pass_flagged(self):
         ds = margin_instance(n=20, seed=0)
         _, record = perceptron_train(ds, LinearKernel(),

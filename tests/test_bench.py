@@ -7,8 +7,8 @@ import pytest
 
 from slacksvm import bench, cli, data
 from slacksvm.bench import (SOLVER_KINDS, _fmt, calibrate_nu, fourier_plan, is_flag,
-                            load_dataset, parse_plan, run_plan, train_solver,
-                            write_run_csv)
+                            load_dataset, parse_plan, run_plan, solver_config,
+                            train_solver, write_run_csv)
 from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
 from slacksvm.kernels import LinearKernel, kernel_from_spec
 from slacksvm.model import SolverError, evaluate, save_model, serialize_model
@@ -91,15 +91,27 @@ class TestPlanParsing:
         (PLAN + "kernel = gaussian:1\n", "line 16: kernel is already set on line 5"),
         (PLAN + "solver.sbp.iters = 7\n",
          "line 16: solver.sbp.iters is already set on line 12"),
+        (PLAN + "positive_class = abc\n", "line 16: unreadable value 'abc'"),
+        (PLAN.replace("repeat = 3", "repeat = 0"), "repeat must be at least 1"),
     ], ids=["no-equals", "no-dataset", "unknown-kind", "no-solvers",
             "deep-solver-key", "top-level-typo", "solver-key-typo",
             "key-of-other-kind", "other-kind-key-unreadable", "unreadable-value",
             "unreadable-flag", "perceptron-iters", "unreadable-repeat",
             "unreadable-timing", "unknown-kernel", "kernel-out-of-range",
-            "kernel-twice", "solver-key-twice"])
+            "kernel-twice", "solver-key-twice", "unreadable-positive-class",
+            "zero-repeat"])
     def test_rejects_garbage(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_plan(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("true", True), ("YES", True),
+        ("0", False), ("false", False), ("no", False),
+    ])
+    def test_flag_spellings(self, text, value):
+        plan = parse_plan(PLAN + f"solver.sbp.bias = {text}\n")
+        sbp = plan.solvers[1]
+        assert solver_config(sbp.kind, sbp.params, plan.seed, 80).use_bias is value
 
     def test_range_errors_stay_per_run_failures(self, tmp_path):
         plan = parse_plan(PLAN.replace("solver.sbp.iters = 60",
@@ -135,6 +147,9 @@ class TestDatasetSpecs:
         ("synthetic:two_gaussians:n=10,seed=-1",
          "seed must be a non-negative integer, got -1"),
         ("synthetic:two_gaussians:n=10,n=20", "parameter n given twice"),
+        ("synthetic:two_gaussians:n=10,separation=0", "two_gaussians needs separation > 0"),
+        ("synthetic:two_gaussians:n=10,noise_rate=1", r"noise_rate in \[0, 1\)"),
+        ("synthetic:xor_ring:n=10,dimension=1", "xor_ring needs dimension >= 2"),
     ])
     def test_bad_synthetic_spec(self, spec, message):
         with pytest.raises(DataError, match=message):
@@ -417,6 +432,13 @@ class TestCalibrateNu:
         b = calibrate_nu(ds, LinearKernel(), lam=0.02, budget=10**5, seed=1)
         assert a == b
 
+    def test_budget_below_one_step_rejected(self):
+        # One SDCA step costs a pair and a row, n + 1 evaluations.
+        ds = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=0))
+        for budget in (1, ds.n):
+            with pytest.raises(ValueError, match="budget too small"):
+                calibrate_nu(ds, LinearKernel(), lam=0.1, budget=budget)
+
     def test_huge_lambda_rejected(self):
         ds = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=0))
         with pytest.raises(SolverError, match="lambda too large"):
@@ -500,6 +522,8 @@ class TestCli:
         ("train", "x", "--seed", "z"),
         ("calibrate-nu", "x", "--lambda", "abc"),
         ("fourier", "x"),
+        ("train", "x", "--positive-class", "abc"),
+        ("calibrate-nu", "x", "--lambda", "1", "--positive-class", "abc"),
     ])
     def test_usage_error_is_the_commands_usage_then_its_error(self, capsys, args):
         # argparse's own format: the usage block of the command that failed,
@@ -513,6 +537,17 @@ class TestCli:
         assert all(line.startswith(" ") for line in lines[1:-1])
         assert lines[-1].startswith(f"{prog}: error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ("train", "/no/such/file"),
+        ("calibrate-nu", "/no/such/file", "--lambda", "1"),
+        ("fourier", "/no/such/file", "--test", "/no/such/file"),
+    ])
+    def test_bad_positive_class_is_2_before_the_data_is_read(self, capsys, args):
+        assert cli.main([*args, "--positive-class", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --positive-class: invalid float value: 'abc'" in err
+        assert "No such file" not in err
 
     def test_data_error_is_3(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -334,6 +334,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize_model(serialize_model(model), dataset=other)
 
+    def test_support_label_disagreeing_with_the_dataset_raises(self):
+        # Row 2 of THREE_ROWS is labeled -1: a model that gives it a nonzero
+        # coefficient with label +1 was trained on other data.
+        with pytest.raises(ValueError, match="model labels disagree with the dataset"):
+            deserialize_model(MODEL_HEADER + "2 0.5 +1\n", parse_libsvm(THREE_ROWS))
+
     @pytest.mark.parametrize("text, line", [
         (MODEL_HEADER + "-1 0.5 +1\n", 2),
         (MODEL_HEADER + "0 0.5 +5\n", 2),

@@ -242,6 +242,10 @@ class TestBias:
         with pytest.raises(ValueError):
             find_gamma_and_bias([1.0, 2.0], [1.0, 1.0], 0.0)
 
+    def test_labels_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="matching nonempty vectors"):
+            find_gamma_and_bias([0.0, 1.0, 2.0], [1.0, -1.0], 1.0)
+
     def test_beats_dense_grid(self):
         rng = np.random.default_rng(77)
         for _ in range(40):
