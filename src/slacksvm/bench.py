@@ -84,19 +84,6 @@ def _solver_kind(kind: str):
         raise ValueError(f"unknown solver kind {kind!r}") from None
 
 
-def _read_param(kind: str, key: str, text: str):
-    """(config field, value) of one solver parameter given as text."""
-    table = _solver_kind(kind)[2]
-    if key not in table:
-        raise ValueError(f"solver kind {kind} takes no parameter {key!r} "
-                         f"(it takes {', '.join(table)})")
-    field_name, reader, _ = table[key]
-    try:
-        return field_name, reader(text)
-    except ValueError:
-        raise ValueError(f"unreadable value {text!r} for {kind} parameter {key}") from None
-
-
 def is_flag(kind: str, key: str) -> bool:
     """Whether parameter key of solver kind is a yes/no flag."""
     return _solver_kind(kind)[2][key][1] is _flag
@@ -112,7 +99,16 @@ def solver_config(kind: str, params: dict, seed: int, n: int):
     config_cls, _, table = _solver_kind(kind)
     kwargs = {field_name: 1.0 / n if default is None else default
               for field_name, _, default in table.values()}
-    kwargs.update(_read_param(kind, key, text) for key, text in params.items())
+    for key, text in params.items():
+        if key not in table:
+            raise ValueError(f"solver kind {kind} takes no parameter {key!r} "
+                             f"(it takes {', '.join(table)})")
+        field_name, reader, _ = table[key]
+        try:
+            kwargs[field_name] = reader(text)
+        except ValueError:
+            raise ValueError(f"unreadable value {text!r} for {kind} "
+                             f"parameter {key}") from None
     return config_cls(seed=seed, **kwargs)
 
 
@@ -137,7 +133,7 @@ class SolverSpec:
 
 @dataclass
 class BenchPlan:
-    dataset: str                 # "file:PATH" or "synthetic:kind:k=v,..."
+    dataset: str                 # "[file:]PATH" or "synthetic:kind:k=v,..."
     kernel: str                  # kernel spec string
     solvers: list
     repeat: int = 1
@@ -150,6 +146,7 @@ class BenchPlan:
     def __post_init__(self):
         if self.repeat < 1:
             raise ValueError("repeat must be at least 1")
+        check_seed(self.seed)
         if not self.solvers:
             raise ValueError("plan needs at least one solver")
 
@@ -167,7 +164,8 @@ def parse_plan(text: str) -> BenchPlan:
     Top-level keys are those of _PLAN_KEYS; ``solver.NAME.KEY = VALUE``
     entries set ``kind`` (default NAME) or a parameter of that kind (see
     SOLVER_KINDS) for a per-plan solver id NAME. An unknown key, a key set
-    twice or an unreadable value raises ValueError naming its line.
+    twice, an unreadable value or a solver value out of range raises
+    ValueError naming its line; a bad seed or repeat raises it too.
     """
     top: dict = {}
     solver_params: dict = {}   # name -> {key: (value, lineno)}
@@ -207,9 +205,9 @@ def parse_plan(text: str) -> BenchPlan:
         first_line = min(ln for _, ln in entries.values())
         kind, lineno = entries.pop("kind", (name, first_line))
         try:
-            _solver_kind(kind)
+            solver_config(kind, {}, 0, 1)
             for key, (value, lineno) in entries.items():
-                _read_param(kind, key, value)
+                solver_config(kind, {key: value}, 0, 1)
         except ValueError as exc:
             raise ValueError(f"plan line {lineno}: solver {name}: {exc}") from None
         params = {key: value for key, (value, _) in entries.items()}
@@ -226,10 +224,8 @@ _SYNTHETIC_KEYS = frozenset(f.name for f in fields(SyntheticSpec)) - {"kind"}
 
 
 def load_dataset(spec: str, positive_class=None) -> Dataset:
-    """Resolve ``file:PATH`` or ``synthetic:kind:k=v,...`` dataset specs."""
-    if spec.startswith("file:"):
-        with open(spec[5:]) as fh:
-            return parse_libsvm(fh, positive_class=positive_class)
+    """Resolve a ``synthetic:kind:k=v,...`` dataset spec, or read any other
+    spec as the path of a LIBSVM file, ``file:`` optional."""
     if spec.startswith("synthetic:"):
         rest = spec.split(":", 1)[1]
         kind, _, kvs = rest.partition(":")
@@ -253,7 +249,8 @@ def load_dataset(spec: str, positive_class=None) -> Dataset:
         if "n" not in kwargs:
             raise DataError(f"synthetic spec {spec!r} needs n")
         return generate(SyntheticSpec(kind=kind, **kwargs))
-    raise DataError(f"unknown dataset spec {spec!r}")
+    with open(spec.removeprefix("file:")) as fh:
+        return parse_libsvm(fh, positive_class=positive_class)
 
 
 def run_plan(plan: BenchPlan, out_dir=None) -> dict:

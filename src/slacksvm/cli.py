@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, bench, calibrate-nu, fourier. Exit codes: 0 success,
-2 usage error, 3 data or file error, 4 solver error (for bench: any run
-failed, after every other run and failures.txt are written).
+2 usage error, 3 data or file error, 4 solver error (for bench: a run's
+solver failed, after every other run and failures.txt are written).
 """
 
 from __future__ import annotations
@@ -100,13 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path_or_spec, positive_class):
-    """A dataset spec, or a bare path read as file:PATH."""
-    if not path_or_spec.startswith(("file:", "synthetic:")):
-        path_or_spec = "file:" + path_or_spec
-    return load_dataset(path_or_spec, positive_class=positive_class)
-
-
 def _check_out(path) -> None:
     """Raise NotADirectoryError if path, or the nearest of its ancestors
     that exists, is not a directory: os.makedirs would fail there only
@@ -126,8 +119,8 @@ def _cmd_train(args) -> int:
     # Usage first: a config for any n checks the seed and every given flag;
     # only lambda's 1/n default needs the data.
     solver_config(args.solver, params, args.seed, 1)
-    dataset = _load(args.data, args.positive_class)
-    test_data = _load(args.test, args.positive_class) if args.test else None
+    dataset = load_dataset(args.data, args.positive_class)
+    test_data = load_dataset(args.test, args.positive_class) if args.test else None
     model, record = train_solver(args.solver, params, dataset, kernel, args.seed,
                                  test_data, timing=args.timing)
 
@@ -160,7 +153,7 @@ def _cmd_calibrate(args) -> int:
     check_lam(args.lam)
     check_seed(args.seed)
     check_count("--budget", args.budget)
-    dataset = _load(args.data, args.positive_class)
+    dataset = load_dataset(args.data, args.positive_class)
     result = calibrate_nu(dataset, kernel, args.lam, args.budget, seed=args.seed)
     print(f"nu: {result.nu!r}")
     print(f"norm: {result.norm!r}  hinge: {result.hinge!r}")
@@ -184,8 +177,8 @@ def _cmd_fourier(args) -> int:
     if args.lam is not None:
         check_lam(args.lam)
     check_seed(args.seed)
-    dataset = _load(args.data, args.positive_class)
-    test_data = _load(args.test, args.positive_class)
+    dataset = load_dataset(args.data, args.positive_class)
+    test_data = load_dataset(args.test, args.positive_class)
     lam = args.lam if args.lam is not None else 1.0 / dataset.n
     csv_text = fourier_plan(dataset, kernel.sigma_sq, k_list, lam, args.iters,
                             test_data, seed=args.seed)

@@ -50,9 +50,8 @@ class Dataset:
     data, with at least half of its n x dimension entries stored, also
     keeps ``_dense``, the entries as one C-contiguous n x dimension array,
     whose rows the kernels multiply through BLAS; on sparse data it is
-    None, so no dense copy is held. ``matrix``, ``compact``, ``transposed``
-    and ``_every_row`` (the kernels' RowSubset of every row) are built on
-    first use and kept.
+    None, so no dense copy is held. ``matrix``, ``compact`` and
+    ``transposed`` are built on first use and kept.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -95,7 +94,7 @@ class Dataset:
         if 2 * indices.size >= n * self.dimension:
             self._dense = np.zeros((n, self.dimension))
             self._dense[rows, indices] = values
-        self._matrix = self._compact = self._transposed = self._every_row = None
+        self._matrix = self._compact = self._transposed = None
 
     @classmethod
     def from_dense(cls, x, labels) -> Dataset:
@@ -162,12 +161,15 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
     Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
     ascending indices of at most _MAX_FEATURE_INDEX. Labels may be ``+1/-1``
     or ``0/1`` (0 maps to -1); any other label set requires
-    ``positive_class`` for an explicit one-vs-rest mapping. A ``#`` starts
+    ``positive_class``, a finite label, for an explicit one-vs-rest
+    mapping (a non-finite one raises ValueError). A ``#`` starts
     a comment that runs to the end of its line, as SVM-light's ``<features>
     # <info>``; blank lines are skipped and CRLF is accepted.
     """
     indptr, indices, values, labels, linenos = [0], [], [], [], []
     target = float(positive_class) if positive_class is not None else None
+    if target is not None and not math.isfinite(target):
+        raise ValueError(f"positive_class must be finite, got {target!r}")
     for lineno, raw in enumerate(_as_lines(source), start=1):
         line = raw.partition("#")[0].strip()
         if not line:

@@ -37,8 +37,8 @@ class FourierMap:
 def make_fourier_map(k: int, dim: int, sigma_sq: float, seed: int) -> FourierMap:
     if k < 1:
         raise ValueError("direction count must be positive")
-    if not sigma_sq > 0:
-        raise ValueError("sigma_sq must be positive")
+    if not 0 < sigma_sq < np.inf:
+        raise ValueError("sigma_sq must be positive and finite")
     if dim < 1:
         raise ValueError("dimension must be positive")
     check_seed(seed)

@@ -103,15 +103,12 @@ class KernelOracle:
     def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
         the rows of rows only, a RowSubset of dataset taken once for every
-        j (len(rows) evaluations). The whole dataset is the RowSubset of
-        every row, built on first use and kept with the dataset. The row is
-        a fresh array that the caller owns and may overwrite."""
+        j (len(rows) evaluations). The row is a fresh array that the caller
+        owns and may overwrite."""
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
         if rows is None:
-            if dataset._every_row is None:
-                dataset._every_row = RowSubset(dataset, None)
-            rows = dataset._every_row
+            rows = RowSubset(dataset, None)
         elif not (isinstance(rows, RowSubset) and rows.dataset is dataset):
             raise ValueError("rows must be a RowSubset of dataset")
         self.eval_count += len(rows)

@@ -65,7 +65,7 @@ def check_seed(seed) -> None:
 def check_lam(lam) -> None:
     """Raise ValueError unless the regularization weight is positive and finite."""
     if not 0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
+        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
 
 
 def run_steps(steps, count: int, dataset, kernel, config, test_data=None,

@@ -34,7 +34,7 @@ class SbpConfig:
 
     def __post_init__(self):
         if not 0 <= self.nu < math.inf:
-            raise ValueError("nu must be non-negative and finite")
+            raise ValueError(f"nu must be non-negative and finite, got {self.nu!r}")
         check_count("iterations", self.iterations)
         check_seed(self.seed)
 
@@ -58,10 +58,13 @@ class SbpState:
 def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
     """Zero state; eta0 = 1/sqrt(max_i K(x_i, x_i)) (n kernel evaluations).
 
-    Raises SolverError in bias mode unless both classes are present, and
-    when every K(x_i, x_i) is 0, which leaves no step size.
+    Raises ValueError, before any evaluation, when the slack budget
+    n * nu overflows; SolverError in bias mode unless both classes are
+    present, and when every K(x_i, x_i) is 0, which leaves no step size.
     """
     n = dataset.n
+    if not math.isfinite(n * config.nu):
+        raise ValueError(f"nu = {config.nu!r} times n = {n} overflows the slack budget")
     classes = (np.flatnonzero(dataset.labels > 0), np.flatnonzero(dataset.labels < 0))
     if config.use_bias and not (classes[0].size and classes[1].size):
         raise SolverError("bias mode requires both classes in the training set")

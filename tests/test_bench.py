@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slacksvm import bench, cli, data
 from slacksvm.bench import (SOLVER_KINDS, _fmt, calibrate_nu, fourier_plan, is_flag,
@@ -93,13 +95,24 @@ class TestPlanParsing:
          "line 16: solver.sbp.iters is already set on line 12"),
         (PLAN + "positive_class = abc\n", "line 16: unreadable value 'abc'"),
         (PLAN.replace("repeat = 3", "repeat = 0"), "repeat must be at least 1"),
+        (PLAN.replace("solver.sbp.iters = 60", "solver.sbp.iters = 0"),
+         "line 12: solver sbp: iterations must be at least 1 and an integer, got 0"),
+        (PLAN.replace("solver.sbp.nu = 0.1", "solver.sbp.nu = -1"),
+         "line 11: solver sbp: nu must be non-negative and finite, got -1.0"),
+        (PLAN.replace("solver.peg.lambda = 0.0125", "solver.peg.lambda = inf"),
+         "line 14: solver peg: lambda must be positive and finite, got inf"),
+        (PLAN + "solver.p.kind = perceptron\nsolver.p.passes = 0\n",
+         "line 17: solver p: passes must be at least 1 and an integer, got 0"),
+        (PLAN.replace("seed = 10", "seed = -1"),
+         "seed must be a non-negative integer, got -1"),
     ], ids=["no-equals", "no-dataset", "unknown-kind", "no-solvers",
             "deep-solver-key", "top-level-typo", "solver-key-typo",
             "key-of-other-kind", "other-kind-key-unreadable", "unreadable-value",
             "unreadable-flag", "perceptron-iters", "unreadable-repeat",
             "unreadable-timing", "unknown-kernel", "kernel-out-of-range",
             "kernel-twice", "solver-key-twice", "unreadable-positive-class",
-            "zero-repeat"])
+            "zero-repeat", "zero-iters", "negative-nu", "infinite-lambda",
+            "zero-passes", "negative-seed"])
     def test_rejects_garbage(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_plan(text)
@@ -113,12 +126,43 @@ class TestPlanParsing:
         sbp = plan.solvers[1]
         assert solver_config(sbp.kind, sbp.params, plan.seed, 80).use_bias is value
 
-    def test_range_errors_stay_per_run_failures(self, tmp_path):
-        plan = parse_plan(PLAN.replace("solver.sbp.iters = 60",
-                                       "solver.sbp.iters = 0"))
-        result = run_plan(plan, out_dir=str(tmp_path))
-        assert set(result["failures"]) == {("sbp", 10), ("sbp", 11), ("sbp", 12)}
-        assert "iterations must be at least 1" in result["failures"][("sbp", 10)]
+
+# Plan values, good and bad, for every top-level number and solver key.
+_PLAN_VALUES = ("-1", "0", "1", "3", "0.1", "1e-320", "1e308", "inf", "-inf",
+                "nan", "abc", "yes", "no")
+
+
+@st.composite
+def plan_texts(draw):
+    """Plan texts of one to three solvers over the keys of their kinds, each
+    value drawn from _PLAN_VALUES, the lines in any order."""
+    value = st.sampled_from(_PLAN_VALUES)
+    lines = ["dataset = synthetic:two_gaussians:n=20", "kernel = linear"]
+    lines += [f"{key} = {draw(value)}" for key in ("repeat", "seed")
+              if draw(st.booleans())]
+    for name in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
+                              unique=True)):
+        kind = draw(st.sampled_from(sorted(SOLVER_KINDS)))
+        lines.append(f"solver.{name}.kind = {kind}")
+        for key in draw(st.lists(st.sampled_from(sorted(SOLVER_KINDS[kind][2])),
+                                 unique=True)):
+            lines.append(f"solver.{name}.{key} = {draw(value)}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@given(plan_texts())
+@settings(max_examples=300, deadline=None)
+def test_a_parsed_plan_builds_every_run(text):
+    # parse_plan refuses a plan, or every run of it gets a config for any
+    # data: a value out of range is a usage error, never a failed run.
+    try:
+        plan = parse_plan(text)
+    except ValueError:
+        return
+    for solver in plan.solvers:
+        for r in range(plan.repeat):
+            for n in (1, 2, 1000):
+                solver_config(solver.kind, solver.params, plan.seed + r, n)
 
 
 class TestDatasetSpecs:
@@ -134,7 +178,8 @@ class TestDatasetSpecs:
         assert again.n == 5
 
     def test_unknown(self):
-        with pytest.raises(DataError):
+        # Any spec but synthetic: is a path, file: optional.
+        with pytest.raises(FileNotFoundError, match="http:nope"):
             load_dataset("http:nope")
 
     @pytest.mark.parametrize("spec, message", [
@@ -171,6 +216,25 @@ class TestRunPlan:
         run_plan(parse_plan(PLAN), out_dir=str(tmp_path))
         text = (tmp_path / "aggregate.csv").read_text()
         assert "sbp," in text and "peg," in text
+
+    def test_bare_paths_read_as_file_specs(self, tmp_path):
+        # A plan reads a bare path as the command line does: the same bytes
+        # as the same plan with file:.
+        plan = parse_plan(PLAN)
+        paths = {}
+        for spec, name in ((plan.dataset, "train"), (plan.test, "test")):
+            paths[spec] = tmp_path / f"{name}.svm"
+            paths[spec].write_text(serialize_libsvm(load_dataset(spec)))
+        for prefix, out in (("file:", "file"), ("", "bare")):
+            text = PLAN
+            for spec, path in paths.items():
+                text = text.replace(spec, f"{prefix}{path}")
+            assert not run_plan(parse_plan(text), out_dir=str(tmp_path / out))["failures"]
+        a, b = tmp_path / "file", tmp_path / "bare"
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        assert len(os.listdir(a)) == 7
+        for name in os.listdir(a):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -730,18 +794,22 @@ class TestCli:
             assert not (tmp_path / "bench").exists()
 
     def test_failed_run_is_4_after_the_other_runs(self, tmp_path):
-        # A run out of range fails alone: the other runs, the aggregate and
-        # failures.txt are written, and then bench exits with the solver code.
+        # A run whose solver fails fails alone: the other runs, the aggregate
+        # and failures.txt are written, and then bench exits with the solver
+        # code. Pegasos's step 1/(lambda t) overflows at lambda = 1e-320.
         plan = tmp_path / "plan.txt"
-        plan.write_text(PLAN.replace("solver.sbp.iters = 60", "solver.sbp.iters = 0"))
+        plan.write_text(PLAN.replace("solver.peg.lambda = 0.0125",
+                                     "solver.peg.lambda = 1e-320"))
         out = tmp_path / "bench"
         r = self.run_cli("bench", str(plan), "--out", str(out))
         assert r.returncode == 4
-        assert "failed: sbp seed=10" in r.stderr and "Traceback" not in r.stderr
+        assert "failed: peg seed=10" in r.stderr and "Traceback" not in r.stderr
         assert sorted(p.name for p in out.iterdir()) == [
             "aggregate.csv", "failures.txt",
-            "peg_seed10.csv", "peg_seed11.csv", "peg_seed12.csv"]
-        assert (out / "failures.txt").read_text().count("sbp seed=") == 3
+            "sbp_seed10.csv", "sbp_seed11.csv", "sbp_seed12.csv"]
+        assert (out / "failures.txt").read_text() == "".join(
+            f"peg seed={seed} SolverError: non-finite model at iteration 1\n"
+            for seed in (10, 11, 12))
 
     def test_non_finite_model_is_4(self, tmp_path):
         # Pegasos's step 1/(lambda t) overflows: the model would hold inf.
@@ -781,16 +849,75 @@ class TestCli:
         assert r.stderr == "slacksvm: error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "out").exists()
 
-    def test_negative_plan_seed_fails_each_run_naming_it(self, tmp_path):
+    def test_negative_plan_seed_is_2_naming_it(self, tmp_path):
+        # Refused with the plan, before its (missing) data is read.
         plan = tmp_path / "plan.txt"
-        plan.write_text(PLAN.replace("seed = 10", "seed = -1").replace("repeat = 3",
-                                                                      "repeat = 1"))
+        plan.write_text(PLAN.replace("seed = 10", "seed = -1").replace(
+            "synthetic:two_gaussians:n=80,dimension=2,seed=5,separation=3.0",
+            str(tmp_path / "missing.svm")))
         out = tmp_path / "bench"
         r = self.run_cli("bench", str(plan), "--out", str(out))
-        assert r.returncode == 4 and "Traceback" not in r.stderr
-        assert (out / "failures.txt").read_text() == "".join(
-            f"{name} seed=-1 ValueError: seed must be a non-negative integer, got -1\n"
-            for name in ("peg", "sbp"))
+        assert r.returncode == 2
+        assert r.stderr == "slacksvm: error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("solver.sbp.nu = 0.1", "solver.sbp.nu = -1",
+         "plan line 11: solver sbp: nu must be non-negative and finite, got -1.0"),
+        ("solver.sbp.iters = 60", "solver.sbp.iters = 0",
+         "plan line 12: solver sbp: iterations must be at least 1 and an integer, got 0"),
+        ("solver.peg.lambda = 0.0125", "solver.peg.lambda = inf",
+         "plan line 14: solver peg: lambda must be positive and finite, got inf"),
+    ])
+    def test_plan_value_out_of_range_is_2_before_the_data_is_read(
+            self, tmp_path, capsys, old, new, message):
+        # A missing data file would exit 3; train checks the same value as
+        # a usage error before its data too.
+        plan = tmp_path / "plan.txt"
+        plan.write_text(PLAN.replace(old, new).replace(
+            "synthetic:two_gaussians:n=80,dimension=2,seed=5,separation=3.0",
+            str(tmp_path / "missing.svm")))
+        out = tmp_path / "bench"
+        assert cli.main(["bench", str(plan), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"slacksvm: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "calibrate-nu", "fourier", "bench"])
+    def test_non_finite_positive_class_is_2(self, tmp_path, capsys, command, value):
+        # It would map every label to -1; refused before the first line is read.
+        data_file = tmp_path / "m.svm"
+        data_file.write_text("1 1:1\n3 1:2\n7 1:3\n")
+        out = tmp_path / "out"
+        if command == "bench":
+            plan = tmp_path / "plan.txt"
+            plan.write_text(f"dataset = {data_file}\nkernel = linear\nout = {out}\n"
+                            f"positive_class = {value}\nsolver.sbp.iters = 5\n")
+            args = ["bench", str(plan)]
+        else:
+            extra = {"train": ("--out", str(out)), "calibrate-nu": ("--lambda", "0.1"),
+                     "fourier": ("--test", str(data_file), "--out", str(out))}[command]
+            args = [command, str(data_file), "--positive-class", value, *extra]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            f"slacksvm: error: positive_class must be finite, got {float(value)!r}\n")
+        assert not out.exists()
+
+    def test_slack_budget_overflow(self, tmp_path, capsys):
+        # n * nu needs the data: train stops with a usage error; bench lists
+        # the run as failed and writes the other runs.
+        spec = "synthetic:two_gaussians:n=20,seed=1"
+        message = "nu = 1e+308 times n = 20 overflows the slack budget"
+        assert cli.main(["train", spec, "--nu", "1e308", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"slacksvm: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"dataset = {spec}\nkernel = linear\nsolver.sbp.nu = 1e308\n"
+                        "solver.sdca.iters = 5\n")
+        out = tmp_path / "bench"
+        assert cli.main(["bench", str(plan), "--out", str(out)]) == 4
+        assert (out / "failures.txt").read_text() == f"sbp seed=0 ValueError: {message}\n"
+        assert (out / "sdca_seed0.csv").exists()
 
     @pytest.mark.parametrize("args", [
         ("train", "--kernel", "gaussian:inf"),
@@ -845,7 +972,7 @@ class TestCli:
         def reached(*args, **kwargs):
             raise AssertionError("ran past a bad --out")
 
-        for name in ("_load", "train_solver", "fourier_plan"):
+        for name in ("load_dataset", "train_solver", "fourier_plan"):
             monkeypatch.setattr(cli, name, reached)
         spec = "synthetic:two_gaussians:n=20,seed=1"
         extra = ("--test", spec) if command == "fourier" else ()
@@ -874,7 +1001,7 @@ class TestCli:
         def reached(*_args, **_kwargs):
             raise AssertionError("read the data past a usage error")
 
-        monkeypatch.setattr(cli, "_load", reached)
+        monkeypatch.setattr(cli, "load_dataset", reached)
         command, *flags = args
         missing = str(tmp_path / "missing.svm")
         extra = (("--test", missing, "--out", str(tmp_path / "out"))

@@ -40,6 +40,17 @@ class TestParse:
         ds = parse_libsvm("1 1:1\n3 1:2\n7 1:3\n", positive_class=3)
         assert ds.labels.tolist() == [-1.0, 1.0, -1.0]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_positive_class_raises_before_reading(self, value):
+        # A usage error, not a DataError, raised before the first line.
+        def lines():
+            raise AssertionError("read a line")
+            yield
+
+        with pytest.raises(ValueError, match="positive_class must be finite") as info:
+            parse_libsvm(lines(), positive_class=value)
+        assert not isinstance(info.value, DataError)
+
     def test_explicit_zero_dropped(self):
         ds = parse_libsvm("+1 1:0.0 2:5\n")
         assert ds.indptr.tolist() == [0, 1]

@@ -24,8 +24,9 @@ def test_map_shape_and_determinism():
 def test_bad_parameters():
     with pytest.raises(ValueError):
         make_fourier_map(0, 5, 1.0, 0)
-    with pytest.raises(ValueError):
-        make_fourier_map(4, 5, 0.0, 0)
+    for sigma_sq in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma_sq must be positive and finite"):
+            make_fourier_map(4, 5, sigma_sq, 0)
     with pytest.raises(ValueError):
         make_fourier_map(4, 0, 1.0, 0)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):

@@ -466,8 +466,9 @@ def test_cross_peak_memory_is_near_its_result():
 
 
 def _sparse_sample(rng, n, dim):
-    """n rows of dimension dim with 1 to 4 stored entries each: too sparse
-    for a dense copy, so products take the CSR paths."""
+    """n rows of dimension dim with 1 to 4 stored entries each: for dim of
+    at least 9, too sparse for a dense copy, so products take the CSR
+    paths."""
     x = np.zeros((n, dim))
     for i in range(n):
         features = rng.choice(dim, int(rng.integers(1, 5)), replace=False)
@@ -487,7 +488,7 @@ def test_subset_rows_are_the_full_row_sliced(seed, dense):
     if dense:
         ds = _dense_sample(rng, int(rng.integers(1, 25)), int(rng.integers(1, 8)))
     else:
-        ds = _sparse_sample(rng, int(rng.integers(1, 25)), int(rng.integers(8, 60)))
+        ds = _sparse_sample(rng, int(rng.integers(1, 25)), int(rng.integers(9, 60)))
     assert (ds._dense is not None) == dense
     for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
         for j in range(ds.n):

@@ -73,6 +73,15 @@ def test_config_validation():
             SbpConfig(nu=0.1, iterations=iterations)
 
 
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_slack_budget_overflow_is_refused_before_any_evaluation(use_bias):
+    ds = parse_libsvm("+1 1:1\n-1 1:-1\n+1 1:2\n-1 1:-2\n")
+    kernel = LinearKernel()
+    with pytest.raises(ValueError, match=r"nu = 1e\+308 times n = 4 overflows"):
+        sbp_train(ds, kernel, SbpConfig(nu=1e308, iterations=3, use_bias=use_bias))
+    assert kernel.eval_count == 0
+
+
 def test_hand_traced_single_step():
     # One positive point at x=1, linear kernel, nu=0: gamma starts at 0,
     # the only index is sampled, alpha=[1], c=[1], r^2=1, no rescale.
