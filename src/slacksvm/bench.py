@@ -225,8 +225,11 @@ _SYNTHETIC_KEYS = frozenset(f.name for f in fields(SyntheticSpec)) - {"kind"}
 
 def load_dataset(spec: str, positive_class=None) -> Dataset:
     """Resolve a ``synthetic:kind:k=v,...`` dataset spec, or read any other
-    spec as the path of a LIBSVM file, ``file:`` optional."""
+    spec as the path of a LIBSVM file, ``file:`` optional. ``positive_class``
+    maps a file's labels; with a synthetic spec it raises ValueError."""
     if spec.startswith("synthetic:"):
+        if positive_class is not None:
+            raise ValueError(f"positive_class applies to LIBSVM files, not to {spec!r}")
         rest = spec.split(":", 1)[1]
         kind, _, kvs = rest.partition(":")
         kwargs = {}

@@ -50,8 +50,8 @@ class Dataset:
     data, with at least half of its n x dimension entries stored, also
     keeps ``_dense``, the entries as one C-contiguous n x dimension array,
     whose rows the kernels multiply through BLAS; on sparse data it is
-    None, so no dense copy is held. ``matrix``, ``compact`` and
-    ``transposed`` are built on first use and kept.
+    None, so no dense copy is held. ``compact``, the one sparse layout,
+    and its transpose ``transposed`` are built on first use and kept.
     """
 
     def __init__(self, indptr, indices, values, labels, dimension=None):
@@ -94,7 +94,7 @@ class Dataset:
         if 2 * indices.size >= n * self.dimension:
             self._dense = np.zeros((n, self.dimension))
             self._dense[rows, indices] = values
-        self._matrix = self._compact = self._transposed = None
+        self._compact = self._transposed = None
 
     @classmethod
     def from_dense(cls, x, labels) -> Dataset:
@@ -116,33 +116,29 @@ class Dataset:
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        """The arrays as a scipy CSR matrix, wrapped once on first use."""
-        if self._matrix is None:
-            self._matrix = sp.csr_matrix((self.values, self.indices, self.indptr),
-                                         shape=(self.n, self.dimension))
-        return self._matrix
+        """The arrays as scipy CSR over all ``dimension`` columns, wrapped on
+        every read: no library path reads it, only the tests and perfbench."""
+        return sp.csr_matrix((self.values, self.indices, self.indptr),
+                             shape=(self.n, self.dimension))
 
     @property
-    def compact(self) -> sp.csr_matrix:
-        """The rows as CSR over their distinct stored features, ascending,
-        built from ``matrix`` on first use: the kernels' sparse rows."""
+    def compact(self) -> tuple:
+        """(features, rows): the distinct stored features, ascending, and the
+        rows as CSR over them, from one np.unique on first use and kept: the
+        layout of every sparse product and of the Fourier projection."""
         if self._compact is None:
-            matrix = self.matrix
-            features, at = np.unique(matrix.indices, return_inverse=True)
-            self._compact = sp.csr_matrix((matrix.data, at, matrix.indptr),
-                                          shape=(self.n, features.size))
+            features, at = np.unique(self.indices, return_inverse=True)
+            self._compact = features, sp.csr_matrix(
+                (self.values, at, self.indptr), shape=(self.n, features.size))
         return self._compact
 
     @property
-    def transposed(self) -> tuple:
-        """(features, t): the distinct stored features, ascending, and the
-        rows over them transposed to CSR, one row a feature, built once on
-        first use: the right factor of every sparse product with this
-        dataset, with a row pointer per stored feature, not per dimension."""
+    def transposed(self) -> sp.csr_matrix:
+        """The compact rows transposed to CSR, one row a stored feature,
+        built on first use and kept: the right factor of every sparse
+        product with this dataset."""
         if self._transposed is None:
-            features, at = np.unique(self.indices, return_inverse=True)
-            self._transposed = features, sp.csc_matrix(
-                (self.values, at, self.indptr), shape=(features.size, self.n)).tocsr()
+            self._transposed = self.compact[1].T.tocsr()
         return self._transposed
 
 
@@ -162,7 +158,8 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
     ascending indices of at most _MAX_FEATURE_INDEX. Labels may be ``+1/-1``
     or ``0/1`` (0 maps to -1); any other label set requires
     ``positive_class``, a finite label, for an explicit one-vs-rest
-    mapping (a non-finite one raises ValueError). A ``#`` starts
+    mapping (a non-finite one raises ValueError, and one that matches no
+    line's label DataError). A ``#`` starts
     a comment that runs to the end of its line, as SVM-light's ``<features>
     # <info>``; blank lines are skipped and CRLF is accepted.
     """
@@ -215,6 +212,8 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
         linenos.append(lineno)
     if not labels:
         raise DataError("no examples found")
+    if target is not None and 1 not in labels:
+        raise DataError(f"positive_class {target!r} matches no label")
     try:
         return Dataset(indptr, indices, values, labels)
     except DataError as exc:

@@ -46,11 +46,6 @@ def make_fourier_map(k: int, dim: int, sigma_sq: float, seed: int) -> FourierMap
     return FourierMap(directions=rng.standard_normal((k, dim)), sigma_sq=sigma_sq)
 
 
-def _project(fmap: FourierMap, mat, dim: int) -> np.ndarray:
-    m = min(dim, fmap.directions.shape[1])
-    return np.asarray(mat[:, :m] @ fmap.directions[:, :m].T) / np.sqrt(fmap.sigma_sq)
-
-
 def _interleave(proj: np.ndarray, k: int) -> np.ndarray:
     # Coordinate 2i is cos(<v_i, x>/sigma)/sqrt(k), 2i+1 the matching sin,
     # so every mapped vector has exactly unit norm and the expectation of
@@ -62,9 +57,13 @@ def _interleave(proj: np.ndarray, k: int) -> np.ndarray:
 
 
 def fourier_features_batch(fmap: FourierMap, dataset: Dataset) -> np.ndarray:
-    """Map every example at once; costs k inner products per example."""
+    """Map every example at once; costs k inner products per example. The
+    projection reads the compact rows' features below the map's width: the
+    terms of the product over every column, in the same order."""
     fmap.inner_product_count += fmap.k * dataset.n
-    proj = _project(fmap, dataset.matrix, dataset.dimension)
+    features, rows = dataset.compact
+    m = int(np.searchsorted(features, fmap.directions.shape[1]))
+    proj = (rows[:, :m] @ fmap.directions[:, features[:m]].T) / np.sqrt(fmap.sigma_sq)
     return _interleave(proj, fmap.k)
 
 

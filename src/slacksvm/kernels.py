@@ -38,7 +38,7 @@ class RowSubset:
     their cached squared norms; rows None takes every row and shares the
     dataset's arrays. Dense data keeps the rows of the dataset's row-major
     copy, `dataset._dense[rows]`; sparse data keeps the rows of its compact
-    matrix, `dataset.compact[rows]`."""
+    layout, `dataset.compact[1][rows]`."""
 
     def __init__(self, dataset: Dataset, rows):
         self.dataset = dataset
@@ -49,7 +49,7 @@ class RowSubset:
             if self.dense is not None:
                 self.dense = self.dense.take(rows, axis=0)
         if self.dense is None:
-            self.matrix = dataset.compact if rows is None else dataset.compact[rows]
+            self.sparse = dataset.compact[1] if rows is None else dataset.compact[1][rows]
 
     def __len__(self) -> int:
         return self.norms.size
@@ -60,16 +60,16 @@ class RowSubset:
         itself for every row), summed in BLAS's order: a subset row is the
         same matmul on the same gathered rows, not always the full row
         sliced. Sparse rows take scipy's mat-vec of row j of the compact
-        matrix, placed at its compact columns, 0.0 where row j stores none,
-        and equal (dataset.matrix @ x_j)[rows] bit for bit: each sum runs
-        from 0.0 in ascending feature order."""
+        rows, placed at its compact columns, 0.0 where row j stores none,
+        and equal the product over all dimension columns bit for bit: each
+        sum runs from 0.0 in ascending feature order."""
         if self.dense is not None:
             return self.dense @ self.dataset._dense[j]
-        compact = self.dataset.compact
+        compact = self.dataset.compact[1]
         lo, hi = compact.indptr[j], compact.indptr[j + 1]
         x = np.zeros(compact.shape[1])
         x[compact.indices[lo:hi]] = compact.data[lo:hi]
-        return self.matrix @ x
+        return self.sparse @ x
 
 
 class KernelOracle:
@@ -153,18 +153,20 @@ class KernelOracle:
         datasets multiply the block's rows, gathered from dataset's copy, by
         other's copy transposed over their common features: one np.matmul
         into the buffer, summed in BLAS's order. Otherwise the block is
-        scipy's sparse product of the rows with other's transpose over
-        other's own distinct features (features other lacks add no term), so
-        it equals the one-shot product bit for bit."""
+        scipy's sparse product of dataset's compact rows, their features
+        mapped into other's (features other lacks add no term), with other's
+        transpose, so it equals the one-shot product bit for bit."""
         dense = dataset._dense is not None and other._dense is not None
         if dense:
             m = min(dataset.dimension, other.dimension)
             left, right = dataset._dense[:, :m], other._dense[:, :m].T
         else:
             # The rows over other's stored features, in the same order.
-            (features, right), left = other.transposed, dataset.matrix[rows]
-            kept = np.isin(left.indices, features)
-            left = sp.csr_matrix((left.data[kept], np.searchsorted(features, left.indices[kept]),
+            (mine, left), features = dataset.compact, other.compact[0]
+            left, right = left[rows], other.transposed
+            ids = mine[left.indices]
+            kept = np.isin(ids, features)
+            left = sp.csr_matrix((left.data[kept], np.searchsorted(features, ids[kept]),
                                   np.concatenate(([0], np.cumsum(kept)))[left.indptr]),
                                  shape=(rows.size, features.size))
         norms_i = dataset.norms[rows][:, None]

@@ -151,7 +151,7 @@ def _midpoint_level(a: np.ndarray, b: np.ndarray, k: int, s: float) -> float:
     """
     lo = max(a[k - 1] if k else -np.inf, s - b[k] if k < b.size else -np.inf)
     hi = min(a[k] if k < a.size else np.inf, s - b[k - 1] if k else np.inf)
-    return 0.5 * float(lo + hi)
+    return 0.5 * float(lo) + 0.5 * float(hi)
 
 
 def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slacksvm.data import DataError
+from slacksvm.fourier import _interleave
 from slacksvm.kernels import KernelOracle, add_row
 from slacksvm.waterfill import find_gamma, find_gamma_and_bias, support_set
 
@@ -265,6 +266,15 @@ def cross_reference(kernel, dataset, rows, other):
     m = min(dataset.dimension, other.dimension)
     products = (dataset.matrix[rows, :m] @ other.matrix[:, :m].T).toarray()
     return kernel._values(products, dataset.norms[rows][:, None], other.norms[None, :])
+
+
+def fourier_reference(fmap, dataset):
+    """fourier_features_batch by the projection over all dimension columns,
+    dataset.matrix[:, :m] @ directions[:, :m].T / sqrt(sigma_sq) with m the
+    smaller of the dimension and the map's width, then interleaved."""
+    m = min(dataset.dimension, fmap.directions.shape[1])
+    proj = np.asarray(dataset.matrix[:, :m] @ fmap.directions[:, :m].T) / np.sqrt(fmap.sigma_sq)
+    return _interleave(proj, fmap.k)
 
 
 class PrecomputedGramKernel(KernelOracle):

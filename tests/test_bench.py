@@ -200,6 +200,20 @@ class TestDatasetSpecs:
         with pytest.raises(DataError, match=message):
             load_dataset(spec)
 
+    @pytest.mark.parametrize("value", [1.0, -1.0, 5.0, float("nan")])
+    def test_positive_class_with_a_synthetic_spec_is_refused_before_generating(
+            self, monkeypatch, value):
+        # A synthetic dataset's labels are already +-1: a positive_class would
+        # be silently ignored. A usage error, not a DataError.
+        def generating(spec):
+            raise AssertionError("generated the data")
+
+        monkeypatch.setattr(bench, "generate", generating)
+        spec = "synthetic:two_gaussians:n=5,seed=1"
+        with pytest.raises(ValueError, match="positive_class applies to LIBSVM files") as info:
+            load_dataset(spec, positive_class=value)
+        assert not isinstance(info.value, DataError)
+
 
 class TestRunPlan:
     def test_file_contract(self, tmp_path):
@@ -901,6 +915,42 @@ class TestCli:
         assert cli.main(args) == 2
         assert capsys.readouterr().err == (
             f"slacksvm: error: positive_class must be finite, got {float(value)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "calibrate-nu", "fourier", "bench"])
+    def test_positive_class_matching_no_label_is_3(self, tmp_path, capsys, command):
+        # It would map every label to -1: a one-class dataset.
+        data_file = tmp_path / "m.svm"
+        data_file.write_text("1 1:1\n3 1:2\n7 1:3\n")
+        out = tmp_path / "out"
+        if command == "bench":
+            plan = tmp_path / "plan.txt"
+            plan.write_text(f"dataset = {data_file}\nkernel = linear\nout = {out}\n"
+                            "positive_class = 5\nsolver.sbp.iters = 5\n")
+            args = ["bench", str(plan)]
+        else:
+            extra = {"train": ("--out", str(out)), "calibrate-nu": ("--lambda", "0.1"),
+                     "fourier": ("--test", str(data_file), "--out", str(out))}[command]
+            args = [command, str(data_file), "--positive-class", "5", *extra]
+        assert cli.main(args) == 3
+        assert capsys.readouterr().err == (
+            "slacksvm: data error: positive_class 5.0 matches no label\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_positive_class_with_a_synthetic_spec_is_2(self, tmp_path, capsys, command):
+        spec = "synthetic:two_gaussians:n=20,seed=1"
+        out = tmp_path / "out"
+        if command == "bench":
+            plan = tmp_path / "plan.txt"
+            plan.write_text(f"dataset = {spec}\nkernel = linear\nout = {out}\n"
+                            "positive_class = 1\nsolver.sbp.iters = 5\n")
+            args = ["bench", str(plan)]
+        else:
+            args = ["train", spec, "--positive-class", "1", "--out", str(out)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            f"slacksvm: error: positive_class applies to LIBSVM files, not to {spec!r}\n")
         assert not out.exists()
 
     def test_slack_budget_overflow(self, tmp_path, capsys):

@@ -40,6 +40,12 @@ class TestParse:
         ds = parse_libsvm("1 1:1\n3 1:2\n7 1:3\n", positive_class=3)
         assert ds.labels.tolist() == [-1.0, 1.0, -1.0]
 
+    def test_positive_class_matching_no_label_raises(self):
+        # It would make a one-class dataset, every label -1.
+        with pytest.raises(DataError, match=r"^positive_class 5\.0 matches no label$"):
+            parse_libsvm("1 1:1\n3 1:2\n7 1:3\n", positive_class=5)
+        assert parse_libsvm("1 1:1\n3 1:2\n", positive_class=1).labels.tolist() == [1.0, -1.0]
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_positive_class_raises_before_reading(self, value):
         # A usage error, not a DataError, raised before the first line.

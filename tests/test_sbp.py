@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +81,19 @@ def test_slack_budget_overflow_is_refused_before_any_evaluation(use_bias):
     with pytest.raises(ValueError, match=r"nu = 1e\+308 times n = 4 overflows"):
         sbp_train(ds, kernel, SbpConfig(nu=1e308, iterations=3, use_bias=use_bias))
     assert kernel.eval_count == 0
+
+
+@pytest.mark.parametrize("spec", ["linear", "gaussian:1.0"])
+def test_bias_level_midpoint_stays_finite_near_the_float_limit(spec):
+    # n * nu = 1.6e308 is finite, but the sum of the two ends of a bias
+    # level's interval is not: the midpoint halves each end before adding.
+    ds = generate(SyntheticSpec(kind="two_gaussians", n=4, seed=0))
+    config = SbpConfig(nu=4e307, iterations=20, use_bias=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model, _ = sbp_train(ds, kernel_from_spec(spec), config)
+    assert model.kernel_evals == 21 * ds.n
+    assert np.all(np.isfinite(model.alpha)) and np.isfinite(model.bias)
 
 
 def test_hand_traced_single_step():

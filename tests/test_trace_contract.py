@@ -65,14 +65,13 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     # after the first (an empty set scores 0, a mistake).
     assert tracer.nested_calls[("kernels.row", "baselines.perceptron_train")] == 40 - 1
     assert tracer.stats["waterfill.find_gamma"].calls >= 20
-    # The set-up metrics read these: the file is parsed once, and a dataset
-    # wraps its CSR matrix lazily, on the first kernel call that reads it.
-    # The plan's two dense datasets take their products from their dense
-    # row-major copies through matmul and build none; the sparse one builds
-    # its own.
+    # The set-up metrics read these: the file is parsed once. No library
+    # path reads Dataset.matrix: the plan's two dense datasets take their
+    # products from their dense row-major copies through matmul, and the
+    # sparse one's row reads its compact layout.
     assert tracer.stats["data.parse_libsvm"].calls == 1
     assert ("data.matrix", "bench.run_plan") not in tracer.nested_calls
-    assert tracer.stats["data.matrix"].calls == 1
+    assert tracer.stats["data.matrix"].calls == 0
 
 
 def test_calibration_records_one_pair_span_per_sdca_step(tracing):
