@@ -13,20 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .kernels import RowSubset, add_row
-from .recording import check_count, check_lam, check_seed, run_steps
-
-
-# Coordinate indices drawn per numpy call. PCG64 keeps the unused half of a
-# 64-bit output in the bit generator, not per call, so a block yields the
-# same values as one scalar draw per step; a run's unused tail is never read.
-_DRAW_BLOCK = 1024
-
-
-def _indices(rng, n: int):
-    """Uniform indices in [0, n) from rng, without end: the values of one
-    rng.integers(n) per step, drawn _DRAW_BLOCK at a time."""
-    while True:
-        yield from rng.integers(n, size=_DRAW_BLOCK).tolist()
+from .recording import check_count, check_lam, check_seed, index_stream, run_steps
 
 
 @dataclass
@@ -71,7 +58,7 @@ def _pegasos_steps(dataset: Dataset, kernel, config: PegasosConfig, rng):
             return resp_sum / t, alpha_sum / t, 0.0
         return scale * raw_resp, scale * raw_alpha, 0.0
 
-    for t, i in enumerate(_indices(rng, n), 1):
+    for t, i in enumerate(index_stream(rng, n), 1):
         violation = scale * raw_resp[i] < 1.0
         if t > 1:
             scale *= 1.0 - 1.0 / t
@@ -111,7 +98,7 @@ def _sdca_steps(dataset, kernel, lam, rng):
     box = 1.0 / (lam * n)
     alpha = np.zeros(n)
     responses = np.zeros(n)
-    for i in _indices(rng, n):
+    for i in index_stream(rng, n):
         kii = kernel.pair(dataset, i)
         if kii == 0.0:
             delta = 0.0  # flat direction, skip

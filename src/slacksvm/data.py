@@ -161,7 +161,9 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
     mapping (a non-finite one raises ValueError, and one that matches no
     line's label DataError). A ``#`` starts
     a comment that runs to the end of its line, as SVM-light's ``<features>
-    # <info>``; blank lines are skipped and CRLF is accepted.
+    # <info>``; blank lines are skipped and CRLF is accepted. Before its
+    comment a line is ASCII without ``_``, so that a number reads as C's
+    strtol and strtod read it.
     """
     indptr, indices, values, labels, linenos = [0], [], [], [], []
     target = float(positive_class) if positive_class is not None else None
@@ -171,6 +173,11 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
         line = raw.partition("#")[0].strip()
         if not line:
             continue
+        # Python's int and float also read '_' between digits and non-ASCII
+        # digits, which LIBSVM's strtol and strtod do not.
+        if not line.isascii() or "_" in line:
+            bad = next(ch for ch in line if ch == "_" or not ch.isascii())
+            raise DataError(f"line {lineno}: {bad!r} is not part of a LIBSVM number")
         tokens = line.split()
         try:
             raw_label = float(tokens[0])
@@ -197,9 +204,9 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
                 raise DataError(f"line {lineno}: malformed feature {tok!r}")
             if not math.isfinite(val):
                 raise DataError(f"line {lineno}: non-finite feature value {tok!r}")
-            if idx < 1:
-                raise DataError(f"line {lineno}: feature index {idx} is not positive")
-            if idx <= prev:
+            if idx <= prev:  # prev starts at 0
+                if idx < 1:
+                    raise DataError(f"line {lineno}: feature index {idx} is not positive")
                 raise DataError(f"line {lineno}: non-ascending feature index {idx}")
             prev = idx
             if val != 0.0:

@@ -16,6 +16,19 @@ from .model import SolverError, TrainedModel, evaluate
 
 RNG_IDENTITY = "numpy-pcg64"
 
+# Indices drawn per numpy call. PCG64 keeps the unused half of a 64-bit
+# output in the bit generator, not per call, so a block yields the same
+# values as one scalar draw at a time; a run's unused tail is never read.
+DRAW_BLOCK = 1024
+
+
+def index_stream(rng, n: int):
+    """Uniform indices in [0, n) from rng, without end: the values of one
+    rng.integers(n) per draw, drawn DRAW_BLOCK at a time. The values match
+    scalar draws only while the stream is rng's one reader."""
+    while True:
+        yield from rng.integers(n, size=DRAW_BLOCK).tolist()
+
 
 class Sample(NamedTuple):
     iteration: int

@@ -6,6 +6,15 @@ Each iteration finds the water level of the cached responses, samples a
 covered point, bumps its coefficient, refreshes all responses with one
 kernel row (n evaluations), and projects back to the unit ball. The
 returned model is the averaged iterate rescaled by its own objective value.
+
+The covered point is drawn by rejection: uniform indices from an index
+stream of the run (with a bias, one on each class, after a fair coin picks
+the class) are tested one at a time against the level, and the first one
+strictly below it is taken, so a step reads about n / |covered| responses
+instead of all n. After _MAX_REJECTIONS misses, or when the slack volume is
+0 and nothing lies strictly below the level, the step draws from the
+covered set that support_set builds. Both ways the index is uniform on that
+set.
 """
 
 from __future__ import annotations
@@ -18,11 +27,19 @@ import numpy as np
 from .data import Dataset
 from .kernels import add_row
 from .model import SolverError
-from .recording import check_count, check_seed, run_steps
-from .waterfill import _level_and_bias, find_gamma, find_gamma_and_bias, support_set
+from .recording import check_count, check_seed, index_stream, run_steps
+from .waterfill import (_level_and_bias, covered_bounds, find_gamma, find_gamma_and_bias,
+                        support_set)
 
 # Steps between recomputations of the tracked norm from alpha and responses.
 _NORM_RECOMPUTE_PERIOD = 1000
+
+# Draws tested against the level before the sampler builds the covered set.
+# Each draw hits with probability |covered| / n (about 0.46 at nu = 0.1 on
+# two Gaussian classes of n = 20,000, where 64 misses have probability
+# 0.54**64 < 1e-17), so the fallback is for levels with nothing, or almost
+# nothing, strictly below them.
+_MAX_REJECTIONS = 64
 
 
 @dataclass
@@ -53,6 +70,10 @@ class SbpState:
     classes: tuple[np.ndarray, np.ndarray]
     # Water level of the last no-bias step: the start of the next search.
     level: float | None = None
+    # Index streams from the rng of the first step, made then and read by
+    # every later step: on [0, n) without bias, on each class's positions in
+    # classes with it.
+    draws: tuple = ()
 
 
 def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
@@ -85,19 +106,47 @@ def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
     )
 
 
-def _sample_covered(c, bias, gamma, classes, rng):
+def _sample_covered(c, gamma, volume, draws, rng) -> int:
+    """Index uniform on support_set(c, gamma), for responses c at level
+    gamma of the slack volume and draws an index stream on [0, c.size).
+
+    It is the first draw under covered_bounds' strict bound, which is
+    uniform on the strict covered set; after _MAX_REJECTIONS misses, or at
+    volume 0, where the level is the lowest floor and nothing lies strictly
+    below it, a uniform pick from support_set, which is that set or, when
+    it is empty, the at-level set.
+    """
+    if volume > 0.0:
+        below, _ = covered_bounds(gamma)
+        for _, i in zip(range(_MAX_REJECTIONS), draws):
+            if c.item(i) < below:
+                return i
+    idx = support_set(c, gamma)
+    return int(idx[rng.integers(idx.size)])
+
+
+def _sample_class_covered(c, bias, gamma, volume, classes, draws, rng) -> int:
     """Pick the bias-mode update index from a class's covered basin, for
-    responses c shifted by y * bias and classes the (positive, negative)
-    index arrays.
+    responses c shifted by y * bias, classes the (positive, negative) index
+    arrays and draws an index stream on the positions of each.
 
     A fair coin picks the class, then the index is uniform within that
     class's covered set, so the sampling distribution places equal mass on
     the two classes. Only the drawn class is shifted: y * bias is exactly
-    sign * bias there.
+    sign * bias there. Draws are tested as _sample_covered's are, on
+    c[cls[j]] + sign * bias; the fallback shifts the whole class and, when
+    its basin is dry, takes the class argmin.
     """
     sign = 1.0 if rng.integers(2) == 0 else -1.0
-    cls = classes[0] if sign > 0 else classes[1]
-    shifted = c[cls] + sign * bias
+    cls, draws = (classes[0], draws[0]) if sign > 0 else (classes[1], draws[1])
+    shift = sign * bias
+    if volume > 0.0:
+        below, _ = covered_bounds(gamma)
+        for _, j in zip(range(_MAX_REJECTIONS), draws):
+            i = cls.item(j)
+            if c.item(i) + shift < below:
+                return i
+    shifted = c[cls] + shift
     idx = support_set(shifted, gamma)
     if idx.size == 0:
         # Basin entirely dry: fall back to the class argmin.
@@ -111,15 +160,18 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     eta = state.eta0 / math.sqrt(t)
     volume = dataset.n * config.nu
 
+    if not state.draws:
+        sizes = [cls.size for cls in state.classes] if config.use_bias else [dataset.n]
+        state.draws = tuple(index_stream(rng, size) for size in sizes)
     if config.use_bias:
         pos, neg = state.classes
         gamma, state.bias = _level_and_bias(state.responses[pos], state.responses[neg],
                                             volume)
-        i = _sample_covered(state.responses, state.bias, gamma, state.classes, rng)
+        i = _sample_class_covered(state.responses, state.bias, gamma, volume,
+                                  state.classes, state.draws, rng)
     else:
         state.level = find_gamma(state.responses, volume, start=state.level)
-        idx = support_set(state.responses, state.level)
-        i = int(idx[rng.integers(idx.size)])
+        i = _sample_covered(state.responses, state.level, volume, state.draws[0], rng)
 
     c_old_i = state.responses[i]
     kii = add_row(kernel, dataset, i, eta, state.alpha, state.responses)  # n evaluations

@@ -5,7 +5,9 @@ solution of sum_i max(0, gamma - c_i) = V (for V > 0), i.e. the level
 reached when a volume V of water is poured into a basin whose floor heights
 are the c_i. The level equals the slack-constrained objective value at the
 current predictor, and the covered indices define the sampling distribution
-for stochastic supergradients.
+for stochastic supergradients. covered_bounds states which floors are
+covered; support_set lists them, and SBP's sampler tests single floors
+against the same bounds.
 
 A cold search sorts the floors: over the k lowest floors the level is
 (V + their sum) / k, and the answer is the first k whose level does not
@@ -126,19 +128,26 @@ def find_gamma(c, volume: float, start: float | None = None) -> float:
     return gamma
 
 
+def covered_bounds(gamma: float) -> tuple[float, float]:
+    """The covered rule of level gamma, as (below, at): a floor under below
+    is strictly covered, and one at most at is at the level. Both lie a
+    tolerance of 1e-12 relative to the level away from it."""
+    tol = 1e-12 * max(1.0, abs(gamma))
+    return gamma - tol, gamma + tol
+
+
 def support_set(c, gamma: float) -> np.ndarray:
     """Indices to sample supergradients from: the covered set of level gamma.
 
     These are the points strictly below the level, or the at-level set when
-    nothing is strictly below (separable case); both within a tolerance of
-    1e-12 relative to the level.
+    nothing is strictly below (separable case), by covered_bounds.
     """
     c = np.asarray(c, dtype=np.float64)
-    tol = 1e-12 * max(1.0, abs(gamma))
-    strict = np.flatnonzero(c < gamma - tol)
+    below, at = covered_bounds(gamma)
+    strict = np.flatnonzero(c < below)
     if strict.size:
         return strict
-    return np.flatnonzero(c <= gamma + tol)
+    return np.flatnonzero(c <= at)
 
 
 def _midpoint_level(a: np.ndarray, b: np.ndarray, k: int, s: float) -> float:

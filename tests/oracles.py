@@ -13,6 +13,8 @@ import numpy as np
 from slacksvm.data import DataError
 from slacksvm.fourier import _interleave
 from slacksvm.kernels import KernelOracle, add_row
+from slacksvm.recording import index_stream
+from slacksvm.sbp import _MAX_REJECTIONS
 from slacksvm.waterfill import find_gamma, find_gamma_and_bias, support_set
 
 
@@ -133,18 +135,38 @@ def sbp_bias_step_reference(state, dataset, kernel, config, rng) -> int:
     """SBP's bias-mode step through the public find_gamma_and_bias, the whole
     shifted response vector c + y * bias, a class mask drawn per step and a
     response update through n-long temporaries. Mutates state as sbp_step
-    does, except for the running sums, and returns the sampled index."""
+    does, except for the running sums, and returns the sampled index.
+
+    The index comes from the index streams on each class's positions that
+    the first step makes from rng, as sbp_step does: a fair coin picks the
+    class, and the index is the first of at most _MAX_REJECTIONS draws whose
+    shifted response lies more than 1e-12 * max(1, |gamma|) below the level.
+    After that many misses, or at volume 0, it is a uniform pick from the
+    class's support_set, or from its argmin when that set is empty.
+    """
     y = dataset.labels
     t = state.t + 1
     eta = state.eta0 / math.sqrt(t)
-    gamma, state.bias = find_gamma_and_bias(state.responses, y, dataset.n * config.nu)
+    volume = dataset.n * config.nu
+    if not state.draws:
+        state.draws = tuple(index_stream(rng, int(np.count_nonzero(y == sign)))
+                            for sign in (1.0, -1.0))
+    gamma, state.bias = find_gamma_and_bias(state.responses, y, volume)
     shifted = state.responses + y * state.bias
     sign = 1.0 if rng.integers(2) == 0 else -1.0
     cls = np.flatnonzero(y == sign)
-    idx = cls[support_set(shifted[cls], gamma)]
-    if idx.size == 0:
-        idx = cls[shifted[cls] == shifted[cls].min()]
-    i = int(idx[rng.integers(idx.size)])
+    draws = state.draws[0 if sign > 0 else 1]
+    i = None
+    for _ in range(_MAX_REJECTIONS if volume > 0.0 else 0):
+        j = int(cls[next(draws)])
+        if shifted[j] < gamma - 1e-12 * max(1.0, abs(gamma)):
+            i = j
+            break
+    if i is None:
+        idx = cls[support_set(shifted[cls], gamma)]
+        if idx.size == 0:
+            idx = cls[shifted[cls] == shifted[cls].min()]
+        i = int(idx[rng.integers(idx.size)])
 
     row = kernel.row(dataset, i)
     state.norm_sq += 2.0 * eta * state.responses[i] + eta * eta * row[i]

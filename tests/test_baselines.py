@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from slacksvm import baselines
-from slacksvm.baselines import (_DRAW_BLOCK, PegasosConfig, PerceptronConfig, SdcaConfig,
-                                _indices, _sdca_steps, pegasos_train, perceptron_train,
-                                sdca_dual_value, sdca_train)
+from slacksvm.baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_steps,
+                                pegasos_train, perceptron_train, sdca_dual_value, sdca_train)
 from slacksvm.bench import write_run_csv
 from slacksvm.data import Dataset, SyntheticSpec, generate, parse_libsvm
 from slacksvm.kernels import LinearKernel, RowSubset, kernel_from_spec
 from slacksvm.model import TrainedModel, evaluate, score, serialize_model
-from slacksvm.recording import geometric_schedule, run_steps
+from slacksvm.recording import DRAW_BLOCK, geometric_schedule, index_stream, run_steps
 
 from oracles import (PrecomputedGramKernel, pegasos_steps_reference,
                      perceptron_reference, sdca_delta_oracle)
@@ -57,9 +56,9 @@ class TestIndexStream:
                                    2**32 - 1, 2**32, 2**32 + 5, 2**62])
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_blocks_equal_scalar_draws(self, n, seed):
-        steps = 3 * _DRAW_BLOCK + 5
+        steps = 3 * DRAW_BLOCK + 5
         scalar = np.random.default_rng(seed)
-        drawn = list(itertools.islice(_indices(np.random.default_rng(seed), n), steps))
+        drawn = list(itertools.islice(index_stream(np.random.default_rng(seed), n), steps))
         assert drawn == [int(scalar.integers(n)) for _ in range(steps)]
 
     def test_sdca_visits_the_scalar_stream(self):

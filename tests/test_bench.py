@@ -643,6 +643,14 @@ class TestCli:
         assert r.returncode == 3
         assert "line 1" in r.stderr and "Traceback" not in r.stderr
 
+    def test_python_only_numeral_is_3(self, tmp_path):
+        bad = tmp_path / "underscore.txt"
+        bad.write_text("-1 1:1\n+1 1_0:2_5\n")
+        r = self.run_cli("train", str(bad), "--out", str(tmp_path / "out"))
+        assert r.returncode == 3
+        assert "line 2: '_'" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_square_is_3(self, tmp_path):
         bad = tmp_path / "big.txt"
         bad.write_text("-1 1:1\n+1 1:1e200\n")

@@ -80,6 +80,22 @@ class TestParse:
         with pytest.raises(DataError):
             parse_libsvm("")
 
+    @pytest.mark.parametrize("text, bad", [
+        ("+1 1_0:2_5\n-1 1:1\n", "_"),      # read as feature 10 of value 25
+        ("+1 1:1\n-1 1:\u0661\n", "\u0661"),  # an Arabic-Indic digit, read as 1.0
+        ("+1_0 1:1\n", "_"),                 # read as label 10
+        ("+1 1:\uff12\n", "\uff12"),          # a full-width digit, read as 2.0
+    ])
+    def test_only_c_numerals_are_read(self, text, bad):
+        # Python's int and float take these; LIBSVM's strtol and strtod do not.
+        line = text.count("\n", 0, text.index(bad)) + 1
+        with pytest.raises(DataError, match=f"^line {line}: {bad!r} is not part of"):
+            parse_libsvm(text)
+
+    def test_comments_may_hold_any_text(self):
+        ds = parse_libsvm("+1 1:2.5 # caf\u00e9 no_1 \u0661\n")
+        assert ds.values.tolist() == [2.5]
+
     def test_round_trip(self):
         text = "+1 1:0.5 3:-2.0\n-1 2:1.25\n"
         ds = parse_libsvm(text)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import chisquare
 
 from slacksvm import sbp
 from slacksvm.bench import write_run_csv
@@ -13,10 +14,16 @@ from slacksvm.data import SyntheticSpec, generate, parse_libsvm
 from slacksvm.kernels import GaussianKernel, LinearKernel, add_row, kernel_from_spec
 from slacksvm.model import (SolverError, deserialize_model, load_model,
                             save_model, score_batch, serialize_model)
+from slacksvm.recording import index_stream
 from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
 from slacksvm.waterfill import _level_and_bias, find_gamma, support_set
 
 from oracles import rescale_check, sbp_bias_step_reference
+
+
+def class_draws(rng, classes):
+    """The index streams a bias-mode run reads: one on each class's positions."""
+    return tuple(index_stream(rng, cls.size) for cls in classes)
 
 
 def train_pair(n=60, seed=0, **cfg):
@@ -291,19 +298,145 @@ def test_bias_mode_handles_shifted_classes():
     assert model.bias != 0.0
 
 
+_HUGE = np.array([133218353411.02612, 133218353419.5,
+                  -133218353406.16618, -133218353400.0])
+_HUGE_CLASSES = (np.array([0, 1]), np.array([2, 3]))
+
+
 def test_dry_basin_falls_back_to_the_class_argmin():
     # At responses of 1.3e11, rounding leaves the shifted negative floors
     # (2.42997742 and 8.6) above the level 2.42996979 plus its tolerance:
     # a draw of that class finds no covered index and takes its argmin, 2.
-    c = np.array([133218353411.02612, 133218353419.5,
-                  -133218353406.16618, -133218353400.0])
-    classes = (np.array([0, 1]), np.array([2, 3]))
+    c, classes = _HUGE, _HUGE_CLASSES
     gamma, bias = _level_and_bias(c[classes[0]], c[classes[1]], 0.0)
     assert (gamma, bias) == (2.4299697875976562, -133218353408.59616)
     assert support_set(c[classes[1]] - bias, gamma).size == 0
-    drawn = {sbp._sample_covered(c, bias, gamma, classes, np.random.default_rng(seed))
-             for seed in range(50)}
+    drawn = set()
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        drawn.add(sbp._sample_class_covered(c, bias, gamma, 0.0, classes,
+                                            class_draws(rng, classes), rng))
     assert drawn == {0, 2}
+
+
+# The sampler's law is uniform on support_set's output: per class, each of
+# mass 1/2, in bias mode. Each instance gets SAMPLER_DRAWS draws from a
+# generator of seed SAMPLER_SEED, and a chi-square test of their counts
+# against that law must give a p-value above SAMPLER_MIN_P.
+SAMPLER_DRAWS = 20_000
+SAMPLER_SEED = 7
+SAMPLER_MIN_P = 1e-4
+_ONE_UNDER = 1.0 - 1e-12  # covered_bounds(1.0)[0]
+
+
+def _random_instance(seed, n):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n)
+    y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    return c, (np.flatnonzero(y > 0), np.flatnonzero(y < 0))
+
+
+def _sampler_instance(name):
+    """(responses, level, volume, classes or None, bias) of a fixed instance."""
+    if name == "strict":
+        c, _ = _random_instance(20, 30)
+        return c, find_gamma(c, 3.0), 3.0, None, 0.0
+    if name == "floors_at_the_strict_bound":
+        # Floors 2 and 3 sit exactly at the strict bound of their own level
+        # 1.0: at-level, so never drawn while 0 and 1 lie strictly below.
+        c = np.array([0.0, 0.5, _ONE_UNDER, _ONE_UNDER, 3.0])
+        gamma = find_gamma(c, 1.500000000002)
+        assert gamma == 1.0
+        return c, gamma, 1.500000000002, None, 0.0
+    if name == "at_level":
+        # Nothing lies strictly below the level: every draw misses and the
+        # sampler falls back to the at-level set {0, 1, 2}.
+        c = np.array([1.0, 1.0, 1.0, 5.0, 7.0])
+        return c, find_gamma(c, 1e-13), 1e-13, None, 0.0
+    if name == "volume_0":
+        c = np.array([0.3, 2.0, 0.3, 1.0, 0.3])
+        return c, find_gamma(c, 0.0), 0.0, None, 0.0
+    if name == "bias":
+        c, classes = _random_instance(21, 40)
+        gamma, bias = _level_and_bias(c[classes[0]], c[classes[1]], 4.0)
+        return c, gamma, 4.0, classes, bias
+    if name == "bias_floors_at_the_strict_bound":
+        # Both classes hold the floors of floors_at_the_strict_bound; the
+        # bias is 0 and the level 1.0 again.
+        c = np.array([0.0, 0.5, _ONE_UNDER, _ONE_UNDER, 3.0] * 2)
+        classes = (np.arange(5), np.arange(5, 10))
+        gamma, bias = _level_and_bias(c[:5], c[5:], 3.000000000004)
+        assert (gamma, bias) == (1.0, 0.0)
+        return c, gamma, 3.000000000004, classes, bias
+    # The dry-basin instance of test_dry_basin_falls_back_to_the_class_argmin,
+    # at volume 0 and at a small volume that still leaves the negative
+    # basin dry, so its draws all miss.
+    volume = {"dry_basin_volume_0": 0.0, "dry_basin": 1e-6}[name]
+    gamma, bias = _level_and_bias(_HUGE[:2], _HUGE[2:], volume)
+    return _HUGE, gamma, volume, _HUGE_CLASSES, bias
+
+
+def _covered_law(c, gamma, classes, bias):
+    """{index: probability} of uniform picks from support_set (per class of
+    mass 1/2, shifted by y * bias, its argmin when dry, with classes)."""
+    if classes is None:
+        idx = support_set(c, gamma)
+        return {int(i): 1.0 / idx.size for i in idx}
+    law = {}
+    for cls, sign in zip(classes, (1.0, -1.0)):
+        shifted = c[cls] + sign * bias
+        idx = support_set(shifted, gamma)
+        if idx.size == 0:
+            idx = np.flatnonzero(shifted == shifted.min())
+        law.update((int(i), 0.5 / idx.size) for i in cls[idx])
+    return law
+
+
+@pytest.mark.parametrize("name", ["strict", "floors_at_the_strict_bound", "at_level",
+                                  "volume_0", "bias", "bias_floors_at_the_strict_bound",
+                                  "dry_basin", "dry_basin_volume_0"])
+def test_sampler_is_uniform_on_the_support_set(name):
+    c, gamma, volume, classes, bias = _sampler_instance(name)
+    rng = np.random.default_rng(SAMPLER_SEED)
+    if classes is None:
+        draws = index_stream(rng, c.size)
+        picks = [sbp._sample_covered(c, gamma, volume, draws, rng)
+                 for _ in range(SAMPLER_DRAWS)]
+    else:
+        draws = class_draws(rng, classes)
+        picks = [sbp._sample_class_covered(c, bias, gamma, volume, classes, draws, rng)
+                 for _ in range(SAMPLER_DRAWS)]
+    law = _covered_law(c, gamma, classes, bias)
+    counts = np.bincount(picks, minlength=c.size)
+    outside = sorted(set(np.flatnonzero(counts)) - set(law))
+    assert not outside, f"drawn outside the covered set: {outside}"
+    if len(law) > 1:
+        indices = sorted(law)
+        pvalue = chisquare(counts[indices],
+                           [SAMPLER_DRAWS * law[i] for i in indices]).pvalue
+        assert pvalue > SAMPLER_MIN_P, (pvalue, counts[indices])
+
+
+def test_sampler_takes_the_first_hit_in_stream_order():
+    # Level 1.0 covers 0, 2 and 4. The sampler reads draws up to the first
+    # hit, 4, and no further; after _MAX_REJECTIONS misses it draws from
+    # support_set and leaves the stream where the misses ended.
+    c = np.array([0.0, 5.0, 0.1, 5.0, 0.2])
+    rng = np.random.default_rng(0)
+    draws = iter([1, 3, 4, 0, 2])
+    assert sbp._sample_covered(c, 1.0, 1.0, draws, rng) == 4
+    assert list(draws) == [0, 2]
+    draws = iter([1] * sbp._MAX_REJECTIONS + [0])
+    assert sbp._sample_covered(c, 1.0, 1.0, draws, rng) in (0, 2, 4)
+    assert list(draws) == [0]
+    # In bias mode the coin picks the class (0: the positives, here
+    # [1, 2, 4], shifted by bias 0.5 to 5.5, 0.6 and 0.7) and the draws are
+    # positions in it: position 2, index 4, is the first hit.
+    coin = SimpleNamespace(integers=lambda k: 0)
+    draws = (iter([0, 2, 1, 0]), iter([]))
+    classes = (np.array([1, 2, 4]), np.array([0, 3]))
+    assert sbp._sample_class_covered(c, 0.5, 1.0, 1.0, classes, draws, coin) == 4
+    assert list(draws[0]) == [1, 0]
 
 
 MODEL_HEADER = "n=3 kernel=linear use_bias=0 bias=0.0\n"
