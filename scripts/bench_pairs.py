@@ -11,11 +11,18 @@ with CHANGE, so a drift in machine speed falls on both sides alike. Both
 runs of a pair share their seed. With several workloads, each runs its N
 pairs in turn, in the order given.
 
-Prints for each workload, per pair, the five end-to-end metrics below for
-both trees, then for each metric the two medians, the parent's
-interquartile spread and "change lower in k of N" ("higher" for
-kevals_per_s, where higher is better). Exits 1 if any run fails, prints no
-result or reports `correct: false`.
+The metrics are the `end_to_end` entries of CHANGE's BENCHMARK.json, each
+with its `better` direction and `bound`. Prints for each workload, per
+pair, every metric for both trees, then for each metric the two medians,
+the parent's interquartile spread (IQR), "change lower in k of N" ("higher"
+where higher is better) and two verdicts:
+
+- worse: the change's median is worse than the parent's by more than
+  bound times the parent's median;
+- claim: the change is better in at least 9 of every 10 pairs, and its
+  median is better than the parent's by more than the parent's IQR.
+
+Exits 1 if any run fails, prints no result or reports `correct: false`.
 """
 
 import argparse
@@ -25,11 +32,33 @@ import statistics
 import subprocess
 import sys
 
-METRICS = ("train_s", "kevals_per_s", "setup_s", "peak_rss_mb", "train_kernel_evals")
-HIGHER_IS_BETTER = {"kevals_per_s"}
+
+def end_to_end(tree: str) -> list:
+    """(name, better, bound) of each end-to-end metric of tree's BENCHMARK.json."""
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
-def _run(tree: str, workload: str, seed: int, seconds: float):
+def verdict(pairs: list, better: str, bound: float) -> dict:
+    """One metric's summary over pairs [(parent value, change value)]: the
+    medians, the parent's IQR, the change's wins in the better direction,
+    "worse" and "claim" as the module docstring defines them."""
+    parents = [p for p, _ in pairs]
+    parent = statistics.median(parents)
+    change = statistics.median(c for _, c in pairs)
+    # statistics.quantiles needs two points; one pair has no spread.
+    q1, _, q3 = (statistics.quantiles(parents, n=4, method="inclusive")
+                 if len(parents) > 1 else (parent,) * 3)
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    gain = sign * (change - parent)
+    return {"parent": parent, "iqr": q3 - q1, "change": change, "wins": wins,
+            "worse": -gain > bound * parent,
+            "claim": 10 * wins >= 9 * len(pairs) and gain > q3 - q1}
+
+
+def _run(tree: str, workload: str, seed: int, seconds: float, names: list):
     """The result object of one benchmark run in tree, or None if it failed."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -43,45 +72,41 @@ def _run(tree: str, workload: str, seed: int, seconds: float):
     if not result.get("correct"):
         sys.stderr.write(proc.stderr)
         return None
-    return {name: result["metrics"][name]["value"] for name in METRICS}
+    return {name: result["metrics"][name]["value"] for name in names}
 
 
-def _compare(trees: dict, workload: str, pairs: int, seconds: float, seed: int) -> bool:
-    """Run and print the pairs of one workload, then its medians; False if
+def _compare(trees: dict, metrics: list, workload: str, pairs: int, seconds: float,
+             seed: int) -> bool:
+    """Run and print the pairs of one workload, then its verdicts; False if
     any run failed."""
     print(f"workload {workload}")
+    names = [name for name, _, _ in metrics]
     results = []  # (parent, change) metrics of each pair whose two runs succeeded
     ok = True
-    print("pair side   " + " ".join(f"{name:>18}" for name in METRICS))
+    print("pair side   " + " ".join(f"{name:>18}" for name in names))
     for k in range(1, pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         runs = {}
         for side in order:
-            values = _run(trees[side], workload, seed + k - 1, seconds)
+            values = _run(trees[side], workload, seed + k - 1, seconds, names)
             if values is None:
                 print(f"{k:>4} {side:<6} failed")
                 ok = False
                 continue
             runs[side] = values
-            print(f"{k:>4} {side:<6} " + " ".join(f"{values[m]:>18.6g}" for m in METRICS))
+            print(f"{k:>4} {side:<6} " + " ".join(f"{values[m]:>18.6g}" for m in names))
         if len(runs) == 2:
             results.append((runs["parent"], runs["change"]))
 
     if results:
         print(f"{workload} medians over {len(results)} pairs:")
-        for m in METRICS:
-            parents = [p[m] for p, _ in results]
-            change = statistics.median(c[m] for _, c in results)
-            # statistics.quantiles needs two points; one pair has no spread.
-            q1, _, q3 = (statistics.quantiles(parents, n=4, method="inclusive")
-                         if len(parents) > 1 else (parents[0],) * 3)
-            if m in HIGHER_IS_BETTER:
-                word, better = "higher", sum(c[m] > p[m] for p, c in results)
-            else:
-                word, better = "lower", sum(c[m] < p[m] for p, c in results)
-            print(f"  {m}: parent {statistics.median(parents):.6g} "
-                  f"(IQR {q3 - q1:.3g}), change {change:.6g}, "
-                  f"change {word} in {better} of {len(results)}")
+        for m, better, bound in metrics:
+            v = verdict([(p[m], c[m]) for p, c in results], better, bound)
+            print(f"  {m}: parent {v['parent']:.6g} (IQR {v['iqr']:.3g}), "
+                  f"change {v['change']:.6g}, change {better} in {v['wins']} of "
+                  f"{len(results)}; worse by more than {bound:g}: "
+                  f"{'yes' if v['worse'] else 'no'}; claim holds: "
+                  f"{'yes' if v['claim'] else 'no'}")
     return ok
 
 
@@ -102,9 +127,10 @@ def main(argv=None) -> int:
         ap.error("--pairs and --seconds must be positive")
 
     trees = {"parent": args.parent, "change": args.change}
+    metrics = end_to_end(args.change)
     ok = True
     for workload in workloads:
-        ok &= _compare(trees, workload, args.pairs, args.seconds, args.seed)
+        ok &= _compare(trees, metrics, workload, args.pairs, args.seconds, args.seed)
     return 0 if ok else 1
 
 

@@ -8,8 +8,7 @@ from .baselines import (PegasosConfig, PerceptronConfig, SdcaConfig,
                         pegasos_train, perceptron_train, sdca_train)
 from .bench import (SOLVER_KINDS, BenchPlan, calibrate_nu, fourier_plan,
                     parse_plan, run_plan, train_solver)
-from .data import (DataError, Dataset, SyntheticSpec, generate, parse_libsvm,
-                   serialize_libsvm)
+from .data import DataError, Dataset, SyntheticSpec, generate, parse_libsvm
 from .fourier import FourierMap, fourier_features_batch, linearize, make_fourier_map
 from .kernels import GaussianKernel, KernelOracle, LinearKernel, kernel_from_spec
 from .model import (SolverError, TrainedModel, evaluate, load_model, save_model,

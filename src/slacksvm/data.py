@@ -183,6 +183,8 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
             raw_label = float(tokens[0])
         except ValueError:
             raise DataError(f"line {lineno}: unreadable label {tokens[0]!r}")
+        if not math.isfinite(raw_label):
+            raise DataError(f"line {lineno}: non-finite label {tokens[0]!r}")
         if target is not None:
             label = 1 if raw_label == target else -1
         elif raw_label in (1.0, -1.0):
@@ -227,20 +229,6 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
         if exc.row is None:
             raise
         raise DataError(f"line {linenos[exc.row]}: {exc.reason}") from None
-
-
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of parse_libsvm; floats use shortest round-trip decimals."""
-    bounds = dataset.indptr.tolist()
-    ids = (dataset.indices + 1).tolist()
-    vals = dataset.values.tolist()
-    lines = []
-    for i, y in enumerate(dataset.labels.tolist()):
-        lo, hi = bounds[i], bounds[i + 1]
-        feats = " ".join(f"{k}:{v!r}" for k, v in zip(ids[lo:hi], vals[lo:hi]))
-        label = "+1" if y > 0 else "-1"
-        lines.append(f"{label} {feats}".rstrip())
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

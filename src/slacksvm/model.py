@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, hinge_loss
+from .kernels import kernel_from_spec
 
 
 class SolverError(RuntimeError):
@@ -90,18 +91,22 @@ def save_model(model: TrainedModel, path):
 def deserialize_model(text: str, dataset: Dataset) -> TrainedModel:
     """Inverse of serialize_model, for the training set dataset that the
     coefficients index; checked against its size and labels. Text not in
-    that format raises ValueError naming its line."""
+    that format, or a header no run writes (an unknown kernel, a nonzero
+    bias without use_bias), raises ValueError naming its line."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("model text is empty")
     try:
         fields = dict(item.split("=", 1) for item in lines[0][1].split())
         n, bias, kernel_spec = int(fields["n"]), float(fields["bias"]), fields["kernel"]
-        if n < 1 or not math.isfinite(bias) or fields["use_bias"] not in ("0", "1"):
+        kernel_from_spec(kernel_spec)
+        if (n < 1 or not math.isfinite(bias) or fields["use_bias"] not in ("0", "1")
+                or fields["use_bias"] == "0" and bias != 0.0):
             raise ValueError
     except (KeyError, ValueError):
         raise ValueError(f"line {lines[0][0]}: expected the header 'n=N kernel=SPEC "
-                         "use_bias=0|1 bias=B', N positive and B finite") from None
+                         "use_bias=0|1 bias=B', N positive, SPEC a kernel spec and B "
+                         "finite, 0 when use_bias=0") from None
     if dataset.n != n:
         raise ValueError("model does not match the dataset size")
     alpha = np.zeros(n)

@@ -7,14 +7,16 @@ covered point, bumps its coefficient, refreshes all responses with one
 kernel row (n evaluations), and projects back to the unit ball. The
 returned model is the averaged iterate rescaled by its own objective value.
 
-The covered point is drawn by rejection: uniform indices from an index
-stream of the run (with a bias, one on each class, after a fair coin picks
-the class) are tested one at a time against the level, and the first one
+The covered point is drawn within a basin, an index array fixed for the
+run: without a bias the one basin holds every index; with one, a fair coin
+picks the basin of the positive or of the negative examples, whose
+responses are shifted by y * bias. Uniform positions from the basin's index
+stream are tested one at a time against the level, and the first index
 strictly below it is taken, so a step reads about n / |covered| responses
 instead of all n. After _MAX_REJECTIONS misses, or when the slack volume is
 0 and nothing lies strictly below the level, the step draws from the
-covered set that support_set builds. Both ways the index is uniform on that
-set.
+basin's covered set that support_set builds. Both ways the index is uniform
+on that set.
 """
 
 from __future__ import annotations
@@ -66,13 +68,13 @@ class SbpState:
     t: int
     bias: float
     eta0: float
-    # Indices of the positive and the negative examples, taken once per run.
-    classes: tuple[np.ndarray, np.ndarray]
+    # The index arrays the sampler draws within, taken once per run: every
+    # index without bias; the positive and the negative examples with it.
+    basins: tuple[np.ndarray, ...]
     # Water level of the last no-bias step: the start of the next search.
     level: float | None = None
     # Index streams from the rng of the first step, made then and read by
-    # every later step: on [0, n) without bias, on each class's positions in
-    # classes with it.
+    # every later step: one on the positions of each basin.
     draws: tuple = ()
 
 
@@ -86,9 +88,12 @@ def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
     n = dataset.n
     if not math.isfinite(n * config.nu):
         raise ValueError(f"nu = {config.nu!r} times n = {n} overflows the slack budget")
-    classes = (np.flatnonzero(dataset.labels > 0), np.flatnonzero(dataset.labels < 0))
-    if config.use_bias and not (classes[0].size and classes[1].size):
-        raise SolverError("bias mode requires both classes in the training set")
+    if config.use_bias:
+        basins = (np.flatnonzero(dataset.labels > 0), np.flatnonzero(dataset.labels < 0))
+        if not (basins[0].size and basins[1].size):
+            raise SolverError("bias mode requires both classes in the training set")
+    else:
+        basins = (np.arange(n),)
     diag_max = float(kernel.diag(dataset).max())
     if not diag_max > 0.0:
         raise SolverError("every K(x_i, x_i) is 0: no step size")
@@ -102,56 +107,34 @@ def sbp_init(dataset: Dataset, kernel, config: SbpConfig) -> SbpState:
         t=0,
         bias=0.0,
         eta0=eta0,
-        classes=classes,
+        basins=basins,
     )
 
 
-def _sample_covered(c, gamma, volume, draws, rng) -> int:
-    """Index uniform on support_set(c, gamma), for responses c at level
-    gamma of the slack volume and draws an index stream on [0, c.size).
+def _sample_covered(c, shift, gamma, volume, basin, draws, rng) -> int:
+    """Index uniform on the covered set of basin, for responses c shifted
+    by shift at level gamma of the slack volume and draws an index stream
+    on the positions of basin.
 
-    It is the first draw under covered_bounds' strict bound, which is
-    uniform on the strict covered set; after _MAX_REJECTIONS misses, or at
-    volume 0, where the level is the lowest floor and nothing lies strictly
-    below it, a uniform pick from support_set, which is that set or, when
-    it is empty, the at-level set.
+    It is the first basin[j] of the draws j whose shifted response lies
+    under covered_bounds' strict bound, which is uniform on the strict
+    covered set. After _MAX_REJECTIONS misses, or at volume 0, where the
+    level is the lowest floor and nothing lies strictly below it, it is a
+    uniform pick from support_set of the shifted basin, which is that set
+    or, when it is empty, the at-level set; when that is empty too (a dry
+    class in bias mode), from the basin's argmin.
     """
-    if volume > 0.0:
-        below, _ = covered_bounds(gamma)
-        for _, i in zip(range(_MAX_REJECTIONS), draws):
-            if c.item(i) < below:
-                return i
-    idx = support_set(c, gamma)
-    return int(idx[rng.integers(idx.size)])
-
-
-def _sample_class_covered(c, bias, gamma, volume, classes, draws, rng) -> int:
-    """Pick the bias-mode update index from a class's covered basin, for
-    responses c shifted by y * bias, classes the (positive, negative) index
-    arrays and draws an index stream on the positions of each.
-
-    A fair coin picks the class, then the index is uniform within that
-    class's covered set, so the sampling distribution places equal mass on
-    the two classes. Only the drawn class is shifted: y * bias is exactly
-    sign * bias there. Draws are tested as _sample_covered's are, on
-    c[cls[j]] + sign * bias; the fallback shifts the whole class and, when
-    its basin is dry, takes the class argmin.
-    """
-    sign = 1.0 if rng.integers(2) == 0 else -1.0
-    cls, draws = (classes[0], draws[0]) if sign > 0 else (classes[1], draws[1])
-    shift = sign * bias
     if volume > 0.0:
         below, _ = covered_bounds(gamma)
         for _, j in zip(range(_MAX_REJECTIONS), draws):
-            i = cls.item(j)
+            i = basin.item(j)
             if c.item(i) + shift < below:
                 return i
-    shifted = c[cls] + shift
+    shifted = c[basin] + shift
     idx = support_set(shifted, gamma)
     if idx.size == 0:
-        # Basin entirely dry: fall back to the class argmin.
         idx = np.flatnonzero(shifted == shifted.min())
-    return int(cls[idx[rng.integers(idx.size)]])
+    return int(basin[idx[rng.integers(idx.size)]])
 
 
 def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
@@ -161,17 +144,19 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     volume = dataset.n * config.nu
 
     if not state.draws:
-        sizes = [cls.size for cls in state.classes] if config.use_bias else [dataset.n]
-        state.draws = tuple(index_stream(rng, size) for size in sizes)
+        state.draws = tuple(index_stream(rng, b.size) for b in state.basins)
     if config.use_bias:
-        pos, neg = state.classes
+        pos, neg = state.basins
         gamma, state.bias = _level_and_bias(state.responses[pos], state.responses[neg],
                                             volume)
-        i = _sample_class_covered(state.responses, state.bias, gamma, volume,
-                                  state.classes, state.draws, rng)
+        # A fair coin picks the class; y * bias is exactly its shift.
+        k = int(rng.integers(2))
+        shift = -state.bias if k else state.bias
     else:
-        state.level = find_gamma(state.responses, volume, start=state.level)
-        i = _sample_covered(state.responses, state.level, volume, state.draws[0], rng)
+        gamma = state.level = find_gamma(state.responses, volume, start=state.level)
+        k, shift = 0, 0.0
+    i = _sample_covered(state.responses, shift, gamma, volume, state.basins[k],
+                        state.draws[k], rng)
 
     c_old_i = state.responses[i]
     kii = add_row(kernel, dataset, i, eta, state.alpha, state.responses)  # n evaluations

@@ -10,12 +10,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slacksvm.data import DataError
+from slacksvm.data import DataError, Dataset
 from slacksvm.fourier import _interleave
 from slacksvm.kernels import KernelOracle, add_row
 from slacksvm.recording import index_stream
-from slacksvm.sbp import _MAX_REJECTIONS
+from slacksvm.sbp import _MAX_REJECTIONS, sbp_init, sbp_step
 from slacksvm.waterfill import find_gamma, find_gamma_and_bias, support_set
+
+
+def serialize_libsvm(dataset: Dataset) -> str:
+    """LIBSVM text of dataset, which parse_libsvm reads back to an equal
+    Dataset; floats use shortest round-trip decimals."""
+    bounds = dataset.indptr.tolist()
+    ids = (dataset.indices + 1).tolist()
+    vals = dataset.values.tolist()
+    lines = []
+    for i, y in enumerate(dataset.labels.tolist()):
+        lo, hi = bounds[i], bounds[i + 1]
+        feats = " ".join(f"{k}:{v!r}" for k, v in zip(ids[lo:hi], vals[lo:hi]))
+        label = "+1" if y > 0 else "-1"
+        lines.append(f"{label} {feats}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def water_level_sorted(c, volume):
@@ -179,6 +194,68 @@ def sbp_bias_step_reference(state, dataset, kernel, config, rng) -> int:
         state.norm_sq = 1.0
     state.t = t
     return i
+
+
+def covered_law(c, gamma, classes, bias):
+    """{index: probability} of uniform picks from support_set of level gamma
+    (classes None), or per class of mass 1/2 from its support_set of the
+    responses shifted by y * bias, its argmin when dry (classes the
+    positive and the negative index arrays)."""
+    if classes is None:
+        idx = support_set(c, gamma)
+        return {int(i): 1.0 / idx.size for i in idx}
+    law = {}
+    for cls, sign in zip(classes, (1.0, -1.0)):
+        shifted = c[cls] + sign * bias
+        idx = support_set(shifted, gamma)
+        if idx.size == 0:
+            idx = np.flatnonzero(shifted == shifted.min())
+        law.update((int(i), 0.5 / idx.size) for i in cls[idx])
+    return law
+
+
+def certified_gap(dataset, kernel, config, checkpoints):
+    """{T: U(p_bar) - f(c_bar)} of an SBP run of config after each T steps
+    in checkpoints: an upper bound on its suboptimality.
+
+    The problem is max f(w) = gamma(c(w)) over ||w||_K <= 1 (and a free
+    bias with config.use_bias), gamma the water level of volume V = n * nu.
+    f(c_bar), the level of the averaged responses (at their best bias), is
+    a lower bound on the optimum f*: the averaged iterate lies in the unit
+    ball. LP duality of the level gives gamma(c) = min over distributions
+    p of sum_i p_i c_i + V max_i p_i, so by minimax every p bounds
+        f* <= U(p) = ||sum_i p_i y_i phi(x_i)||_K + V max_i p_i,
+    with a bias every p with sum_i p_i y_i = 0. p_bar averages each step's
+    covered law (covered_law), computed before the step, at the level (and
+    bias) of that step's responses; with a bias it puts half its mass on
+    each class, so sum_i p_bar_i y_i = 0. U costs |supp p_bar| * n kernel
+    evaluations, at most n^2, on kernel's counter as the run's steps do.
+    """
+    y = dataset.labels
+    volume = dataset.n * config.nu
+    state = sbp_init(dataset, kernel, config)
+    classes = state.basins if config.use_bias else None
+    rng = np.random.default_rng(config.seed)
+    mass = np.zeros(dataset.n)
+    gaps = {}
+    for t in range(1, max(checkpoints) + 1):
+        c = state.responses
+        if config.use_bias:
+            gamma, bias = find_gamma_and_bias(c, y, volume)
+        else:
+            gamma, bias = find_gamma(c, volume), 0.0
+        for i, p in covered_law(c, gamma, classes, bias).items():
+            mass[i] += p
+        sbp_step(state, dataset, kernel, config, rng)
+        if t in checkpoints:
+            cbar = state.response_sum / t
+            lower = (find_gamma_and_bias(cbar, y, volume)[0] if config.use_bias
+                     else find_gamma(cbar, volume))
+            v = mass / t * y
+            kv = sum(v[j] * kernel.row(dataset, j) for j in np.flatnonzero(v))
+            upper = math.sqrt(max(float(v @ kv), 0.0)) + volume * float(mass.max()) / t
+            gaps[t] = upper - lower
+    return gaps
 
 
 def pegasos_steps_reference(dataset, kernel, config, rng):

@@ -20,7 +20,7 @@ from slacksvm.model import TrainedModel, score_batch
 from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
 from slacksvm.waterfill import find_gamma, find_gamma_and_bias, support_set
 
-from oracles import (PrecomputedGramKernel, sdca_delta_oracle,
+from oracles import (PrecomputedGramKernel, certified_gap, sdca_delta_oracle,
                      water_level_rows, water_level_sorted_fast)
 
 
@@ -327,3 +327,21 @@ def test_criterion_12_determinism_and_cost(tmp_path):
                 and (a / "sbp_seed3.csv").read_bytes() == (b / "sbp_seed3.csv").read_bytes())
     report(12, f"exact n*T+n accounting ({count_ok}) and byte-identical "
                f"reruns ({bytes_ok})", count_ok and bytes_ok)
+
+
+@pytest.mark.parametrize("use_bias", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_13_certified_gap(use_bias, seed):
+    # Criterion 6's rate on a kernelized instance with slack, where no grid
+    # gives the optimum: the certified gap U(p_bar) - f(c_bar) bounds the
+    # suboptimality of the averaged iterate. Instance, seeds and band were
+    # fixed before the first run; the band is criterion 6's.
+    ds = generate(SyntheticSpec(kind="two_gaussians", n=300, dimension=2, seed=seed,
+                                separation=2.0, noise_rate=0.05))
+    config = SbpConfig(nu=0.1, iterations=1600, seed=seed, use_bias=use_bias)
+    gap = certified_gap(ds, GaussianKernel(1.0), config, {100, 400, 1600})
+    decreasing = gap[100] > gap[400] > gap[1600] > 0
+    ratios = [gap[t] * math.sqrt(t) / (gap[100] * 10) for t in (400, 1600)]
+    in_band = all(0.5 <= r <= 1.5 for r in ratios)
+    report(13, f"certified gap {gap[100]:.3g}, {gap[400]:.3g}, {gap[1600]:.3g} "
+               f"(ratios {ratios[0]:.2f}, {ratios[1]:.2f})", decreasing and in_band)

@@ -11,10 +11,12 @@ from slacksvm import bench, cli, data
 from slacksvm.bench import (SOLVER_KINDS, _fmt, calibrate_nu, fourier_plan, is_flag,
                             load_dataset, parse_plan, run_plan, solver_config,
                             train_solver, write_run_csv)
-from slacksvm.data import DataError, SyntheticSpec, generate, serialize_libsvm
+from slacksvm.data import DataError, SyntheticSpec, generate
 from slacksvm.kernels import LinearKernel, kernel_from_spec
 from slacksvm.model import SolverError, evaluate, save_model, serialize_model
 from slacksvm.recording import RunRecord, Sample
+
+from oracles import serialize_libsvm
 
 PLAN = """
 # comparison on a small synthetic instance
@@ -642,6 +644,16 @@ class TestCli:
         r = self.run_cli("train", str(bad), "--out", str(tmp_path))
         assert r.returncode == 3
         assert "line 1" in r.stderr and "Traceback" not in r.stderr
+
+    def test_non_finite_label_under_positive_class_is_3(self, tmp_path):
+        bad = tmp_path / "nan_label.txt"
+        bad.write_text("1 1:1\nnan 1:2\n")
+        r = self.run_cli("train", str(bad), "--positive-class", "1",
+                         "--out", str(tmp_path / "out"))
+        assert r.returncode == 3
+        assert "line 2: non-finite label 'nan'" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_python_only_numeral_is_3(self, tmp_path):
         bad = tmp_path / "underscore.txt"

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from slacksvm.data import (DataError, Dataset, SyntheticSpec, generate,
-                           parse_libsvm, serialize_libsvm)
+from slacksvm.data import DataError, Dataset, SyntheticSpec, generate, parse_libsvm
 from slacksvm.fourier import linearize, make_fourier_map
 from slacksvm.kernels import LinearKernel
 from slacksvm.model import TrainedModel, evaluate
 
-from oracles import PrecomputedGramKernel
+from oracles import PrecomputedGramKernel, serialize_libsvm
 
 
 class TestParse:
@@ -45,6 +44,13 @@ class TestParse:
         with pytest.raises(DataError, match=r"^positive_class 5\.0 matches no label$"):
             parse_libsvm("1 1:1\n3 1:2\n7 1:3\n", positive_class=5)
         assert parse_libsvm("1 1:1\n3 1:2\n", positive_class=1).labels.tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-1e999", "-Infinity"])
+    @pytest.mark.parametrize("positive_class", [None, 1])
+    def test_non_finite_label_raises_naming_its_line(self, label, positive_class):
+        # Under positive_class it would be read as -1, not being the target.
+        with pytest.raises(DataError, match=f"^line 2: non-finite label '{label}'$"):
+            parse_libsvm(f"1 1:1\n{label} 1:2\n", positive_class=positive_class)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_positive_class_raises_before_reading(self, value):

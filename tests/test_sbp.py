@@ -18,12 +18,23 @@ from slacksvm.recording import index_stream
 from slacksvm.sbp import SbpConfig, sbp_init, sbp_step, sbp_train
 from slacksvm.waterfill import _level_and_bias, find_gamma, support_set
 
-from oracles import rescale_check, sbp_bias_step_reference
+from oracles import covered_law, rescale_check, sbp_bias_step_reference
 
 
-def class_draws(rng, classes):
-    """The index streams a bias-mode run reads: one on each class's positions."""
-    return tuple(index_stream(rng, cls.size) for cls in classes)
+def basin_draws(rng, basins):
+    """The index streams a run reads: one on each basin's positions."""
+    return tuple(index_stream(rng, b.size) for b in basins)
+
+
+def sample_as_the_step(c, bias, gamma, volume, basins, draws, rng):
+    """The index sbp_step samples: in its one basin without bias; with one,
+    in the basin of the class a fair coin picks, shifted by y * bias."""
+    if len(basins) == 1:
+        k, shift = 0, 0.0
+    else:
+        k = int(rng.integers(2))
+        shift = -bias if k else bias
+    return sbp._sample_covered(c, shift, gamma, volume, basins[k], draws[k], rng)
 
 
 def train_pair(n=60, seed=0, **cfg):
@@ -64,12 +75,15 @@ class TestInit:
         with pytest.raises(SolverError, match="K\\(x_i, x_i\\) is 0"):
             sbp_init(ds, LinearKernel(), SbpConfig(nu=0.1, iterations=1, use_bias=use_bias))
 
-    def test_class_indices_in_every_mode(self):
+    def test_basins_in_every_mode(self):
+        # One basin of every index without bias; the positive and the
+        # negative examples with it.
         ds = parse_libsvm("-1 1:1\n+1 1:2\n-1 1:3\n")
-        for use_bias in (False, True):
+        for use_bias, basins in ((False, [[0, 1, 2]]), (True, [[1], [0, 2]])):
             state = sbp_init(ds, LinearKernel(),
                              SbpConfig(nu=0.1, iterations=1, use_bias=use_bias))
-            assert [c.tolist() for c in state.classes] == [[1], [0, 2]]
+            assert [b.tolist() for b in state.basins] == basins
+            assert all(b.dtype == np.int64 for b in state.basins)
 
 
 def test_config_validation():
@@ -314,8 +328,8 @@ def test_dry_basin_falls_back_to_the_class_argmin():
     drawn = set()
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        drawn.add(sbp._sample_class_covered(c, bias, gamma, 0.0, classes,
-                                            class_draws(rng, classes), rng))
+        drawn.add(sample_as_the_step(c, bias, gamma, 0.0, classes,
+                                     basin_draws(rng, classes), rng))
     assert drawn == {0, 2}
 
 
@@ -376,37 +390,17 @@ def _sampler_instance(name):
     return _HUGE, gamma, volume, _HUGE_CLASSES, bias
 
 
-def _covered_law(c, gamma, classes, bias):
-    """{index: probability} of uniform picks from support_set (per class of
-    mass 1/2, shifted by y * bias, its argmin when dry, with classes)."""
-    if classes is None:
-        idx = support_set(c, gamma)
-        return {int(i): 1.0 / idx.size for i in idx}
-    law = {}
-    for cls, sign in zip(classes, (1.0, -1.0)):
-        shifted = c[cls] + sign * bias
-        idx = support_set(shifted, gamma)
-        if idx.size == 0:
-            idx = np.flatnonzero(shifted == shifted.min())
-        law.update((int(i), 0.5 / idx.size) for i in cls[idx])
-    return law
-
-
 @pytest.mark.parametrize("name", ["strict", "floors_at_the_strict_bound", "at_level",
                                   "volume_0", "bias", "bias_floors_at_the_strict_bound",
                                   "dry_basin", "dry_basin_volume_0"])
 def test_sampler_is_uniform_on_the_support_set(name):
     c, gamma, volume, classes, bias = _sampler_instance(name)
     rng = np.random.default_rng(SAMPLER_SEED)
-    if classes is None:
-        draws = index_stream(rng, c.size)
-        picks = [sbp._sample_covered(c, gamma, volume, draws, rng)
-                 for _ in range(SAMPLER_DRAWS)]
-    else:
-        draws = class_draws(rng, classes)
-        picks = [sbp._sample_class_covered(c, bias, gamma, volume, classes, draws, rng)
-                 for _ in range(SAMPLER_DRAWS)]
-    law = _covered_law(c, gamma, classes, bias)
+    basins = (np.arange(c.size),) if classes is None else classes
+    draws = basin_draws(rng, basins)
+    picks = [sample_as_the_step(c, bias, gamma, volume, basins, draws, rng)
+             for _ in range(SAMPLER_DRAWS)]
+    law = covered_law(c, gamma, classes, bias)
     counts = np.bincount(picks, minlength=c.size)
     outside = sorted(set(np.flatnonzero(counts)) - set(law))
     assert not outside, f"drawn outside the covered set: {outside}"
@@ -418,25 +412,25 @@ def test_sampler_is_uniform_on_the_support_set(name):
 
 
 def test_sampler_takes_the_first_hit_in_stream_order():
-    # Level 1.0 covers 0, 2 and 4. The sampler reads draws up to the first
-    # hit, 4, and no further; after _MAX_REJECTIONS misses it draws from
-    # support_set and leaves the stream where the misses ended.
+    # Level 1.0 covers 0, 2 and 4 of the basin of every index. The sampler
+    # reads draws up to the first hit, 4, and no further; after
+    # _MAX_REJECTIONS misses it draws from support_set and leaves the
+    # stream where the misses ended.
     c = np.array([0.0, 5.0, 0.1, 5.0, 0.2])
+    every = np.arange(5)
     rng = np.random.default_rng(0)
     draws = iter([1, 3, 4, 0, 2])
-    assert sbp._sample_covered(c, 1.0, 1.0, draws, rng) == 4
+    assert sbp._sample_covered(c, 0.0, 1.0, 1.0, every, draws, rng) == 4
     assert list(draws) == [0, 2]
     draws = iter([1] * sbp._MAX_REJECTIONS + [0])
-    assert sbp._sample_covered(c, 1.0, 1.0, draws, rng) in (0, 2, 4)
+    assert sbp._sample_covered(c, 0.0, 1.0, 1.0, every, draws, rng) in (0, 2, 4)
     assert list(draws) == [0]
-    # In bias mode the coin picks the class (0: the positives, here
-    # [1, 2, 4], shifted by bias 0.5 to 5.5, 0.6 and 0.7) and the draws are
-    # positions in it: position 2, index 4, is the first hit.
-    coin = SimpleNamespace(integers=lambda k: 0)
-    draws = (iter([0, 2, 1, 0]), iter([]))
-    classes = (np.array([1, 2, 4]), np.array([0, 3]))
-    assert sbp._sample_class_covered(c, 0.5, 1.0, 1.0, classes, draws, coin) == 4
-    assert list(draws[0]) == [1, 0]
+    # In a class's basin (here the positives [1, 2, 4], shifted by bias 0.5
+    # to 5.5, 0.6 and 0.7) the draws are positions in it: position 2,
+    # index 4, is the first hit.
+    draws = iter([0, 2, 1, 0])
+    assert sbp._sample_covered(c, 0.5, 1.0, 1.0, np.array([1, 2, 4]), draws, rng) == 4
+    assert list(draws) == [1, 0]
 
 
 MODEL_HEADER = "n=3 kernel=linear use_bias=0 bias=0.0\n"
@@ -506,14 +500,29 @@ class TestSerialization:
         ("n=3 kernel=linear use_bias=0\n", 1),
         ("\nn=3 kernel=linear use_bias=2 bias=0.0\n", 2),
         ("n=-1 kernel=linear use_bias=0 bias=0.0\n", 1),
+        ("n=3 kernel=bogus use_bias=0 bias=0.0\n", 1),
+        ("\nn=3 kernel=gaussian:0 use_bias=1 bias=0.0\n", 2),
+        ("n=3 kernel=gaussian:x use_bias=1 bias=0.0\n", 1),
+        ("n=3 kernel=linear use_bias=0 bias=5.0\n", 1),
+        ("n=3 kernel=linear use_bias=0 bias=-1e-300\n", 1),
         ("", None),
     ], ids=["negative-index", "label-5", "index-past-n", "duplicate-index",
             "nan-alpha", "two-fields", "no-bias", "use-bias-2", "negative-n",
-            "empty"])
+            "unknown-kernel", "gaussian-width-0", "gaussian-width-x",
+            "bias-without-use-bias", "tiny-bias-without-use-bias", "empty"])
     def test_hostile_text_raises_naming_its_line(self, text, line):
         match = "empty" if line is None else f"^line {line}: "
         with pytest.raises(ValueError, match=match):
             deserialize_model(text, parse_libsvm(THREE_ROWS))
+
+    @pytest.mark.parametrize("header", ["n=3 kernel=linear use_bias=0 bias=-0.0",
+                                        "n=3 kernel=gaussian:0.5 use_bias=1 bias=5.0",
+                                        "n=3 kernel=gaussian:1 use_bias=0 bias=0.0"])
+    def test_valid_headers_load_and_keep_their_bytes(self, header):
+        # A zero bias of either sign without use_bias, any bias with it, and
+        # any spec that kernel_from_spec reads, kept as written.
+        model = deserialize_model(header + "\n0 0.5 +1\n", parse_libsvm(THREE_ROWS))
+        assert serialize_model(model) == header + "\n0 0.5 +1\n"
 
 
 def test_rescale_check_reports_bounds():

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from slacksvm import cli
-from slacksvm.data import Dataset, serialize_libsvm
+from slacksvm.data import Dataset
 from slacksvm.fourier import fourier_features_batch, make_fourier_map
 from slacksvm.kernels import GaussianKernel, LinearKernel
 
-from oracles import cross_reference, fourier_reference
+from oracles import cross_reference, fourier_reference, serialize_libsvm
 
 
 @contextlib.contextmanager

@@ -12,8 +12,10 @@ import os
 import pytest
 
 from slacksvm import bench
-from slacksvm.data import Dataset, SyntheticSpec, generate, serialize_libsvm
+from slacksvm.data import Dataset, SyntheticSpec, generate
 from slacksvm.kernels import kernel_from_spec
+
+from oracles import serialize_libsvm
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
