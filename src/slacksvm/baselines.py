@@ -47,27 +47,23 @@ class PerceptronConfig:
 def _pegasos_steps(dataset: Dataset, kernel, config: PegasosConfig, rng):
     """Pegasos's step generator (see pegasos_train)."""
     n = dataset.n
-    raw_alpha = np.zeros(n)
-    raw_resp = np.zeros(n)  # effective responses are scale * raw_resp
-    scale = 1.0
+    raw_alpha = np.zeros(n)  # the iterate after step t is raw / t
+    raw_resp = np.zeros(n)
     alpha_sum = np.zeros(n) if config.average else None
     resp_sum = np.zeros(n) if config.average else None
 
     def predict():
         if config.average:
             return resp_sum / t, alpha_sum / t, 0.0
-        return scale * raw_resp, scale * raw_alpha, 0.0
+        return raw_resp / t, raw_alpha / t, 0.0
 
     for t, i in enumerate(index_stream(rng, n), 1):
-        violation = scale * raw_resp[i] < 1.0
-        if t > 1:
-            scale *= 1.0 - 1.0 / t
-        if violation:
-            eta = 1.0 / (config.lam * t)
-            add_row(kernel, dataset, i, eta / scale, raw_alpha, raw_resp)  # n evaluations
+        # The margin of raw / (t - 1) below 1; the iterate is 0 before step 1.
+        if raw_resp.item(i) < max(t - 1, 1):
+            add_row(kernel, dataset, i, 1.0 / config.lam, raw_alpha, raw_resp)  # n evaluations
         if config.average:
-            alpha_sum += scale * raw_alpha
-            resp_sum += scale * raw_resp
+            alpha_sum += raw_alpha * (1.0 / t)
+            resp_sum += raw_resp * (1.0 / t)
         yield predict
 
 
@@ -76,10 +72,12 @@ def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
                   timing: bool = False):
     """Kernelized Pegasos without a projection step.
 
-    Non-violation steps only rescale w, applied lazily through a scalar, so
-    kernel rows (n evaluations) are spent on violation steps only. With
-    average, the checkpoints and the returned model are the running average
-    of the iterates, its responses averaged alike.
+    Step t scales w by 1 - 1/t and, on a violation, adds y_i x_i / (lambda
+    t). From w = 0 the scale factors telescope: w after step t is the sum of
+    y_i x_i / lambda over the violations so far, divided by t. Only that sum
+    is kept, so kernel rows (n evaluations) are spent on violation steps
+    only. With average, the checkpoints and the returned model are the
+    running average of the iterates, its responses averaged alike.
     """
     return run_steps(_pegasos_steps, config.iterations, dataset, kernel, config,
                      test_data, eval_kernel, timing, solver="pegasos")
@@ -91,32 +89,25 @@ def sdca_dual_value(alpha, responses, lam) -> float:
     return float(lam * (alpha.sum() - 0.5 * (alpha @ responses)))
 
 
-def _sdca_steps(dataset, kernel, lam, rng):
-    """Shared SDCA inner loop, without end: after each step it yields
-    (i, delta, alpha, responses), the last two updated in place."""
+def _sdca_steps(dataset: Dataset, kernel, config: SdcaConfig, rng):
+    """SDCA's step generator; its arrays, updated in place, are the model."""
     n = dataset.n
-    box = 1.0 / (lam * n)
+    box = 1.0 / (config.lam * n)
     alpha = np.zeros(n)
     responses = np.zeros(n)
-    for i in index_stream(rng, n):
-        kii = kernel.pair(dataset, i)
-        if kii == 0.0:
-            delta = 0.0  # flat direction, skip
-        else:  # on Python floats: numpy's arithmetic, without its scalar cost
-            alpha_i = alpha.item(i)
-            delta = (1.0 - responses.item(i)) / kii
-            delta = min(max(delta, -alpha_i), box - alpha_i)
-        if delta != 0.0:
-            add_row(kernel, dataset, i, delta, alpha, responses)  # n evaluations
-        yield i, delta, alpha, responses
 
-
-def _sdca_predictors(dataset: Dataset, kernel, config: SdcaConfig, rng):
-    """SDCA's step generator: _sdca_steps, whose arrays are the model."""
     def predict():
         return responses, alpha, 0.0
 
-    for _, _, alpha, responses in _sdca_steps(dataset, kernel, config.lam, rng):
+    for i in index_stream(rng, n):
+        kii = kernel.pair(dataset, i)
+        if kii != 0.0:  # else a flat direction, skipped
+            # On Python floats: numpy's arithmetic, without its scalar cost.
+            alpha_i = alpha.item(i)
+            delta = (1.0 - responses.item(i)) / kii
+            delta = min(max(delta, -alpha_i), box - alpha_i)
+            if delta != 0.0:
+                add_row(kernel, dataset, i, delta, alpha, responses)  # n evaluations
         yield predict
 
 
@@ -124,7 +115,7 @@ def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
                test_data: Dataset | None = None, eval_kernel=None,
                timing: bool = False):
     """Stochastic dual coordinate ascent with exact coordinate maximization."""
-    return run_steps(_sdca_predictors, config.iterations, dataset, kernel, config,
+    return run_steps(_sdca_steps, config.iterations, dataset, kernel, config,
                      test_data, eval_kernel, timing, solver="sdca")
 
 

@@ -21,7 +21,7 @@ from .data import (DataError, Dataset, SyntheticSpec, generate, hinge_loss,
 from .fourier import linearize, make_fourier_map
 from .kernels import kernel_from_spec
 from .model import SolverError, evaluate
-from .recording import RunRecord, Sample, check_lam, check_seed
+from .recording import RunRecord, Sample, check_seed
 from .sbp import SbpConfig, sbp_train
 
 RUN_CSV_COLUMNS = Sample._fields
@@ -163,9 +163,10 @@ def parse_plan(text: str) -> BenchPlan:
 
     Top-level keys are those of _PLAN_KEYS; ``solver.NAME.KEY = VALUE``
     entries set ``kind`` (default NAME) or a parameter of that kind (see
-    SOLVER_KINDS) for a per-plan solver id NAME. An unknown key, a key set
-    twice, an unreadable value or a solver value out of range raises
-    ValueError naming its line; a bad seed or repeat raises it too.
+    SOLVER_KINDS) for a per-plan solver id NAME, which names its run files
+    and so holds no path separator. An unknown key, a key set twice, a NAME
+    with a separator, an unreadable value or a solver value out of range
+    raises ValueError naming its line; a bad seed or repeat raises it too.
     """
     top: dict = {}
     solver_params: dict = {}   # name -> {key: (value, lineno)}
@@ -189,6 +190,9 @@ def parse_plan(text: str) -> BenchPlan:
             parts = key.split(".")
             if len(parts) != 3:
                 raise ValueError(f"plan line {lineno}: use solver.NAME.KEY")
+            if "/" in parts[1] or os.sep in parts[1]:  # it names a file in out
+                raise ValueError(f"plan line {lineno}: solver name {parts[1]!r} "
+                                 "holds a path separator")
             solver_params.setdefault(parts[1], {})[parts[2]] = (value, lineno)
         elif key in _PLAN_KEYS:
             try:
@@ -339,17 +343,17 @@ def calibrate_nu(dataset: Dataset, kernel, lam: float, budget: int,
     primal-dual residual of the inner solve so calibration quality is
     visible.
     """
-    check_lam(lam)
-    check_seed(seed)
-    if budget < dataset.n + 1:
-        raise ValueError("budget too small for even one solver step")
-    rng = np.random.default_rng(seed)
     n = dataset.n
+    if budget < n + 1:
+        raise ValueError("budget too small for even one solver step")
+    # Every step costs at least its self-pair, so budget bounds the steps.
+    config = SdcaConfig(lam=lam, iterations=budget, seed=seed)
     start = kernel.eval_count
-    solver = _sdca_steps(dataset, kernel, lam, rng)
-    for steps, (_, _, alpha, responses) in enumerate(solver, 1):
+    solver = _sdca_steps(dataset, kernel, config, np.random.default_rng(seed))
+    for steps, predict in enumerate(solver, 1):
         if kernel.eval_count - start + n + 1 > budget:  # a pair and a row more
             break
+    responses, alpha, _ = predict()
     norm_sq = float(alpha @ responses)
     norm = math.sqrt(max(0.0, norm_sq))
     hinge = hinge_loss(responses)

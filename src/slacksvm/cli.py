@@ -101,9 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path) -> None:
-    """Raise NotADirectoryError if path, or the nearest of its ancestors
-    that exists, is not a directory: os.makedirs would fail there only
-    after the whole run. Creates nothing."""
+    """Raise FileNotFoundError if path is empty, or NotADirectoryError if
+    path, or the nearest of its ancestors that exists, is not a directory:
+    os.makedirs would fail there only after the whole run. Creates nothing."""
+    if not path:  # its absolute path would be the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     head = os.path.abspath(path)
     while not os.path.exists(head):
         head = os.path.dirname(head)

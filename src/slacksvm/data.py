@@ -109,11 +109,6 @@ class Dataset:
     def n(self) -> int:
         return self.labels.size
 
-    def __eq__(self, other):
-        return isinstance(other, Dataset) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("labels", "indptr", "indices", "values"))
-
     @property
     def matrix(self) -> sp.csr_matrix:
         """The arrays as scipy CSR over all ``dimension`` columns, wrapped on

@@ -265,26 +265,21 @@ def pegasos_steps_reference(dataset, kernel, config, rng):
     n = dataset.n
     raw_alpha = np.zeros(n)
     raw_resp = np.zeros(n)
-    scale = 1.0
     alpha_sum = np.zeros(n) if config.average else None
     resp_sum = np.zeros(n) if config.average else None
 
     def predict():
         if config.average:
             return resp_sum / t, alpha_sum / t, 0.0
-        return scale * raw_resp, scale * raw_alpha, 0.0
+        return raw_resp / t, raw_alpha / t, 0.0
 
     for t in itertools.count(1):
         i = int(rng.integers(n))
-        violation = scale * raw_resp[i] < 1.0
-        if t > 1:
-            scale *= 1.0 - 1.0 / t
-        if violation:
-            eta = 1.0 / (config.lam * t)
-            add_row(kernel, dataset, i, eta / scale, raw_alpha, raw_resp)
+        if raw_resp.item(i) < max(t - 1, 1):
+            add_row(kernel, dataset, i, 1.0 / config.lam, raw_alpha, raw_resp)
         if config.average:
-            alpha_sum += scale * raw_alpha
-            resp_sum += scale * raw_resp
+            alpha_sum += raw_alpha * (1.0 / t)
+            resp_sum += raw_resp * (1.0 / t)
         yield predict
 
 
@@ -381,7 +376,8 @@ class PrecomputedGramKernel(KernelOracle):
 
     Still counts evaluations so reported costs stay comparable across
     kernel modes. Rows are identified by their index within the one dataset
-    the Gram matrix was built for.
+    the Gram matrix was built for. pair records each index it evaluates, in
+    order, in paired.
     """
 
     def __init__(self, gram: np.ndarray, dataset):
@@ -391,6 +387,7 @@ class PrecomputedGramKernel(KernelOracle):
             raise DataError("Gram matrix shape does not match the dataset")
         self.gram = gram
         self.dataset = dataset
+        self.paired = []
 
     def _check(self, *datasets):
         if any(ds is not self.dataset for ds in datasets):
@@ -399,6 +396,7 @@ class PrecomputedGramKernel(KernelOracle):
     def pair(self, dataset, i):
         self._check(dataset)
         self.eval_count += 1
+        self.paired.append(i)
         return float(self.gram[i, i])
 
     def row(self, dataset, j, rows=None):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from slacksvm.baselines import _sdca_steps, pegasos_train, perceptron_train
-from slacksvm.baselines import PegasosConfig, PerceptronConfig, sdca_dual_value
+from slacksvm.baselines import PegasosConfig, PerceptronConfig, SdcaConfig, sdca_dual_value
 from slacksvm.data import SyntheticSpec, generate
 from slacksvm.kernels import GaussianKernel, LinearKernel, kernel_from_spec
 from slacksvm.model import TrainedModel, score_batch
@@ -208,8 +208,11 @@ def test_criterion_08_sdca_correctness():
     kernel = PrecomputedGramKernel(gram, ds)
 
     dual, ok, checked = 0.0, True, 0
-    steps = _sdca_steps(ds, kernel, lam, np.random.default_rng(0))
-    for t, (i, delta, alpha, responses) in zip(range(1, 10**4 + 1), steps):
+    alpha_before, c_before = np.zeros(ds.n), np.zeros(ds.n)
+    steps = _sdca_steps(ds, kernel, SdcaConfig(lam=lam, iterations=10**4),
+                        np.random.default_rng(0))
+    for t, predict in zip(range(1, 10**4 + 1), steps):
+        responses, alpha, _ = predict()
         if not (np.all(alpha >= -1e-15) and np.all(alpha <= box + 1e-15)):
             ok = False
         d = sdca_dual_value(alpha, responses, lam)
@@ -217,11 +220,13 @@ def test_criterion_08_sdca_correctness():
             ok = False
         dual = d
         if t <= 1000:
-            c_before = responses[i] - delta * gram[i, i]
-            want = sdca_delta_oracle(c_before, alpha[i] - delta, gram[i, i], box)
+            i = kernel.paired[-1]
+            delta = alpha[i] - alpha_before[i]
+            want = sdca_delta_oracle(c_before[i], alpha_before[i], gram[i, i], box)
             if abs(delta - want) > 1e-12:
                 ok = False
             checked += 1
+            alpha_before, c_before = alpha.copy(), responses.copy()
     report(8, f"dual ascent monotone over 10^4 steps, "
               f"{checked} oracle-checked updates", ok)
 

@@ -62,11 +62,15 @@ class TestIndexStream:
         assert drawn == [int(scalar.integers(n)) for _ in range(steps)]
 
     def test_sdca_visits_the_scalar_stream(self):
+        # Each SDCA step evaluates its coordinate's self-pair once, first.
         ds = margin_instance(n=37, seed=2)
-        steps = _sdca_steps(ds, LinearKernel(), 0.05, np.random.default_rng(9))
-        visited = [i for i, _, _, _ in itertools.islice(steps, 2500)]
+        kernel = PrecomputedGramKernel(dense_gram(ds), ds)
+        steps = _sdca_steps(ds, kernel, SdcaConfig(lam=0.05, iterations=2500),
+                            np.random.default_rng(9))
+        for _ in itertools.islice(steps, 2500):
+            pass
         scalar = np.random.default_rng(9)
-        assert visited == [int(scalar.integers(ds.n)) for _ in range(2500)]
+        assert kernel.paired == [int(scalar.integers(ds.n)) for _ in range(2500)]
 
     @pytest.mark.parametrize("average", [False, True])
     def test_pegasos_matches_one_draw_per_step(self, tmp_path, average):
@@ -124,6 +128,23 @@ class TestPegasos:
         _, best = best_regularized_on_grid(x, ds.labels, lam, radius=6.0, steps=120)
         assert primal <= best * 1.5 + 0.05
 
+    def test_closed_form_matches_the_recursion(self):
+        # Textbook Pegasos on the explicit primal vector, with the library's
+        # draws: w <- (1 - 1/t) w, plus y_i x_i / (lambda t) on a violation.
+        ds = margin_instance(n=50, seed=3)
+        x, y = ds.matrix.toarray(), ds.labels
+        cfg = PegasosConfig(lam=0.05, iterations=300, seed=5)
+        model, _ = pegasos_train(ds, LinearKernel(), cfg)
+        w = np.zeros(ds.dimension)
+        rng = np.random.default_rng(cfg.seed)
+        for t in range(1, cfg.iterations + 1):
+            i = int(rng.integers(ds.n))
+            violation = y[i] * (x[i] @ w) < 1.0
+            w *= 1.0 - 1.0 / t
+            if violation:
+                w += y[i] * x[i] / (cfg.lam * t)
+        np.testing.assert_allclose(x.T @ (model.alpha * y), w, rtol=1e-12, atol=1e-12)
+
     def test_averaged_mode(self):
         ds = margin_instance(n=30)
         cfg = PegasosConfig(lam=0.1, iterations=100, seed=0, average=True)
@@ -145,11 +166,12 @@ class TestSdca:
         box = 1.0 / (lam * ds.n)
         gram = dense_gram(ds)
         kernel = PrecomputedGramKernel(gram, ds)
-        from slacksvm.baselines import _sdca_steps
 
-        steps = _sdca_steps(ds, kernel, lam, np.random.default_rng(0))
+        steps = _sdca_steps(ds, kernel, SdcaConfig(lam=lam, iterations=2000),
+                            np.random.default_rng(0))
         last = 0.0
-        for _, (i, delta, alpha, responses) in zip(range(2000), steps):
+        for predict in itertools.islice(steps, 2000):
+            responses, alpha, _ = predict()
             assert np.all(alpha >= -1e-15) and np.all(alpha <= box + 1e-15)
             d = sdca_dual_value(alpha, responses, lam)
             assert d >= last - 1e-12
@@ -161,15 +183,19 @@ class TestSdca:
         box = 1.0 / (lam * ds.n)
         gram = dense_gram(ds)
         kernel = PrecomputedGramKernel(gram, ds)
-        from slacksvm.baselines import _sdca_steps
 
-        steps = _sdca_steps(ds, kernel, lam, np.random.default_rng(1))
+        steps = _sdca_steps(ds, kernel, SdcaConfig(lam=lam, iterations=1000),
+                            np.random.default_rng(1))
+        alpha_before, c_before = np.zeros(ds.n), np.zeros(ds.n)
         seen = []
-        for _, (i, delta, alpha, responses) in zip(range(1000), steps):
-            c_before = responses[i] - delta * gram[i, i]
-            want = sdca_delta_oracle(c_before, alpha[i] - delta, gram[i, i], box)
+        for predict in itertools.islice(steps, 1000):
+            responses, alpha, _ = predict()
+            i = kernel.paired[-1]
+            delta = alpha[i] - alpha_before[i]
+            want = sdca_delta_oracle(c_before[i], alpha_before[i], gram[i, i], box)
             assert delta == pytest.approx(want, abs=1e-12)
             seen.append(delta)
+            alpha_before, c_before = alpha.copy(), responses.copy()
         assert len(seen) == 1000
 
     def test_zero_diagonal_skipped(self):

@@ -107,6 +107,9 @@ class TestPlanParsing:
          "line 17: solver p: passes must be at least 1 and an integer, got 0"),
         (PLAN.replace("seed = 10", "seed = -1"),
          "seed must be a non-negative integer, got -1"),
+        (PLAN + "solver.a/b.kind = sbp\n",
+         "line 16: solver name 'a/b' holds a path separator"),
+        (PLAN.replace("solver.sbp.", "solver./."), "line 10: solver name '/' holds"),
     ], ids=["no-equals", "no-dataset", "unknown-kind", "no-solvers",
             "deep-solver-key", "top-level-typo", "solver-key-typo",
             "key-of-other-kind", "other-kind-key-unreadable", "unreadable-value",
@@ -114,7 +117,7 @@ class TestPlanParsing:
             "unreadable-timing", "unknown-kernel", "kernel-out-of-range",
             "kernel-twice", "solver-key-twice", "unreadable-positive-class",
             "zero-repeat", "zero-iters", "negative-nu", "infinite-lambda",
-            "zero-passes", "negative-seed"])
+            "zero-passes", "negative-seed", "name-with-slash", "name-is-slash"])
     def test_rejects_garbage(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_plan(text)
@@ -519,6 +522,18 @@ class TestCalibrateNu:
             with pytest.raises(ValueError, match="budget too small"):
                 calibrate_nu(ds, LinearKernel(), lam=0.1, budget=budget)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lam": 0.0}, "lambda must be positive and finite, got 0.0"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"budget": 1000.5}, "must be at least 1 and an integer, got 1000.5"),
+    ])
+    def test_bad_argument_rejected_before_any_step(self, kwargs, message):
+        ds = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=0))
+        kernel = LinearKernel()
+        with pytest.raises(ValueError, match=message):
+            calibrate_nu(ds, kernel, **{"lam": 0.1, "budget": 1000, **kwargs})
+        assert kernel.eval_count == 0
+
     def test_huge_lambda_rejected(self):
         ds = generate(SyntheticSpec(kind="two_gaussians", n=30, seed=0))
         with pytest.raises(SolverError, match="lambda too large"):
@@ -830,7 +845,7 @@ class TestCli:
     def test_failed_run_is_4_after_the_other_runs(self, tmp_path):
         # A run whose solver fails fails alone: the other runs, the aggregate
         # and failures.txt are written, and then bench exits with the solver
-        # code. Pegasos's step 1/(lambda t) overflows at lambda = 1e-320.
+        # code. Pegasos's step 1/lambda overflows at lambda = 1e-320.
         plan = tmp_path / "plan.txt"
         plan.write_text(PLAN.replace("solver.peg.lambda = 0.0125",
                                      "solver.peg.lambda = 1e-320"))
@@ -846,7 +861,7 @@ class TestCli:
             for seed in (10, 11, 12))
 
     def test_non_finite_model_is_4(self, tmp_path):
-        # Pegasos's step 1/(lambda t) overflows: the model would hold inf.
+        # Pegasos's step 1/lambda overflows: the model would hold inf.
         # train writes nothing; bench lists the run as failed. In a
         # subprocess, so that numpy's overflow warning stays a warning.
         spec = "synthetic:two_gaussians:n=20,seed=1"
@@ -1031,11 +1046,11 @@ class TestCli:
         assert "Traceback" not in r.stderr and "data error" in r.stderr
 
     @pytest.mark.parametrize("command", ["train", "fourier"])
-    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub", ""])
     def test_out_naming_a_file_stops_before_any_work(self, tmp_path, monkeypatch,
                                                      capsys, command, out):
         # Refused before the data is read, so before any solver runs; the
-        # file is left as it was.
+        # file is left as it was. An empty path names no directory at all.
         taken = tmp_path / "taken"
         taken.write_text("kept")
 
@@ -1046,7 +1061,8 @@ class TestCli:
             monkeypatch.setattr(cli, name, reached)
         spec = "synthetic:two_gaussians:n=20,seed=1"
         extra = ("--test", spec) if command == "fourier" else ()
-        assert cli.main([command, spec, *extra, "--out", str(tmp_path / out)]) == 3
+        out_arg = str(tmp_path / out) if out else ""
+        assert cli.main([command, spec, *extra, "--out", out_arg]) == 3
         assert "data error" in capsys.readouterr().err
         assert taken.read_text() == "kept"
 
@@ -1081,7 +1097,7 @@ class TestCli:
         assert err.startswith("slacksvm: error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub", ""])
     def test_bench_out_under_a_file_is_3_before_the_data_is_read(self, tmp_path, out):
         # The plan's data file is missing too; the output path is named.
         taken = tmp_path / "taken"
@@ -1089,10 +1105,20 @@ class TestCli:
         plan = tmp_path / "plan.txt"
         plan.write_text(f"dataset = file:{tmp_path / 'missing.svm'}\nkernel = linear\n"
                         "solver.sdca.kind = sdca\n")
-        r = self.run_cli("bench", str(plan), "--out", str(tmp_path / out))
+        r = self.run_cli("bench", str(plan), "--out", str(tmp_path / out) if out else "")
         assert r.returncode == 3
-        assert str(taken) in r.stderr and "missing.svm" not in r.stderr
+        named = str(taken) if out else "No such file or directory: ''"
+        assert named in r.stderr and "missing.svm" not in r.stderr
         assert "Traceback" not in r.stderr and taken.read_text() == "kept"
+
+    def test_bench_plan_out_empty_is_3_before_the_data_is_read(self, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"dataset = file:{tmp_path / 'missing.svm'}\nkernel = linear\n"
+                        "out =\nsolver.sdca.kind = sdca\n")
+        r = self.run_cli("bench", str(plan))
+        assert r.returncode == 3
+        assert "No such file or directory: ''" in r.stderr
+        assert "missing.svm" not in r.stderr and "Traceback" not in r.stderr
 
     def test_bench_makes_no_directory_when_its_data_fails(self, tmp_path):
         plan = tmp_path / "plan.txt"
