@@ -15,7 +15,7 @@ OUT_DIR receives 142 files and their manifest:
 - sparse/KERNEL/RUN/: as train/, on the sparse pair, for four solver settings
   under both kernels (8 runs, 24 files);
 - dense10/KERNEL/RUN/: as train/, on dense data of dimension 10 under the
-  linear kernel and gaussian:0.3, a width whose 2 sigma^2 is not a power of
+  linear kernel and gaussian:0.7, a width whose 2 sigma^2 is not a power of
   two (12 runs, 36 files);
 - manifest.json: the SHA-256 of each file above, with environment(), the
   versions, BLAS and CPU features the bytes depend on.
@@ -58,7 +58,7 @@ RUNS = {
 SPARSE_RUNS = ("sbp", "sbp_bias", "pegasos", "perceptron_passes2")
 DENSE10_TRAIN = "synthetic:two_gaussians:n=300,dimension=10,seed=3,separation=2.0,noise_rate=0.05"
 DENSE10_TEST = "synthetic:two_gaussians:n=200,dimension=10,seed=4,separation=2.0,noise_rate=0.05"
-DENSE10_KERNELS = {"linear": "linear", "gaussian0.3": "gaussian:0.3"}
+DENSE10_KERNELS = {"linear": "linear", "gaussian0.7": "gaussian:0.7"}
 PLAN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "synthetic_bench.plan")
 
 

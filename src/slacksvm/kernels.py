@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -200,17 +202,24 @@ class GaussianKernel(KernelOracle):
         if not 0 < sigma_sq < np.inf:
             raise ValueError("sigma_sq must be positive and finite")
         self.sigma_sq = float(sigma_sq)
+        # One multiply a value instead of a divide. It rounds as
+        # -d2 / (2 sigma^2) whenever 2 sigma^2 is a power of two; an infinite
+        # factor would make the self-entries 0 * -inf = nan.
+        self._factor = -0.5 / self.sigma_sq
+        if not math.isfinite(self._factor):
+            raise ValueError(f"sigma_sq = {self.sigma_sq!r} is too small: "
+                             "-1 / (2 sigma_sq) overflows")
 
     def _values(self, products, norms_i, norms_j):
-        # -2p + (n_i + n_j) and m / -(2 sigma^2) round as n_i + n_j - 2p and
-        # -m / (2 sigma^2); an array in place, one pair's float without numpy.
+        # -2p + (n_i + n_j) rounds as n_i + n_j - 2p; an array in place, one
+        # pair's float without numpy.
         d2 = products
         d2 *= -2.0
         d2 += norms_i + norms_j
         if isinstance(d2, float):
-            return 1.0 if d2 <= 0.0 else np.exp(d2 / (-2.0 * self.sigma_sq))
+            return 1.0 if d2 <= 0.0 else np.exp(d2 * self._factor)
         np.maximum(d2, 0.0, out=d2)
-        d2 /= -2.0 * self.sigma_sq
+        d2 *= self._factor
         return np.exp(d2, out=d2)
 
     @property
@@ -222,7 +231,14 @@ def add_row(kernel, dataset: Dataset, i: int, s: float, alpha, responses) -> flo
     """alpha[i] += s and responses += s * y[i] * y * K(., x_i) through the
     kernel's row i (n evaluations); returns K(x_i, x_i). The row is scaled in
     place, as (row * y) * (s * y[i]): labels are exactly +-1, so this rounds
-    like s * y[i] * y * row, zero signs included."""
+    like s * y[i] * y * row, zero signs included.
+
+    Raises SolverError, before taking the row, when s is not finite (as
+    Pegasos's step 1/lambda at lambda = 1e-320): the model would not be,
+    and a zero kernel value times s would be nan."""
+    if not math.isfinite(s):
+        from .model import SolverError  # model imports this module
+        raise SolverError(f"non-finite step {s}")
     y = dataset.labels
     row = kernel.row(dataset, i)
     kii = row.item(i)

@@ -71,7 +71,11 @@ def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
     overshoots it; from above it descends monotonically, never past the
     root. The below-sets of levels are nested, so a pass that finds as many
     floors below as the last one has the same set, and its level is exact.
-    A pass whose sum overflows also gives None, for the sorted form to judge.
+
+    Each level is a dot of all n floors with weights 0 or 1, so a floor that
+    is not finite makes it nan or infinite (0 * inf is nan), and that gives
+    None, as does a sum that overflows: the sorted form judges both. A dry
+    start, below every floor, takes no dot, so it checks the floors itself.
     """
     gamma = start
     last = -1
@@ -82,7 +86,10 @@ def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
             if m == last:
                 return gamma
             if m == 0:
-                # Dry start: the lowest floor alone under volume is above the root.
+                # Dry start: no dot reads the floors, so they are checked
+                # here; the lowest floor alone under volume is above the root.
+                if not np.isfinite(c).all():
+                    return None
                 gamma = float(c.min()) + volume
             else:
                 gamma = (volume + float(c @ below)) / m
@@ -93,12 +100,16 @@ def _newton_level(c: np.ndarray, volume: float, start: float) -> float | None:
 
 
 def _responses(c) -> np.ndarray:
+    """c as a float64 array, checked in O(1) to be a nonempty 1-D vector."""
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("responses must be a nonempty 1-D vector")
+    return c
+
+
+def _check_finite(c: np.ndarray) -> None:
     if not np.isfinite(c).all():
         raise ValueError("responses must be finite")
-    return c
 
 
 def _check_volume(volume: float) -> None:
@@ -113,19 +124,28 @@ def find_gamma(c, volume: float, start: float | None = None) -> float:
     O(n log n). With a finite start level, such as the previous SBP
     iteration's, Newton passes of O(n) each find the same level exactly, a
     few passes when start is near it; after _MAX_NEWTON_PASSES the sorted
-    form takes over. Raises ValueError when a sum behind the level
-    overflows the float range, even where the level itself would fit.
+    form takes over. Raises ValueError when a response is not finite, and
+    when a sum behind the level overflows the float range, even where the
+    level itself would fit.
+
+    The shape, volume and start are checked first, in O(1). The O(n) scan
+    for finiteness runs only where no pass has read every floor through a
+    dot: without start, at volume 0, at a dry start (inside the Newton
+    passes) and when Newton gives None. A level Newton returns has passed
+    through such a dot, which is not finite if any floor is not.
     """
     c = _responses(c)
     _check_volume(volume)
     if start is not None and not math.isfinite(start):
         raise ValueError("start level must be finite")
+    if start is not None and volume > 0.0:
+        gamma = _newton_level(c, float(volume), float(start))
+        if gamma is not None:
+            return gamma
+    _check_finite(c)
     if volume == 0.0:
         return float(c.min())
-    gamma = None if start is None else _newton_level(c, float(volume), float(start))
-    if gamma is None:
-        gamma = _sorted_level(np.sort(c), float(volume))
-    return gamma
+    return _sorted_level(np.sort(c), float(volume))
 
 
 def covered_bounds(gamma: float) -> tuple[float, float]:
@@ -177,6 +197,7 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
     (gamma, b).
     """
     c = _responses(c)
+    _check_finite(c)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != c.shape:
         raise ValueError("responses and labels must be matching nonempty vectors")

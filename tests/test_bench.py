@@ -603,7 +603,10 @@ class TestFourierPlan:
 
 class TestCli:
     def run_cli(self, *args):
-        return subprocess.run([sys.executable, "-m", "slacksvm.cli", *args],
+        # Under the RuntimeWarning filter pytest applies in-process, so that a
+        # numpy warning on the way to a clean exit ends in a traceback here.
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "slacksvm.cli", *args],
                               capture_output=True, text=True)
 
     def test_usage_error_is_2(self):
@@ -857,18 +860,18 @@ class TestCli:
             "aggregate.csv", "failures.txt",
             "sbp_seed10.csv", "sbp_seed11.csv", "sbp_seed12.csv"]
         assert (out / "failures.txt").read_text() == "".join(
-            f"peg seed={seed} SolverError: non-finite model at iteration 1\n"
+            f"peg seed={seed} SolverError: non-finite step inf\n"
             for seed in (10, 11, 12))
 
     def test_non_finite_model_is_4(self, tmp_path):
-        # Pegasos's step 1/lambda overflows: the model would hold inf.
-        # train writes nothing; bench lists the run as failed. In a
-        # subprocess, so that numpy's overflow warning stays a warning.
+        # Pegasos's step 1/lambda overflows: the model would hold inf, so the
+        # response update refuses the step before it takes a row. train
+        # writes nothing; bench lists the run as failed.
         spec = "synthetic:two_gaussians:n=20,seed=1"
         r = self.run_cli("train", spec, "--solver", "pegasos", "--lambda", "1e-320",
                          "--iters", "3", "--out", str(tmp_path / "out"))
         assert r.returncode == 4
-        assert "non-finite model at iteration 1" in r.stderr
+        assert r.stderr == "slacksvm: solver error: non-finite step inf\n"
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "out").exists()
         plan = tmp_path / "plan.txt"
@@ -878,7 +881,19 @@ class TestCli:
         r = self.run_cli("bench", str(plan), "--out", str(tmp_path / "bench"))
         assert r.returncode == 4
         assert (tmp_path / "bench" / "failures.txt").read_text() == (
-            "peg seed=0 SolverError: non-finite model at iteration 1\n")
+            "peg seed=0 SolverError: non-finite step inf\n")
+
+    def test_non_finite_step_on_a_zero_kernel_value_is_4(self, tmp_path):
+        # Rows 0 and 1 share no feature: their linear kernel value is 0, and
+        # 0 times the infinite step 1/lambda would be nan, which numpy warns
+        # of. The step is refused before the row is taken: one line, exit 4.
+        f = tmp_path / "d.txt"
+        f.write_text("+1 1:1\n-1 2:1\n+1 1:2\n")
+        r = self.run_cli("train", str(f), "--solver", "pegasos", "--lambda", "1e-320",
+                         "--out", str(tmp_path / "out"))
+        assert (r.returncode, r.stdout) == (4, "")
+        assert r.stderr == "slacksvm: solver error: non-finite step inf\n"
+        assert not (tmp_path / "out").exists()
 
     def test_fourier_rejects_linear_kernel(self, tmp_path):
         f = tmp_path / "d.txt"
@@ -1008,16 +1023,19 @@ class TestCli:
         ("train", "--kernel", "gaussian:inf"),
         ("train", "--kernel", "gaussian:1e999"),
         ("train", "--kernel", "gaussian:nan"),
+        ("train", "--kernel", "gaussian:1e-320"),
         ("train", "--solver", "pegasos", "--lambda", "inf"),
         ("train", "--solver", "sdca", "--lambda", "nan"),
         ("train", "--solver", "sbp", "--nu", "inf"),
         ("calibrate-nu", "--lambda", "inf"),
         ("fourier", "--kernel", "gaussian:0"),
         ("fourier", "--kernel", "gaussian:inf"),
+        ("fourier", "--kernel", "gaussian:1e-320"),
     ])
     def test_parameter_out_of_range_is_2(self, tmp_path, args):
         # Rejected where it is read, before any training or output: a
-        # Gaussian of infinite width would be a constant kernel, nu = inf
+        # Gaussian of infinite width would be a constant kernel, one whose
+        # factor -0.5 / sigma^2 overflows would make K(x, x) nan, nu = inf
         # would fail only inside the water level, and fourier reads the
         # width as train does.
         f = tmp_path / "d.txt"

@@ -150,6 +150,40 @@ def test_gaussian_requires_positive_bandwidth():
             kernel_from_spec(spec)
 
 
+def test_gaussian_refuses_a_width_whose_factor_overflows():
+    # -0.5 / sigma^2 overflows below sigma^2 = 0.5 / 1.8e308, about 2.78e-309;
+    # there every self-entry would be 0 * -inf = nan. Just above it the
+    # factor is finite and K(x, x) is 1.0 (rows apart would overflow to
+    # -inf before exp, with numpy's warning, as the division did).
+    for width in (2.7e-309, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match=f"sigma_sq = {width!r} is too small"):
+            GaussianKernel(width)
+        with pytest.raises(ValueError, match=f"sigma_sq = {width!r} is too small"):
+            kernel_from_spec(f"gaussian:{width!r}")
+    ds = parse_libsvm("+1 1:0.5 3:-2\n-1 1:0.5 3:-2\n")
+    k = GaussianKernel(2.8e-309)
+    assert k.diag(ds).tolist() == k.row(ds, 0).tolist() == [1.0, 1.0]
+    assert k.pair(ds, 1) == 1.0
+
+
+@given(st.integers(0, 2**32), st.integers(-60, 60))
+@settings(max_examples=100, deadline=None)
+def test_gaussian_map_at_power_of_two_widths_equals_the_division(seed, k):
+    # Where 2 sigma^2 is a power of two, -0.5 / sigma^2 is exact, so the
+    # multiply rounds as the division by -2 sigma^2 that it replaced, on
+    # arrays and on one pair's float: such widths keep their bytes.
+    sigma_sq = 2.0 ** k / 2
+    rng = np.random.default_rng(seed)
+    d2 = sigma_sq * rng.random(200) * 10.0 ** rng.integers(-320, 4, 200)
+    d2[:3] = (0.0, -sigma_sq, 5e-324)
+    old = np.exp(np.maximum(d2, 0.0) / (-2.0 * sigma_sq))
+    gauss = GaussianKernel(sigma_sq)
+    zeros = np.zeros(d2.size)
+    assert np.array_equal(gauss._values(zeros.copy(), d2, zeros), old)
+    for value, want in zip(d2.tolist(), old.tolist()):
+        assert gauss._values(0.0, value, 0.0) == want
+
+
 @given(st.integers(0, 2**32), st.floats(0.1, 10.0))
 @settings(max_examples=50, deadline=None)
 def test_row_matches_pairs(seed, sigma_sq):
@@ -247,9 +281,9 @@ def test_row_at_sums_stored_entries_in_storage_order(seed, d):
 @given(st.integers(0, 2**32), st.integers(1, 6), st.floats(0.1, 10.0))
 @settings(max_examples=100, deadline=None)
 def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
-    # On every access path the Gaussian value is exp(-max(d2, 0) / (2 sigma^2))
-    # of d2 = n_i + n_j - 2 <x_i, x_j>, with the linear kernel's product from
-    # the same path, bit for bit.
+    # On every access path the Gaussian value is
+    # exp(max(d2, 0) * (-0.5 / sigma^2)) of d2 = n_i + n_j - 2 <x_i, x_j>,
+    # with the linear kernel's product from the same path, bit for bit.
     rng = np.random.default_rng(seed)
 
     def sample(n, dim):
@@ -259,7 +293,7 @@ def test_gaussian_is_the_map_of_the_linear_products(seed, d, sigma_sq):
 
     def mapped(products, norms_i, norms_j):
         d2 = norms_i + norms_j - 2.0 * products
-        return np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma_sq))
+        return np.exp(np.maximum(d2, 0.0) * (-0.5 / sigma_sq))
 
     ds, other = sample(12, d), sample(5, d + int(rng.integers(0, 2)))
     lin, gauss = LinearKernel(), GaussianKernel(sigma_sq)

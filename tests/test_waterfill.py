@@ -80,6 +80,29 @@ def test_rejects_non_finite(call):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 7])
+@pytest.mark.parametrize("start", [-1e9, -0.5, 0.3, 2.0, 1e9])
+@pytest.mark.parametrize("volume", [0.0, 0.5, 30.0])
+def test_warm_search_rejects_non_finite_floors(bad, where, start, volume):
+    # With a start, the finiteness scan runs only where no pass reads every
+    # floor through a dot; a level Newton returns has had such a pass, which
+    # a non-finite floor anywhere makes nan or infinite.
+    c = np.linspace(-1.0, 1.0, 8)
+    c[where] = bad
+    with pytest.raises(ValueError, match="responses must be finite"):
+        find_gamma(c, volume, start=start)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dry_start_rejects_non_finite_floors(bad):
+    # From below every floor no dot reads them: the first level is the
+    # lowest floor plus the volume, and 1e300 + 1 is 1e300, which the next
+    # pass would take as exact.
+    with pytest.raises(ValueError, match="responses must be finite"):
+        find_gamma([1e300, bad], 1.0, start=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("side", ["positive", "negative"])
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_level_and_bias_rejects_non_finite_floors(bad, side, where):
