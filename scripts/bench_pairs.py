@@ -2,14 +2,16 @@
 """Compare two source trees on benchmark workloads, in alternating pairs.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W[,W...]
-       --pairs N --seconds S [--seed SEED]
+       [--pairs N] [--seconds S] [--seed SEED]
 
 PARENT and CHANGE are checkouts with a perfbench/ directory. Each pair runs
 `perfbench/run.py --workload W --seed SEED+k --seconds S --trace 0` once in
 each tree, one process at a time; odd pairs start with PARENT, even pairs
 with CHANGE, so a drift in machine speed falls on both sides alike. Both
 runs of a pair share their seed. With several workloads, each runs its N
-pairs in turn, in the order given.
+pairs in turn, in the order given. N defaults to 10, and S to the
+`run_seconds` of CHANGE's BENCHMARK.json, so a claim is measured at the
+benchmark's own run length.
 
 The metrics are the `end_to_end` entries of CHANGE's BENCHMARK.json, each
 with its `better` direction and `bound`. Prints for each workload, per
@@ -33,11 +35,14 @@ import subprocess
 import sys
 
 
+def _spec(tree: str) -> dict:
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
 def end_to_end(tree: str) -> list:
     """(name, better, bound) of each end-to-end metric of tree's BENCHMARK.json."""
-    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
-    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in _spec(tree)["end_to_end"]]
 
 
 def verdict(pairs: list, better: str, bound: float) -> dict:
@@ -110,26 +115,36 @@ def _compare(trees: dict, metrics: list, workload: str, pairs: int, seconds: flo
     return ok
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line, with the workloads as the list args.workloads and
+    --seconds defaulting to CHANGE's run_seconds."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", required=True,
                     help="a workload name, or several separated by commas")
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float,
+                    help="seconds of each run; default CHANGE's BENCHMARK.json run_seconds")
     ap.add_argument("--seed", type=int, default=901, help="seed of the first pair")
     args = ap.parse_args(argv)
+    if args.seconds is None:
+        args.seconds = float(_spec(args.change)["run_seconds"])
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     if not workloads:
         ap.error("--workload must name at least one workload")
     if args.pairs < 1 or not args.seconds > 0:
         ap.error("--pairs and --seconds must be positive")
+    args.workloads = workloads
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
     metrics = end_to_end(args.change)
     ok = True
-    for workload in workloads:
+    for workload in args.workloads:
         ok &= _compare(trees, metrics, workload, args.pairs, args.seconds, args.seed)
     return 0 if ok else 1
 

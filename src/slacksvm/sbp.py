@@ -146,9 +146,7 @@ def sbp_step(state: SbpState, dataset: Dataset, kernel, config: SbpConfig, rng):
     if not state.draws:
         state.draws = tuple(index_stream(rng, b.size) for b in state.basins)
     if config.use_bias:
-        pos, neg = state.basins
-        gamma, state.bias = _level_and_bias(state.responses[pos], state.responses[neg],
-                                            volume)
+        gamma, state.bias = _level_and_bias(state.responses, *state.basins, volume)
         # A fair coin picks the class; y * bias is exactly its shift.
         k = int(rng.integers(2))
         shift = -state.bias if k else state.bias

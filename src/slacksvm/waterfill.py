@@ -44,6 +44,26 @@ import numpy as np
 _MAX_NEWTON_PASSES = 16
 
 
+# Below this bound on every partial sum and the volume, the running sums
+# of _sorted_level cannot overflow, even after m roundings up.
+_SAFE_SUM = 1e300
+
+# The counts 1.0, 2.0, ... that _sorted_level divides by, made once for
+# the floor counts most calls have; a larger count builds its own.
+_COUNTS = np.arange(1.0, 8193.0)
+_COUNTS.flags.writeable = False
+
+
+def _levels(a: np.ndarray, volume: float) -> np.ndarray:
+    """(volume + sum of the k lowest floors) / k for k = 1..m, in place on
+    one new array."""
+    m = a.size
+    levels = np.add.accumulate(a)
+    levels += volume
+    levels /= _COUNTS[:m] if m <= _COUNTS.size else np.arange(1.0, m + 1.0)
+    return levels
+
+
 def _sorted_level(a: np.ndarray, volume: float) -> float:
     """Level gamma with sum_i max(0, gamma - a_i) == volume >= 0 for
     ascending floors a: the level over the first k floors at the first k
@@ -51,12 +71,22 @@ def _sorted_level(a: np.ndarray, volume: float) -> float:
 
     Raises ValueError when the running sum behind that level overflows.
     Levels before the first overflowing sum are unaffected by it, so the
-    chosen level is either right or infinite.
+    chosen level is either right or infinite. The sorted ends bound every
+    partial sum by m * max(|a_0|, |a_(m-1)|); when that plus the volume is
+    below _SAFE_SUM, no sum can overflow, and the sums run unguarded.
     """
-    with np.errstate(over="ignore"):
-        levels = (volume + np.cumsum(a)) / np.arange(1, a.size + 1)
-    dry = levels[:-1] <= a[1:]
-    gamma = float(levels[dry.argmax() if dry.any() else -1])
+    m = a.size
+    if m * max(abs(a.item(0)), abs(a.item(-1))) + volume < _SAFE_SUM:
+        levels = _levels(a, volume)
+    else:
+        with np.errstate(over="ignore"):
+            levels = _levels(a, volume)
+    # dry[k]: the level over k + 1 floors does not pass the next floor; the
+    # last entry stands for all m floors, so argmax finds the first dry k.
+    dry = np.empty(m, dtype=bool)
+    np.less_equal(levels[:-1], a[1:], out=dry[:-1])
+    dry[-1] = True
+    gamma = levels.item(dry.argmax())
     if not math.isfinite(gamma):
         raise ValueError("water level overflows: responses and volume too large")
     return gamma
@@ -170,17 +200,10 @@ def support_set(c, gamma: float) -> np.ndarray:
     return np.flatnonzero(c <= at)
 
 
-def _midpoint_level(a: np.ndarray, b: np.ndarray, k: int, s: float) -> float:
-    """Midpoint of the optimal levels of the basin with sorted floors a when
-    the basin with sorted floors b takes the rest of the level sum s.
-
-    k pairs a_(j) + b_(j) lie strictly below s, so the optimal level of a
-    lies in [max(a_(k), s - b_(k+1)), min(a_(k+1), s - b_(k))]; an end that
-    does not exist (k == 0, or k past a class's size) yields to the other.
-    """
-    lo = max(a[k - 1] if k else -np.inf, s - b[k] if k < b.size else -np.inf)
-    hi = min(a[k] if k < a.size else np.inf, s - b[k - 1] if k else np.inf)
-    return 0.5 * float(lo) + 0.5 * float(hi)
+def _neighbours(a: np.ndarray, k: int) -> tuple[float, float]:
+    """Floors k and k + 1 of the sorted floors a, 1-based, as Python
+    floats: -inf for floor 0 and +inf past the last."""
+    return (a.item(k - 1) if k else -math.inf), (a.item(k) if k < a.size else math.inf)
 
 
 def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
@@ -194,7 +217,7 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
     two class levels, fills an interval; b is taken from the midpoints of
     u's and v's intervals, which keeps b deterministic, equalizes two-point
     instances and negates b exactly under a label flip. Returns
-    (gamma, b).
+    (gamma, b). Neither c nor y is modified.
     """
     c = _responses(c)
     _check_finite(c)
@@ -204,32 +227,44 @@ def find_gamma_and_bias(c, y, volume: float) -> tuple[float, float]:
     if not (np.abs(y) == 1.0).all():
         raise ValueError("labels must be +1 or -1")
     _check_volume(volume)
-    return _level_and_bias(c[y > 0], c[y < 0], float(volume))
+    return _level_and_bias(c, y > 0, y < 0, float(volume))
 
 
-def _level_and_bias(p: np.ndarray, q: np.ndarray, volume: float) -> tuple[float, float]:
-    """find_gamma_and_bias without its input checks, on the unsorted
-    positive floors p and negative floors q and a volume >= 0.
+def _level_and_bias(c: np.ndarray, pos, neg, volume: float) -> tuple[float, float]:
+    """find_gamma_and_bias without its input checks, on the responses c,
+    the index arrays or masks pos and neg of the positive and the negative
+    class, and a volume >= 0.
 
-    Raises ValueError when a class is empty, when either end of a sorted
-    class is not finite (np.sort puts NaN last, so the two ends cover every
-    floor), or when a sum behind the level overflows.
+    Each class is gathered once, and that fresh copy is sorted in place, so
+    c is never modified. Raises ValueError when a class is empty, when
+    either end of a sorted class is not finite (sorting puts NaN last, so
+    the two ends cover every floor), or when a sum behind the level
+    overflows.
     """
-    p = np.sort(p)
-    q = np.sort(q)
+    p = c[pos]
+    q = c[neg]
     if not (p.size and q.size):
         raise ValueError("both classes must be present; bias is unbounded otherwise")
-    if not all(map(math.isfinite, (p[0], p[-1], q[0], q[-1]))):
+    p.sort()
+    q.sort()
+    p0, q0 = p.item(0), q.item(0)
+    if not all(map(math.isfinite, (p0, p.item(-1), q0, q.item(-1)))):
         raise ValueError("responses must be finite")
 
     m = min(p.size, q.size)
     # The paired floors ascend, so only the ends can overflow.
-    if not (math.isfinite(float(p[0]) + float(q[0]))
-            and math.isfinite(float(p[m - 1]) + float(q[m - 1]))):
+    if not (math.isfinite(p0 + q0) and math.isfinite(p.item(m - 1) + q.item(m - 1))):
         raise ValueError("paired floors p_(j) + q_(j) must be finite")
     floors = p[:m] + q[:m]
     s = _sorted_level(floors, volume)
-    k = int(np.searchsorted(floors, s))
-    u = _midpoint_level(p, q, k, s)
-    v = _midpoint_level(q, p, k, s)
+    # k pairs lie strictly below s, so the optimal level u of the positive
+    # basin lies in [max(p_(k), s - q_(k+1)), min(p_(k+1), s - q_(k))], and
+    # v of the negative basin likewise; each is taken at its midpoint. An
+    # end that does not exist (k == 0, or k past a class's size) is infinite
+    # and yields to the other.
+    k = int(floors.searchsorted(s))
+    p_lo, p_hi = _neighbours(p, k)
+    q_lo, q_hi = _neighbours(q, k)
+    u = 0.5 * max(p_lo, s - q_hi) + 0.5 * min(p_hi, s - q_lo)
+    v = 0.5 * max(q_lo, s - p_hi) + 0.5 * min(q_hi, s - p_lo)
     return 0.5 * s, 0.5 * (v - u)

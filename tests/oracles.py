@@ -80,6 +80,47 @@ def water_level_rows(shifted, volume):
     return gammas[np.arange(m), first]
 
 
+def sorted_level_reference(a, volume):
+    """waterfill._sorted_level as it was before its levels were formed in
+    place: (volume + cumsum) / arange under np.errstate on every call."""
+    with np.errstate(over="ignore"):
+        levels = (volume + np.cumsum(a)) / np.arange(1, a.size + 1)
+    dry = levels[:-1] <= a[1:]
+    gamma = float(levels[dry.argmax() if dry.any() else -1])
+    if not math.isfinite(gamma):
+        raise ValueError("water level overflows: responses and volume too large")
+    return gamma
+
+
+def _midpoint_level_reference(a, b, k, s):
+    lo = max(a[k - 1] if k else -np.inf, s - b[k] if k < b.size else -np.inf)
+    hi = min(a[k] if k < a.size else np.inf, s - b[k - 1] if k else np.inf)
+    return 0.5 * float(lo) + 0.5 * float(hi)
+
+
+def level_and_bias_reference(p, q, volume):
+    """waterfill._level_and_bias as it was on the gathered classes p and q:
+    np.sort copies of each, numpy-scalar ends and midpoints, and
+    sorted_level_reference. Returns (gamma, bias); raises ValueError where
+    the core does."""
+    p = np.sort(p)
+    q = np.sort(q)
+    if not (p.size and q.size):
+        raise ValueError("both classes must be present; bias is unbounded otherwise")
+    if not all(map(math.isfinite, (p[0], p[-1], q[0], q[-1]))):
+        raise ValueError("responses must be finite")
+    m = min(p.size, q.size)
+    if not (math.isfinite(float(p[0]) + float(q[0]))
+            and math.isfinite(float(p[m - 1]) + float(q[m - 1]))):
+        raise ValueError("paired floors p_(j) + q_(j) must be finite")
+    floors = p[:m] + q[:m]
+    s = sorted_level_reference(floors, volume)
+    k = int(np.searchsorted(floors, s))
+    u = _midpoint_level_reference(p, q, k, s)
+    v = _midpoint_level_reference(q, p, k, s)
+    return 0.5 * s, 0.5 * (v - u)
+
+
 def bias_grid_values(c, y, volume, grid):
     """gamma(b) over the whole grid (for comparing against a claimed max)."""
     c = np.asarray(c, dtype=np.float64)

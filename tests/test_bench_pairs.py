@@ -70,3 +70,17 @@ def test_equal_runs_neither_win_nor_lose():
     assert (v["wins"], v["iqr"], v["worse"], v["claim"]) == (0, 0, False, False)
     v = bench_pairs.verdict([(1.0, 0.5)], "lower", 0.25)
     assert (v["wins"], v["iqr"], v["worse"], v["claim"]) == (1, 0, False, True)
+
+
+def test_runs_default_to_the_benchmarks_length_and_ten_pairs(tmp_path):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        run_seconds = json.load(fh)["run_seconds"]
+    args = bench_pairs.parse_args(["parent", ROOT, "--workload", "sbp_bias, plan"])
+    assert (args.seconds, args.pairs, args.workloads) == (run_seconds, 10, ["sbp_bias", "plan"])
+    # The change tree's file decides, and explicit values win.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
+    args = bench_pairs.parse_args([ROOT, str(tmp_path), "--workload", "plan"])
+    assert (args.seconds, args.pairs) == (7.0, 10)
+    args = bench_pairs.parse_args([ROOT, str(tmp_path), "--workload", "plan",
+                                   "--seconds", "2.5", "--pairs", "3"])
+    assert (args.seconds, args.pairs) == (2.5, 3)

@@ -203,6 +203,31 @@ def test_bias_step_keeps_the_public_path_bits(spec):
     assert len(set(drawn)) > 10 and state.bias != 0.0
 
 
+def test_bias_step_level_leaves_the_responses_and_labels_unchanged(monkeypatch):
+    # The core sorts its gathered copies of the two classes in place; the
+    # responses and basins it is handed, and the labels, must not move.
+    ds = generate(SyntheticSpec(kind="two_gaussians", n=80, seed=2, noise_rate=0.1))
+    config = SbpConfig(nu=0.1, iterations=30, seed=4, use_bias=True)
+    kernel = LinearKernel()
+    state = sbp_init(ds, kernel, config)
+    labels = ds.labels.copy()
+    core, unchanged = sbp._level_and_bias, []
+
+    def checked(c, pos, neg, volume):
+        before = (c.copy(), pos.copy(), neg.copy())
+        out = core(c, pos, neg, volume)
+        unchanged.append(c is state.responses and all(
+            a.tobytes() == b.tobytes() for a, b in zip(before, (c, pos, neg))))
+        return out
+
+    monkeypatch.setattr(sbp, "_level_and_bias", checked)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.iterations):
+        sbp_step(state, ds, kernel, config, rng)
+    assert unchanged == [True] * config.iterations
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
 # Finite values small enough that no product overflows; products still
 # underflow to subnormals and to zeros of either sign.
 _update_floats = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
@@ -322,7 +347,7 @@ def test_dry_basin_falls_back_to_the_class_argmin():
     # (2.42997742 and 8.6) above the level 2.42996979 plus its tolerance:
     # a draw of that class finds no covered index and takes its argmin, 2.
     c, classes = _HUGE, _HUGE_CLASSES
-    gamma, bias = _level_and_bias(c[classes[0]], c[classes[1]], 0.0)
+    gamma, bias = _level_and_bias(c, *classes, 0.0)
     assert (gamma, bias) == (2.4299697875976562, -133218353408.59616)
     assert support_set(c[classes[1]] - bias, gamma).size == 0
     drawn = set()
@@ -372,21 +397,21 @@ def _sampler_instance(name):
         return c, find_gamma(c, 0.0), 0.0, None, 0.0
     if name == "bias":
         c, classes = _random_instance(21, 40)
-        gamma, bias = _level_and_bias(c[classes[0]], c[classes[1]], 4.0)
+        gamma, bias = _level_and_bias(c, *classes, 4.0)
         return c, gamma, 4.0, classes, bias
     if name == "bias_floors_at_the_strict_bound":
         # Both classes hold the floors of floors_at_the_strict_bound; the
         # bias is 0 and the level 1.0 again.
         c = np.array([0.0, 0.5, _ONE_UNDER, _ONE_UNDER, 3.0] * 2)
         classes = (np.arange(5), np.arange(5, 10))
-        gamma, bias = _level_and_bias(c[:5], c[5:], 3.000000000004)
+        gamma, bias = _level_and_bias(c, *classes, 3.000000000004)
         assert (gamma, bias) == (1.0, 0.0)
         return c, gamma, 3.000000000004, classes, bias
     # The dry-basin instance of test_dry_basin_falls_back_to_the_class_argmin,
     # at volume 0 and at a small volume that still leaves the negative
     # basin dry, so its draws all miss.
     volume = {"dry_basin_volume_0": 0.0, "dry_basin": 1e-6}[name]
-    gamma, bias = _level_and_bias(_HUGE[:2], _HUGE[2:], volume)
+    gamma, bias = _level_and_bias(_HUGE, *_HUGE_CLASSES, volume)
     return _HUGE, gamma, volume, _HUGE_CLASSES, bias
 
 

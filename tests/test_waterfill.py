@@ -7,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 from slacksvm.waterfill import (_level_and_bias, _newton_level, find_gamma,
                                 find_gamma_and_bias, support_set)
 
-from oracles import bias_grid_values, bias_level_bisection, water_level_sorted
+from oracles import (bias_grid_values, bias_level_bisection, level_and_bias_reference,
+                     sorted_level_reference, water_level_sorted)
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
                           allow_nan=False, allow_infinity=False)
@@ -113,7 +114,85 @@ def test_level_and_bias_rejects_non_finite_floors(bad, side, where):
     floors = p if side == "positive" else q
     floors[where % floors.size] = bad
     with pytest.raises(ValueError):
-        _level_and_bias(p, q, 1.0)
+        _level_and_bias(np.concatenate([p, q]), np.arange(5), np.arange(5, 8), 1.0)
+
+
+# Floats of every size, so that sums behind a level can overflow, and
+# small integers, so that floors tie.
+any_floats = st.floats(allow_nan=False, allow_infinity=False)
+core_elements = st.sampled_from([finite_floats, st.integers(-5, 5).map(float), any_floats])
+core_volumes = st.one_of(st.just(0.0), st.floats(0.0, 300.0), st.floats(0.0, 1e308))
+
+
+@st.composite
+def core_instances(draw):
+    """(c, pos, neg, volume): both classes nonempty, a single pair (m = 1)
+    included, the classes as index arrays or as masks."""
+    n_pos, n_neg = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    c = draw(hnp.arrays(np.float64, n_pos + n_neg, elements=draw(core_elements)))
+    order = np.asarray(draw(st.permutations(range(c.size))))
+    pos, neg = order[:n_pos], order[n_pos:]
+    if draw(st.booleans()):
+        pos, neg = np.isin(np.arange(c.size), pos), np.isin(np.arange(c.size), neg)
+    return c, pos, neg, draw(core_volumes)
+
+
+def _outcome(f, *args):
+    """f's result as bytes, or its ValueError's message."""
+    try:
+        return np.array(f(*args)).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+@given(core_instances())
+# A single pair.
+@example((np.array([2.0, -1.0]), np.array([0]), np.array([1]), 0.5))
+# The level sum lands on the paired floor 0 + 2 = 2, a tie at the boundary.
+@example((np.array([0.0, 1.0, 1.0, 1.0, 0.0]), np.arange(3), np.arange(3, 5), 2.0))
+# Volume 0.
+@example((np.array([0.0, 0.0, 2.0, 2.0]), np.arange(2), np.arange(2, 4), 0.0))
+# The running sum of the paired floors 1.6e308 overflows.
+@example((np.array([8e307] * 4), np.arange(2), np.arange(2, 4), 1e308))
+@settings(max_examples=500, deadline=None)
+def test_level_and_bias_keeps_the_reference_bits(instance):
+    # The core gathers each class once and sorts it in place, forms the
+    # levels in place and reads ends as Python floats: the same level and
+    # bias, bit for bit, or the same ValueError, as the reference on
+    # np.sort copies, and c untouched.
+    c, pos, neg, volume = instance
+    before = c.tobytes()
+    want = _outcome(level_and_bias_reference, c[pos], c[neg], volume)
+    assert _outcome(_level_and_bias, c, pos, neg, volume) == want
+    assert c.tobytes() == before
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 120), elements=st.one_of(finite_floats, any_floats)),
+       st.one_of(st.floats(0.0, 300.0, exclude_min=True), st.floats(0.0, 1e308, exclude_min=True)))
+@settings(max_examples=300, deadline=None)
+def test_cold_level_keeps_the_reference_bits(c, volume):
+    # find_gamma's sorted form is the same _sorted_level.
+    want = _outcome(sorted_level_reference, np.sort(c), volume)
+    assert _outcome(find_gamma, c, volume) == want
+
+
+@pytest.mark.parametrize("n", [8192, 8193, 20_000])
+def test_cold_level_keeps_the_reference_bits_past_the_cached_counts(n):
+    # Up to 8192 floors the counts are a slice of one array made at import;
+    # beyond, each call builds its own.
+    c = np.random.default_rng(n).standard_normal(n)
+    for volume in (1.0, 0.1 * n, 10.0 * n):
+        assert find_gamma(c, volume) == sorted_level_reference(np.sort(c), volume)
+
+
+def test_find_gamma_and_bias_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal(50)
+    y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    c_before, y_before = c.tobytes(), y.tobytes()
+    find_gamma_and_bias(c, y, 4.0)
+    assert (c.tobytes(), y.tobytes()) == (c_before, y_before)
 
 
 @given(response_vectors, st.floats(min_value=0.0, max_value=500.0))
