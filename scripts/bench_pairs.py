@@ -20,7 +20,10 @@ the parent's interquartile spread (IQR), "change lower in k of N" ("higher"
 where higher is better) and two verdicts:
 
 - worse: the change's median is worse than the parent's by more than
-  bound times the parent's median;
+  bound times the parent's median. Where it is not, but the parent's IQR
+  exceeds bound times the parent's median and some run of the change does
+  not read better than every run of the parent, the runs spread too widely
+  to tell, and the verdict reads "unresolved" in place of "no";
 - claim: the change is better in at least 9 of every 10 pairs, and its
   median is better than the parent's by more than the parent's IQR.
 
@@ -48,7 +51,7 @@ def end_to_end(tree: str) -> list:
 def verdict(pairs: list, better: str, bound: float) -> dict:
     """One metric's summary over pairs [(parent value, change value)]: the
     medians, the parent's IQR, the change's wins in the better direction,
-    "worse" and "claim" as the module docstring defines them."""
+    "worse", "unresolved" and "claim" as the module docstring defines them."""
     parents = [p for p, _ in pairs]
     parent = statistics.median(parents)
     change = statistics.median(c for _, c in pairs)
@@ -58,8 +61,10 @@ def verdict(pairs: list, better: str, bound: float) -> dict:
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
     gain = sign * (change - parent)
+    apart = min(sign * c for _, c in pairs) > max(sign * p for p in parents)
     return {"parent": parent, "iqr": q3 - q1, "change": change, "wins": wins,
             "worse": -gain > bound * parent,
+            "unresolved": q3 - q1 > bound * parent and not apart,
             "claim": 10 * wins >= 9 * len(pairs) and gain > q3 - q1}
 
 
@@ -107,11 +112,11 @@ def _compare(trees: dict, metrics: list, workload: str, pairs: int, seconds: flo
         print(f"{workload} medians over {len(results)} pairs:")
         for m, better, bound in metrics:
             v = verdict([(p[m], c[m]) for p, c in results], better, bound)
+            worse = "yes" if v["worse"] else "unresolved" if v["unresolved"] else "no"
             print(f"  {m}: parent {v['parent']:.6g} (IQR {v['iqr']:.3g}), "
                   f"change {v['change']:.6g}, change {better} in {v['wins']} of "
-                  f"{len(results)}; worse by more than {bound:g}: "
-                  f"{'yes' if v['worse'] else 'no'}; claim holds: "
-                  f"{'yes' if v['claim'] else 'no'}")
+                  f"{len(results)}; worse by more than {bound:g}: {worse}; "
+                  f"claim holds: {'yes' if v['claim'] else 'no'}")
     return ok
 
 

@@ -80,7 +80,7 @@ def pegasos_train(dataset: Dataset, kernel, config: PegasosConfig,
     running average of the iterates, its responses averaged alike.
     """
     return run_steps(_pegasos_steps, config.iterations, dataset, kernel, config,
-                     test_data, eval_kernel, timing, solver="pegasos")
+                     test_data, eval_kernel, timing)
 
 
 def sdca_dual_value(alpha, responses, lam) -> float:
@@ -116,7 +116,7 @@ def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
                timing: bool = False):
     """Stochastic dual coordinate ascent with exact coordinate maximization."""
     return run_steps(_sdca_steps, config.iterations, dataset, kernel, config,
-                     test_data, eval_kernel, timing, solver="sdca")
+                     test_data, eval_kernel, timing)
 
 
 def _perceptron_steps(dataset: Dataset, kernel, config: PerceptronConfig, rng):
@@ -154,17 +154,11 @@ def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
                      test_data: Dataset | None = None, eval_kernel=None,
                      timing: bool = False):
     """Online Perceptron; the per-example score against the live support set
-    costs exactly the current mistake count in kernel evaluations.
+    costs exactly its size in kernel evaluations.
 
     The model's integer coefficients count the mistakes made on each
-    example; metadata["mistakes"] holds their total. Guarantees hold for a
-    single pass; later passes are flagged in the record metadata since the
-    predictor may then overfit.
+    example, so their sum is the mistake count. The mistake bound holds for
+    a single pass; later passes may overfit.
     """
-    model, record = run_steps(
-        _perceptron_steps, config.passes * dataset.n, dataset, kernel, config,
-        test_data, eval_kernel, timing, solver="perceptron",
-        single_pass_valid_through_iteration=dataset.n,
-        beyond_single_pass=config.passes > 1)
-    model.metadata["mistakes"] = int(model.alpha.sum())
-    return model, record
+    return run_steps(_perceptron_steps, config.passes * dataset.n, dataset, kernel,
+                     config, test_data, eval_kernel, timing)

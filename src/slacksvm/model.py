@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class TrainedModel:
     kernel_spec: str
     use_bias: bool
     kernel_evals: int
-    metadata: dict = field(default_factory=dict)
 
     @property
     def support_size(self) -> int:
@@ -133,7 +132,6 @@ def deserialize_model(text: str, dataset: Dataset) -> TrainedModel:
         kernel_spec=kernel_spec,
         use_bias=fields["use_bias"] == "1",
         kernel_evals=0,
-        metadata={"loaded": True},
     )
 
 

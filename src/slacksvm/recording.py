@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -13,8 +13,6 @@ import numpy as np
 from .data import hinge_loss
 from .kernels import kernel_from_spec
 from .model import SolverError, TrainedModel, evaluate
-
-RNG_IDENTITY = "numpy-pcg64"
 
 # Indices drawn per numpy call. PCG64 keeps the unused half of a 64-bit
 # output in the bit generator, not per call, so a block yields the same
@@ -41,13 +39,12 @@ class Sample(NamedTuple):
 
 @dataclass
 class RunRecord:
-    """Per-run metadata plus samples ordered by iteration.
+    """A run's samples, ordered by iteration.
 
     Training and evaluation kernel counters are tracked separately so that
     held-out measurements never pollute the training cost axis.
     """
 
-    metadata: dict = field(default_factory=dict)
     samples: list = field(default_factory=list)
 
 
@@ -82,7 +79,7 @@ def check_lam(lam) -> None:
 
 
 def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
-              eval_kernel=None, timing: bool = False, **metadata):
+              eval_kernel=None, timing: bool = False):
     """The one training loop; returns (TrainedModel, RunRecord).
 
     steps(dataset, kernel, config, rng) is a solver's step generator: after
@@ -97,7 +94,7 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
     is returned; SolverError if none, or if a checkpoint's alpha or bias is
     not finite.
     """
-    record = RunRecord(metadata={**asdict(config), **metadata, "rng": RNG_IDENTITY})
+    record = RunRecord()
     schedule = geometric_schedule(count)
     if test_data is not None and eval_kernel is None:
         eval_kernel = kernel_from_spec(kernel.spec_string)
@@ -113,8 +110,7 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
             if not (np.isfinite(alpha).all() and math.isfinite(bias)):
                 raise SolverError(f"non-finite model at iteration {t}")
             model = TrainedModel(alpha, bias, dataset, kernel.spec_string,
-                                 getattr(config, "use_bias", False), evals,
-                                 dict(record.metadata))
+                                 getattr(config, "use_bias", False), evals)
             if test_data is not None:
                 test_error = evaluate(model, test_data, eval_kernel)[1]
         record.samples.append(Sample(

@@ -203,4 +203,4 @@ def sbp_train(dataset: Dataset, kernel, config: SbpConfig,
               timing: bool = False):
     """Run the full training loop; returns (TrainedModel, RunRecord)."""
     return run_steps(_sbp_steps, config.iterations, dataset, kernel, config,
-                     test_data, eval_kernel, timing, solver="sbp")
+                     test_data, eval_kernel, timing)

@@ -49,21 +49,19 @@ def test_criterion_01_waterfill_oracle_equivalence():
 
 
 def test_criterion_02_waterfill_linear_scaling():
+    # The two sizes alternate within each repeat, so a load that comes and
+    # goes falls on both alike, and each size's minimum is its least
+    # disturbed call.
     rng = np.random.default_rng(202)
     small = rng.standard_normal(10**5)
     big = rng.standard_normal(10**6)
-
-    def median_time(c, volume):
-        times = []
-        for _ in range(20):
+    times = {small.size: [], big.size: []}
+    for _ in range(20):
+        for c in (small, big):
             t0 = time.perf_counter()
-            find_gamma(c, volume)
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    t_small = median_time(small, 0.3 * small.size)
-    t_big = median_time(big, 0.3 * big.size)
-    ratio = t_big / t_small
+            find_gamma(c, 0.3 * c.size)
+            times[c.size].append(time.perf_counter() - t0)
+    ratio = min(times[big.size]) / min(times[small.size])
     report(2, f"water-fill 10x scaling ratio {ratio:.1f}", ratio <= 15.0)
 
 
@@ -240,7 +238,7 @@ def test_criterion_09_perceptron_mistake_bound():
         gamma_star = float(x.min())   # optimal 1-D margin, exact
         radius = float(x.max())
         model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=seed))
-        if model.metadata["mistakes"] > (radius / gamma_star) ** 2 + 1e-9:
+        if model.alpha.sum() > (radius / gamma_star) ** 2 + 1e-9:
             ok = False
     report(9, "perceptron mistakes within (r/gamma*)^2 on 100 instances", ok)
 

@@ -78,7 +78,7 @@ class TestIndexStream:
         cfg = PegasosConfig(lam=0.02, iterations=2500, seed=4, average=average)
         runs = {"blocks": pegasos_train(ds, LinearKernel(), cfg, test_data=test),
                 "scalar": run_steps(pegasos_steps_reference, cfg.iterations, ds,
-                                    LinearKernel(), cfg, test, solver="pegasos")}
+                                    LinearKernel(), cfg, test)}
         for name, (_, record) in runs.items():
             write_run_csv(record, tmp_path / f"{name}.csv")
         assert ((tmp_path / "blocks.csv").read_bytes()
@@ -219,8 +219,8 @@ class TestPerceptron:
     def test_first_example_is_always_a_mistake(self):
         ds = parse_libsvm("+1 1:1\n-1 1:-1\n")
         model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=0))
-        assert model.metadata["mistakes"] >= 1
-        assert np.count_nonzero(model.alpha) == model.metadata["mistakes"]
+        assert model.alpha.sum() >= 1
+        assert np.count_nonzero(model.alpha) == model.alpha.sum()
 
     def test_cost_tracks_support_size(self):
         ds = margin_instance(n=30, seed=1)
@@ -228,7 +228,7 @@ class TestPerceptron:
         model, record = perceptron_train(ds, kernel, PerceptronConfig(seed=0))
         # Total cost = sum over examples of support size at visit time,
         # which is at most M * n.
-        assert kernel.eval_count <= model.metadata["mistakes"] * ds.n
+        assert kernel.eval_count <= model.alpha.sum() * ds.n
         assert model.kernel_evals == kernel.eval_count
 
     def test_mistake_bound_on_separable_data(self):
@@ -236,7 +236,7 @@ class TestPerceptron:
             ds = margin_instance(n=60, seed=seed, margin=0.4)
             model, _ = perceptron_train(ds, LinearKernel(), PerceptronConfig(seed=seed))
             radius = float(np.sqrt(ds.norms.max()))
-            assert model.metadata["mistakes"] <= (radius / 0.4) ** 2 + 1e-9
+            assert model.alpha.sum() <= (radius / 0.4) ** 2 + 1e-9
 
     def test_determinism(self):
         ds = margin_instance(n=40, seed=3)
@@ -272,7 +272,6 @@ class TestPerceptron:
             assert np.count_nonzero(alpha) > 200
 
         assert np.array_equal(model.alpha, alpha)
-        assert model.metadata["mistakes"] == alpha.sum()
         assert model.kernel_evals == kernel.eval_count == sum(sizes)
         cost = np.cumsum(sizes)
         scorer = kernel_from_spec(spec)
@@ -301,7 +300,7 @@ class TestPerceptron:
         model, _ = perceptron_train(make(40, 5), kernel_from_spec("gaussian:0.5"),
                                     PerceptronConfig(passes=3, seed=2))
         support = np.count_nonzero(model.alpha)
-        assert model.metadata["mistakes"] > support
+        assert model.alpha.sum() > support
         assert built == list(range(1, support + 1))
 
     def test_sparse_support_rows_slice_one_compact_matrix(self, monkeypatch):
@@ -322,11 +321,7 @@ class TestPerceptron:
         assert np.count_nonzero(model.alpha) > 10
         assert len(calls) == 1
 
-    def test_multi_pass_flagged(self):
-        ds = margin_instance(n=20, seed=0)
-        _, record = perceptron_train(ds, LinearKernel(),
-                                     PerceptronConfig(passes=3, seed=0))
-        assert record.metadata["beyond_single_pass"] is True
+    def test_passes_must_be_a_positive_integer(self):
         for passes in (0, 2.5):
             with pytest.raises(ValueError):
                 PerceptronConfig(passes=passes)

@@ -72,6 +72,17 @@ def test_equal_runs_neither_win_nor_lose():
     assert (v["wins"], v["iqr"], v["worse"], v["claim"]) == (1, 0, False, True)
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # The parent's IQR, 0.45, exceeds 0.25 times its median, 0.3625.
+    v = bench_pairs.verdict([(p, p) for p in PARENTS], "lower", 0.25)
+    assert (v["wins"], v["worse"], v["unresolved"], v["claim"]) == (0, False, True, False)
+
+
+def test_every_change_run_past_every_parent_run_resolves_a_wide_spread():
+    v = bench_pairs.verdict([(p, p - 1.0) for p in PARENTS], "lower", 0.25)
+    assert (v["wins"], v["worse"], v["unresolved"], v["claim"]) == (10, False, False, True)
+
+
 def test_runs_default_to_the_benchmarks_length_and_ten_pairs(tmp_path):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         run_seconds = json.load(fh)["run_seconds"]

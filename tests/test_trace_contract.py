@@ -76,6 +76,12 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     assert tracer.stats["data.parse_libsvm"].calls == 1
     assert ("data.matrix", "bench.run_plan") not in tracer.nested_calls
     assert tracer.stats["data.matrix"].calls == 0
+    # Nor does any path call KernelOracle.cross or model.score: held-out
+    # scoring goes through model.score_batch. The library keeps these three
+    # names only as tracer targets, and ROADMAP item 1 deletes them.
+    assert tracer.stats["model.score_batch"].calls > 0
+    assert tracer.stats["kernels.cross"].calls == 0
+    assert tracer.stats["model.score"].calls == 0
 
 
 def test_calibration_records_one_pair_span_per_sdca_step(tracing):
