@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two source trees on benchmark workloads, in alternating pairs.
 
-Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W[,W...]
+Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W[,W...]|all
        [--pairs N] [--seconds S] [--seed SEED]
 
 PARENT and CHANGE are checkouts with a perfbench/ directory. Each pair runs
@@ -9,7 +9,8 @@ PARENT and CHANGE are checkouts with a perfbench/ directory. Each pair runs
 each tree, one process at a time; odd pairs start with PARENT, even pairs
 with CHANGE, so a drift in machine speed falls on both sides alike. Both
 runs of a pair share their seed. With several workloads, each runs its N
-pairs in turn, in the order given. N defaults to 10, and S to the
+pairs in turn, in the order given; `all` names every workload of CHANGE's
+BENCHMARK.json, in its listed order. N defaults to 10, and S to the
 `run_seconds` of CHANGE's BENCHMARK.json, so a claim is measured at the
 benchmark's own run length.
 
@@ -121,13 +122,13 @@ def _compare(trees: dict, metrics: list, workload: str, pairs: int, seconds: flo
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """The command line, with the workloads as the list args.workloads and
-    --seconds defaulting to CHANGE's run_seconds."""
+    """The command line, with the workloads as the list args.workloads (all
+    of CHANGE's for `all`) and --seconds defaulting to CHANGE's run_seconds."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", required=True,
-                    help="a workload name, or several separated by commas")
+                    help="a workload name, several separated by commas, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float,
                     help="seconds of each run; default CHANGE's BENCHMARK.json run_seconds")
@@ -136,8 +137,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     if args.seconds is None:
         args.seconds = float(_spec(args.change)["run_seconds"])
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
-    if not workloads:
-        ap.error("--workload must name at least one workload")
+    if workloads == ["all"]:
+        workloads = [w["name"] for w in _spec(args.change)["workloads"]]
+    if not workloads or "all" in workloads:
+        ap.error("--workload must name at least one workload, or be all alone")
     if args.pairs < 1 or not args.seconds > 0:
         ap.error("--pairs and --seconds must be positive")
     args.workloads = workloads

@@ -7,13 +7,15 @@ the regularized dual, and the single-pass online Perceptron.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .kernels import RowSubset, add_row
-from .recording import check_count, check_lam, check_seed, index_stream, run_steps
+from .kernels import _CROSS_BLOCK_ENTRIES, RowSubset, add_row
+from .recording import (check_count, check_lam, check_seed, geometric_schedule,
+                        index_stream, run_steps)
 
 
 @dataclass
@@ -121,40 +123,68 @@ def sdca_train(dataset: Dataset, kernel, config: SdcaConfig,
 
 def _perceptron_steps(dataset: Dataset, kernel, config: PerceptronConfig, rng):
     """The Perceptron's step generator, config.passes permutations long; its
-    predictor has no training margins, so the run records no hinge."""
+    predictor has no training margins, so the run records no hinge.
+
+    It scores the permutation a block at a time: the next examples, at most
+    _CROSS_BLOCK_ENTRIES // |support| of them, up to the next checkpoint of
+    the run or the end of the pass. One kernel product of the support's rows
+    with the block's gives every block score. A mistake on a new example
+    adds its row over the rest of the block to the scores left, and a repeat
+    mistake its row of the product. Each (support member, example) pair is
+    evaluated once, as one example at a time would, so the counter reads
+    the same at every checkpoint."""
     n = dataset.n
-    y = dataset.labels.tolist()
+    y, labels = dataset.labels.tolist(), dataset.labels
     alpha = np.zeros(n, dtype=np.int64)
 
     def predict():
         return None, alpha.astype(np.float64), 0.0
 
-    # The ascending support set, its coefficients alpha[sv] * y[sv] and its
-    # rows, taken again only when the set grows; before the first mistake
-    # there are none.
-    sv, coef, support = np.zeros(0, dtype=np.int64), np.zeros(0), None
+    ends = sorted(geometric_schedule(config.passes * n))
+    # The ascending support set and its rows, taken again only when the set
+    # has grown; before the first mistake there are none.
+    sv, support, grown = np.zeros(0, dtype=np.int64), None, False
+    t = 0  # steps taken
     for _ in range(config.passes):
-        for i in rng.permutation(n).tolist():
-            score_i = 0.0
-            if support is not None:
-                score_i = float(coef @ kernel.row(dataset, i, support))
-            if y[i] * score_i <= 0.0:  # sign(0) counts as a mistake
-                alpha[i] += 1
-                k = sv.searchsorted(i)
-                if k < sv.size and sv[k] == i:
-                    coef[k] += y[i]
-                else:
-                    sv = np.concatenate((sv[:k], [i], sv[k:]))
-                    coef = np.concatenate((coef[:k], [y[i]], coef[k:]))
-                    support = RowSubset(dataset, sv)
-            yield predict
+        order = rng.permutation(n)
+        lo = 0
+        while lo < n:
+            if grown:
+                sv = np.flatnonzero(alpha)
+                support, grown = RowSubset(dataset, sv), False
+            stop = ends[bisect.bisect_left(ends, t + 1)] - t  # the next checkpoint
+            hi = min(lo + max(1, _CROSS_BLOCK_ENTRIES // max(1, sv.size)), lo + stop, n)
+            block, rest = order[lo:hi], None
+            if support is None:
+                values, scores = None, np.zeros(block.size)
+            else:
+                values = kernel.row(dataset, block, support)
+                scores = (alpha[sv] * labels[sv]) @ values
+            for k, i in enumerate(block.tolist()):
+                if y[i] * scores.item(k) <= 0.0:  # sign(0) counts as a mistake
+                    if alpha[i]:
+                        scores[k + 1:] += y[i] * values[sv.searchsorted(i), k + 1:]
+                    else:
+                        grown = True
+                        if k + 1 < block.size:
+                            if rest is None:  # the block's rows, once
+                                rest = RowSubset(dataset, block)
+                            scores[k + 1:] += y[i] * kernel.row(dataset, i, rest[k + 1:])
+                    alpha[i] += 1
+                yield predict
+            t += block.size
+            lo = hi
 
 
 def perceptron_train(dataset: Dataset, kernel, config: PerceptronConfig,
                      test_data: Dataset | None = None, eval_kernel=None,
                      timing: bool = False):
     """Online Perceptron; the per-example score against the live support set
-    costs exactly its size in kernel evaluations.
+    costs exactly its size in kernel evaluations, counted by the checkpoint
+    that follows it. The scores of a block of examples come from one kernel
+    product, summed in another order than one dot per example: a decision
+    can differ from one example at a time only where a score is within
+    rounding of zero, as when twin rows of opposite labels cancel.
 
     The model's integer coefficients count the mistakes made on each
     example, so their sum is the mistake count. The mistake bound holds for

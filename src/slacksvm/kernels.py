@@ -56,6 +56,17 @@ class RowSubset:
     def __len__(self) -> int:
         return self.norms.size
 
+    def __getitem__(self, part: slice) -> RowSubset:
+        """The rows of a slice of this subset, without gathering or checking
+        them again: views of its arrays (a new sparse matrix on sparse
+        data)."""
+        sub = object.__new__(RowSubset)
+        sub.dataset, sub.norms = self.dataset, self.norms[part]
+        sub.dense = None if self.dense is None else self.dense[part]
+        if sub.dense is None:
+            sub.sparse = self.sparse[part]
+        return sub
+
     def products(self, j: int) -> np.ndarray:
         """[<x_i, x_j>] for i in rows, as a fresh array. Dense rows are one
         matmul of the gathered rows with x_j (BLAS's gemv, the dataset's copy
@@ -73,12 +84,26 @@ class RowSubset:
         x[compact.indices[lo:hi]] = compact.data[lo:hi]
         return self.sparse @ x
 
+    def block_products(self, j: np.ndarray) -> np.ndarray:
+        """products for each index of j, checked int64 indices: the fresh
+        (len(rows), len(j)) array [<x_i, x_j>]. Dense rows are one matmul
+        with the gathered rows of j transposed (BLAS's gemm), whose columns
+        may differ from products' gemv in the last bits. Sparse rows take
+        scipy's product with the compact rows of j transposed; its sums run
+        in products' order but skip the zero terms, so its columns equal
+        products' up to the sign of zeros."""
+        if self.dense is not None:
+            return self.dense @ self.dataset._dense[j].T
+        return (self.sparse @ self.dataset.compact[1][j].T).toarray()
+
 
 class KernelOracle:
     """Base kernel wrapper: every counted access goes through pair/row/diag/
     cross/scores, which bump eval_count by the exact number of kernel
     evaluations performed. The counter only ever increases; it is the cost
-    unit all solvers report.
+    unit all solvers report. row also takes an index array, for the rows of
+    a block of examples at once: one product, whose values cost what row
+    values cost.
 
     A kernel is one map _values(products, norms_i, norms_j) of the inner
     products read from the dataset's arrays (a fresh array, which it maps in
@@ -102,11 +127,21 @@ class KernelOracle:
         norm = dataset.norms.item(i)
         return float(self._values(norm, norm, norm))
 
-    def row(self, dataset: Dataset, j: int, rows=None) -> np.ndarray:
+    def row(self, dataset: Dataset, j, rows=None) -> np.ndarray:
         """[K(x_i, x_j)]_i over the whole dataset (n evaluations), or over
         the rows of rows only, a RowSubset of dataset taken once for every
         j (len(rows) evaluations). The row is a fresh array that the caller
-        owns and may overwrite."""
+        owns and may overwrite.
+
+        j may also be a 1-d numpy array of row indices, checked as cross
+        checks rows: then the result is the (len(rows), len(j)) array of
+        the rows for each index of j, one blocked product
+        (RowSubset.block_products), and costs len(rows) * len(j)
+        evaluations; an empty j costs none. Its columns equal the scalar
+        rows under exact arithmetic and may differ from them in the last
+        bits otherwise."""
+        if isinstance(j, np.ndarray):
+            return self._columns(dataset, j, rows)
         if not 0 <= j < dataset.n:
             raise IndexError(f"row index {j} out of range")
         if rows is None:
@@ -115,6 +150,17 @@ class KernelOracle:
             raise ValueError("rows must be a RowSubset of dataset")
         self.eval_count += len(rows)
         return self._values(rows.products(j), rows.norms, dataset.norms[j])
+
+    def _columns(self, dataset: Dataset, j: np.ndarray, rows) -> np.ndarray:
+        """row for an index array j, checked before it counts."""
+        j = _checked_rows(j, dataset.n)
+        if rows is None:
+            rows = RowSubset(dataset, None)
+        elif not (isinstance(rows, RowSubset) and rows.dataset is dataset):
+            raise ValueError("rows must be a RowSubset of dataset")
+        self.eval_count += len(rows) * j.size
+        return self._values(rows.block_products(j), rows.norms[:, None],
+                            dataset.norms[j])
 
     def diag(self, dataset: Dataset) -> np.ndarray:
         """[K(x_i, x_i)]_i; costs n evaluations."""

@@ -355,17 +355,21 @@ def sdca_delta_oracle(c_i, alpha_i, k_ii, box, grid_size=None):
     return min(max(vertex, lo), hi)
 
 
-def perceptron_reference(dataset, kernel, passes: int, seed: int):
+def perceptron_reference(dataset, kernel, passes: int, seed: int, scores=None):
     """Online Perceptron that recomputes its support set at every visit and
-    scores with the kernel values the row contract names for it: on dense
-    data one matmul of the ascending support's rows with x_i, mapped by
-    kernel._values; on sparse data the full kernel row sliced to it, which
-    the contract makes the same bits.
+    scores one example at a time, with the kernel values the row contract
+    names for it: on dense data one matmul of the ascending support's rows
+    with x_i, mapped by kernel._values; on sparse data the full kernel row
+    sliced to it, which the contract makes the same bits. Each score is one
+    dot in ascending support order, the order the library's blocks do not
+    keep: they decide alike wherever a score is not within rounding of zero.
 
     Visits follow the same seeded permutations as the library's Perceptron.
     Returns (alpha, the support size at each visit, alpha after each step
     keyed by the 1-based step); a visit's cost is its support size, whatever
-    the full rows charge on kernel's counter.
+    the full rows charge on kernel's counter. With a list scores, appends
+    each visit's (score, sum of |coef * K| over the support) to it, (0.0,
+    0.0) for an empty support.
     """
     n = dataset.n
     y = dataset.labels
@@ -377,14 +381,17 @@ def perceptron_reference(dataset, kernel, passes: int, seed: int):
         for i in rng.permutation(n):
             sv = np.flatnonzero(alpha)
             sizes.append(sv.size)
-            score = 0.0
+            score = magnitude = 0.0
             if sv.size:
                 if dense is not None:
                     values = kernel._values(np.matmul(dense[sv], dense[i]),
                                             dataset.norms[sv], dataset.norms[i])
                 else:
                     values = kernel.row(dataset, int(i))[sv]
-                score = float((alpha[sv] * y[sv]) @ values)
+                coef = alpha[sv] * y[sv]
+                score, magnitude = float(coef @ values), float(np.abs(coef * values).sum())
+            if scores is not None:
+                scores.append((score, magnitude))
             if y[i] * score <= 0.0:
                 alpha[i] += 1
             after[len(sizes)] = alpha.copy()

@@ -1,9 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slacksvm import baselines
+from slacksvm import baselines, kernels
 from slacksvm.baselines import (PegasosConfig, PerceptronConfig, SdcaConfig, _sdca_steps,
                                 pegasos_train, perceptron_train, sdca_dual_value, sdca_train)
 from slacksvm.bench import write_run_csv
@@ -43,6 +46,36 @@ def sparse_instance(n, seed, dimension=40):
     labels = np.where((x @ rng.standard_normal(dimension) >= 0.0)
                       != (rng.random(n) < 0.1), 1, -1)
     return Dataset.from_dense(x, labels)
+
+
+def perceptron_rows(seed, n, d, integer, dense):
+    """n rows of d features, in the dense layout or, at three times the
+    dimension, the sparse one: integers from +-{1, 2, 3} or standard
+    normals. About a fifth of the rows repeat another row with the opposite
+    label, and about a fifth, at most half, are all zero."""
+    rng = np.random.default_rng(seed)
+    if integer:
+        x = rng.integers(1, 4, (n, d)) * rng.choice([-1.0, 1.0], (n, d))
+    else:
+        x = rng.standard_normal((n, d))
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    twins, source = rng.random(n) < 0.2, rng.integers(0, n, n)
+    x[twins], labels[twins] = x[source[twins]], -labels[source[twins]]
+    zero = rng.random(n) < 0.2
+    zero[rng.permutation(n)[n // 2:]] = False
+    x[zero] = 0.0
+    ds = Dataset.from_dense(x, labels)
+    if not dense:
+        ds = Dataset(ds.indptr, ds.indices, ds.values, ds.labels, dimension=3 * d)
+    assert (ds._dense is not None) == dense
+    return ds
+
+
+# A block score and the loop's sum the same terms in another order, from
+# kernel values that may differ in their last bits: where the loop's score
+# is further from zero than this share of the sum of its terms' magnitudes,
+# both take its sign.
+SCORE_TOLERANCE = 64 * np.finfo(np.float64).eps
 
 
 def dense_gram(ds):
@@ -287,21 +320,93 @@ class TestPerceptron:
 
     @pytest.mark.parametrize("data", ["dense", "sparse"])
     def test_repeat_mistakes_take_no_new_rows(self, monkeypatch, data):
-        # The support's rows are taken again only when the set grows: one
-        # RowSubset per distinct support member, none for a repeat mistake.
-        built = []
+        # A repeat mistake adds its row of its block's kernel product: it
+        # calls no kernel method and spends no evaluation. Rows are gathered
+        # at most once a block: the support's just before the block's
+        # product, only when the set has grown, and the block's own at its
+        # first new mistake; a new mistake's row reads a suffix of the
+        # latter.
+        make = gaussians if data == "dense" else sparse_instance
+        ds, cfg = make(40, 5), PerceptronConfig(passes=3, seed=2)
+        kernel = kernel_from_spec("gaussian:0.5")
+        alpha = np.zeros(ds.n)  # the run's alpha before the step being taken
+        events = []
 
-        def counted(dataset, rows):
-            built.append(len(rows))
+        def gathered(dataset, rows):
+            support = np.array_equal(rows, np.flatnonzero(alpha))
+            events.append(("support" if support else "block rows", len(rows)))
             return RowSubset(dataset, rows)
 
-        monkeypatch.setattr(baselines, "RowSubset", counted)
-        make = gaussians if data == "dense" else sparse_instance
-        model, _ = perceptron_train(make(40, 5), kernel_from_spec("gaussian:0.5"),
-                                    PerceptronConfig(passes=3, seed=2))
-        support = np.count_nonzero(model.alpha)
-        assert model.alpha.sum() > support
-        assert built == list(range(1, support + 1))
+        def row(dataset, j, rows=None):
+            before = kernel.eval_count
+            out = type(kernel).row(kernel, dataset, j, rows)
+            events.append(("product" if isinstance(j, np.ndarray) else "row",
+                           kernel.eval_count - before))
+            return out
+
+        def refused(*args):
+            raise AssertionError("the Perceptron reads kernel values through row only")
+
+        monkeypatch.setattr(baselines, "RowSubset", gathered)
+        kernel.row = row
+        for name in ("pair", "diag", "cross", "scores"):
+            setattr(kernel, name, refused)
+        rng = np.random.default_rng(cfg.seed)
+        visits = np.concatenate([rng.permutation(ds.n) for _ in range(cfg.passes)])
+        steps = baselines._perceptron_steps(ds, kernel, cfg, np.random.default_rng(cfg.seed))
+        repeats, spent, flat = 0, kernel.eval_count, []
+        for i, predict in zip(visits.tolist(), steps):
+            after = predict()[1]
+            taken, cost = list(events), kernel.eval_count - spent
+            flat += taken
+            if alpha[i] and after[i] > alpha[i]:
+                repeats += 1
+                # Before its decision, the step may open a block.
+                assert [e[0] for e in taken] in ([], ["product"], ["support", "product"])
+                assert cost == sum(e[1] for e in taken if e[0] == "product")
+            events.clear()
+            spent = kernel.eval_count
+            alpha[:] = after
+        assert repeats > 0 and np.count_nonzero(alpha) > 1
+        # Between two block products: at most one gather of the block's rows
+        # and one of the support's, the latter just before the next product.
+        products = [k for k, e in enumerate(flat) if e[0] == "product"]
+        for lo, hi in zip([-1] + products, products + [len(flat)]):
+            between = [e[0] for e in flat[lo + 1:hi]]
+            assert between.count("block rows") <= 1
+            assert "support" not in between[:-1]
+        # And only once the set has grown.
+        sizes = [e[1] for e in flat if e[0] == "support"]
+        assert len(sizes) > 1 and sizes == sorted(set(sizes))
+        assert sum(e[1] for e in flat if e[0] in ("product", "row")) == kernel.eval_count
+
+    @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(1, 4), st.integers(1, 3),
+           st.booleans(), st.sampled_from([1, 7, 64, kernels._CROSS_BLOCK_ENTRIES]),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_take_the_loops_steps(self, seed, n, d, passes, dense, budget, integer):
+        # Blocks of any size decide as the one-example loop and spend its
+        # evaluations at every checkpoint. Under the linear kernel on small
+        # integers every product and sum is exact, so they must on every
+        # draw, zero scores of twins and zero rows included. Under
+        # gaussian:0.5 on standard normals they must wherever no loop score
+        # lies within SCORE_TOLERANCE of zero; a draw with such a score is
+        # not compared, as either sign is a right rounding of it.
+        ds = perceptron_rows(seed, n, d, integer=integer, dense=dense)
+        spec = "linear" if integer else "gaussian:0.5"
+        cfg = PerceptronConfig(passes=passes, seed=seed)
+        with mock.patch.object(baselines, "_CROSS_BLOCK_ENTRIES", budget):
+            model, record = perceptron_train(ds, kernel_from_spec(spec), cfg)
+        scores = []
+        alpha, sizes, _ = perceptron_reference(ds, kernel_from_spec(spec), passes, seed,
+                                               scores=scores)
+        if not integer and any(abs(score) <= SCORE_TOLERANCE * size and size
+                               for score, size in scores):
+            return
+        assert np.array_equal(model.alpha, alpha)
+        cost = np.cumsum(sizes)
+        assert [(s.iteration, s.train_kernel_evals) for s in record.samples] == [
+            (t, int(cost[t - 1])) for t in sorted(geometric_schedule(passes * n))]
 
     def test_sparse_support_rows_slice_one_compact_matrix(self, monkeypatch):
         # A sparse dataset decides the column space of its products once:

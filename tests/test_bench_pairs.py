@@ -95,3 +95,15 @@ def test_runs_default_to_the_benchmarks_length_and_ten_pairs(tmp_path):
     args = bench_pairs.parse_args([ROOT, str(tmp_path), "--workload", "plan",
                                    "--seconds", "2.5", "--pairs", "3"])
     assert (args.seconds, args.pairs) == (2.5, 3)
+
+
+def test_all_runs_every_workload_of_the_change_in_its_order(tmp_path):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        listed = [w["name"] for w in json.load(fh)["workloads"]]
+    assert bench_pairs.parse_args(["parent", ROOT, "--workload", "all"]).workloads == listed
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 5, "workloads": [{"name": "b"}, {"name": "a"}]}))
+    assert bench_pairs.parse_args([ROOT, str(tmp_path), "--workload", "all"]).workloads == [
+        "b", "a"]
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args([ROOT, str(tmp_path), "--workload", "all,plan"])

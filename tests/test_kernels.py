@@ -338,6 +338,69 @@ def test_row_at_rejects_rows_out_of_range():
     assert k.eval_count == 0
 
 
+def test_row_rejects_a_bad_index_array_before_counting():
+    # An index array j is checked as cross checks rows; a list is no index.
+    ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
+    for k in (LinearKernel(), GaussianKernel(1.0)):
+        for subset in (None, RowSubset(ds, [0, 2])):
+            for j, error in BAD_ROWS:
+                with pytest.raises(error):
+                    k.row(ds, np.array(j), subset)
+            with pytest.raises(TypeError):
+                k.row(ds, [0, 1], subset)
+        assert k.eval_count == 0
+
+
+# A blocked value against the scalar row's: a dot of d terms summed in
+# another order moves by at most a few eps times the sum of its terms'
+# magnitudes, and the Gaussian's value by K times that change over sigma^2.
+BLOCK_TOLERANCE = 64 * np.finfo(np.float64).eps
+
+
+@given(st.integers(0, 2**32), st.integers(1, 5), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_row_of_an_index_array_is_its_rows_side_by_side(seed, d, dense, integer):
+    # row(ds, j, rows) for an index array j: one column per index of j,
+    # repeated and unordered ones included, (len(rows), len(j)) values that
+    # cost len(rows) * len(j) evaluations. Sparse columns are the scalar
+    # rows bit for bit up to the sign of zeros. Dense ones come from one
+    # gemm: on integer rows the linear columns are the scalar rows bit for
+    # bit, and otherwise within BLOCK_TOLERANCE of them.
+    rng = np.random.default_rng(seed)
+    n = 20
+    if integer:
+        x = rng.integers(-3, 4, (n, d)).astype(np.float64)
+    else:
+        x = rng.standard_normal((n, d))
+    x[rng.random(n) < 0.2] = 0.0
+    ds = Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1))
+    if not dense:
+        ds = as_sparse(ds)
+    sigma_sq = float(rng.uniform(0.5, 10.0))
+    for kernel in (LinearKernel(), GaussianKernel(sigma_sq)):
+        for rows in (None, rng.integers(0, n, int(rng.integers(0, 2 * n)))):
+            subset = None if rows is None else RowSubset(ds, rows)
+            size = n if rows is None else rows.size
+            j = rng.integers(0, n, int(rng.integers(1, 2 * n)))
+            before = kernel.eval_count
+            got = kernel.row(ds, j, subset)
+            assert got.shape == (size, j.size) and got.dtype == np.float64
+            assert kernel.eval_count - before == size * j.size
+            for c, jc in enumerate(j.tolist()):
+                want = kernel.row(ds, jc, subset)
+                if ds._dense is None or (integer and isinstance(kernel, LinearKernel)):
+                    assert np.array_equal(got[:, c], want)
+                    continue
+                terms = np.abs(x if rows is None else x[rows]) @ np.abs(x[jc])
+                if isinstance(kernel, GaussianKernel):
+                    terms = want * (1.0 + terms / sigma_sq)
+                assert np.all(np.abs(got[:, c] - want) <= BLOCK_TOLERANCE * terms)
+            before = kernel.eval_count
+            for empty in (np.zeros(0, dtype=np.int64), np.array([])):
+                assert kernel.row(ds, empty, subset).shape == (size, 0)
+            assert kernel.eval_count == before
+
+
 def test_cross_rejects_rows_out_of_range():
     # So does scores, and a coef that is not one weight per row.
     ds = Dataset.from_dense(np.eye(3), [1, -1, 1])

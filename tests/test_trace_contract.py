@@ -49,6 +49,22 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     with tracer.installed():
         result = bench.run_plan(plan, out_dir=str(tmp_path / "out"))
         kernel_from_spec("linear").row(sparse, 0)
+    # kernels.row.* of a traced plan count the Perceptron's scoring: the
+    # kernels.row spans under it, one blocked product a block of examples
+    # and one row a new mistake, spend exactly its training evaluations.
+    row, perceptron = (tracer.names.index(name)
+                       for name in ("kernels.row", "baselines.perceptron_train"))
+    names, parents = list(tracer.span_name), list(tracer.span_parent)
+
+    def under(span, ancestor):
+        while span >= 0 and names[span] != ancestor:
+            span = parents[span]
+        return span >= 0
+
+    spent = sum(work for span, work in enumerate(tracer.span_work)
+                if names[span] == row and under(span, perceptron))
+    (record,) = [r for (name, _), r in result["runs"].items() if name == "perc"]
+    assert spent == record.samples[-1].train_kernel_evals > 0
     tracer.flush()
     assert not result["failures"]
     for name in ("sbp.sbp_train", "baselines.pegasos_train",
@@ -64,10 +80,6 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     # step's draws miss _MAX_REJECTIONS times; with this plan's seed and
     # slack volume (n * nu = 4) none does.
     assert tracer.stats["waterfill.support_set"].calls == 0
-    # kernels.row.* of a traced plan count the Perceptron's scoring: one
-    # kernels.row per step with a nonempty support set, which is every step
-    # after the first (an empty set scores 0, a mistake).
-    assert tracer.nested_calls[("kernels.row", "baselines.perceptron_train")] == 40 - 1
     assert tracer.stats["waterfill.find_gamma"].calls >= 20
     # The set-up metrics read these: the file is parsed once. No library
     # path reads Dataset.matrix: the plan's two dense datasets take their
