@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -144,6 +145,154 @@ def _as_lines(source):
 
 
 _MAX_FEATURE_INDEX = 2**31 - 1  # a LIBSVM index is a C int
+_BLOCK_CHARS = 1 << 18  # text read per block, about 256 KB
+_BLOCK_LINES = 256  # lines taken from the source at a time
+
+# The kind of each byte of a block: a space of str.split, the colon, a
+# character of an index (a digit or a sign), or any other.
+_SPACES = b"\t\n\v\f\r\x1c\x1d\x1e\x1f "
+_SPACE, _COLON, _INDEX, _OTHER = range(4)
+_KINDS = bytes(_SPACE if byte in _SPACES else _COLON if byte == ord(":")
+               else _INDEX if byte in b"0123456789+-" else _OTHER for byte in range(256))
+# np.fromstring reads numbers apart by " ", and not every str.split space.
+_TO_SPACES = bytes.maketrans(_SPACES + b":", b" " * (len(_SPACES) + 1))
+
+
+def _check_line(lineno, raw, target):
+    """Raise the DataError of the first rule of the format that the line
+    raw, numbered lineno, breaks; return None if it breaks none.
+
+    These are the per-line rules, read token by token: they name the bad
+    line of a block that failed _read_block's checks."""
+    line = raw.partition("#")[0].strip()
+    if not line:
+        return
+    # Python's int and float also read '_' between digits and non-ASCII
+    # digits, which LIBSVM's strtol and strtod do not.
+    if not line.isascii() or "_" in line:
+        bad = next(ch for ch in line if ch == "_" or not ch.isascii())
+        raise DataError(f"line {lineno}: {bad!r} is not part of a LIBSVM number")
+    tokens = line.split()
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        raise DataError(f"line {lineno}: unreadable label {tokens[0]!r}") from None
+    if not math.isfinite(label):
+        raise DataError(f"line {lineno}: non-finite label {tokens[0]!r}")
+    if target is None and label not in (1.0, -1.0, 0.0):
+        raise DataError(f"line {lineno}: label {tokens[0]!r} is not binary; "
+                        "use positive_class for one-vs-rest mapping")
+    prev = 0
+    for tok in tokens[1:]:
+        try:
+            idx_s, val_s = tok.split(":", 1)
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise DataError(f"line {lineno}: malformed feature {tok!r}") from None
+        if not math.isfinite(val):
+            raise DataError(f"line {lineno}: non-finite feature value {tok!r}")
+        if idx <= prev:  # prev starts at 0
+            if idx < 1:
+                raise DataError(f"line {lineno}: feature index {idx} is not positive")
+            raise DataError(f"line {lineno}: non-ascending feature index {idx}")
+        prev = idx
+    if prev > _MAX_FEATURE_INDEX:  # the line's largest index
+        raise DataError(f"line {lineno}: feature index {prev} is above {_MAX_FEATURE_INDEX}")
+
+
+def _blocks(lines):
+    """(number of the first line, lines) for consecutive runs of lines of
+    about _BLOCK_CHARS characters, so no more text than that is held."""
+    lines = iter(lines)
+    lineno = 1
+    while True:
+        block, size = [], 0
+        while size < _BLOCK_CHARS and (chunk := list(itertools.islice(lines, _BLOCK_LINES))):
+            block += chunk
+            size += sum(map(len, chunk))
+        if not block:
+            return
+        yield lineno, block
+        lineno += len(block)
+
+
+def _read_block(lines, lineno, target):
+    """(labels, row lengths, indices, values, line numbers) of the rows of
+    lines, the first numbered lineno, with 0-based indices and explicit
+    zeros dropped; the DataError of _check_line for the first bad line."""
+    text = "\n".join(["", *lines, ""])
+    if "#" in text or not text.isascii():
+        # Cut comments, and the non-ASCII spaces that may pad a line, as the
+        # line rules do.
+        lines = [raw.partition("#")[0].strip() for raw in lines]
+        text = "\n".join(["", *lines, ""])
+    # Line k ends at the "\n" after it; it may hold "\n" itself.
+    ends = (np.fromiter(map(len, lines), np.int64, len(lines)) + 1).cumsum()
+    # Past ASCII, a character is read as "?", which breaks a rule as it does.
+    rows = _scan(text.encode("ascii", "replace"), ends, target)
+    if rows is None:
+        for k, raw in enumerate(lines, lineno):
+            _check_line(k, raw, target)
+        raise RuntimeError(f"lines {lineno}-{k}: the block checks and the line rules disagree")
+    labels, counts, indices, values, rows_at = rows
+    return labels, counts, indices, values, rows_at + lineno
+
+
+def _scan(data, ends, target):
+    """_read_block's rows of data, ASCII bytes that start with a space and
+    whose line k ends at the space ends[k]; None if a line breaks a rule.
+
+    Numpy passes find the fields, the runs of bytes between spaces and
+    colons, and check their shape: each line is a label and then index:value
+    pairs, and an index holds only digits and signs. np.fromstring
+    then reads every field with the strtod of float, which keeps each
+    value's bits, and stops at a field that float would not read.
+    """
+    kind = np.frombuffer(data.translate(_KINDS), np.uint8)
+    apart = kind <= _COLON
+    bounds = (apart[1:] != apart[:-1]).nonzero()[0] + 1
+    lo, hi = bounds[0::2], bounds[1::2]
+    count = lo.searchsorted(ends)  # fields up to the end of each line
+    count[1:] -= count[:-1]  # fields on each line
+    rows_at = count.nonzero()[0]
+    widths = count[rows_at]
+    if not (widths & 1).all():
+        return None
+    first = widths.cumsum() - widths  # each row's label
+    pair = np.ones(lo.size, bool)
+    pair[first] = False
+    index, value = pair.nonzero()[0].reshape(-1, 2).T
+    if (np.count_nonzero(kind == _COLON) != index.size or (kind[hi[index]] != _COLON).any()
+            or (lo[value] - hi[index] != 1).any()):
+        return None
+    # The bytes of every index, which strtol reads whole.
+    width = hi[index] - lo[index]
+    at = np.arange(width.sum()) + (lo[index] - width.cumsum() + width).repeat(width)
+    if (kind[at] == _OTHER).any():
+        return None
+    try:
+        # Text of spaces alone reads as [-1.0].
+        numbers = np.fromstring(data.translate(_TO_SPACES), sep=" ") if lo.size else np.zeros(0)
+    except ValueError:  # numpy 2: text that is not a number
+        return None
+    # numpy 1 reads up to text that is not a number.
+    if numbers.size != lo.size or not np.isfinite(numbers).all():
+        return None
+    labels, ids, values = numbers[first], numbers[index], numbers[value]
+    if target is not None:
+        labels = np.where(labels == target, 1.0, -1.0)
+    elif ((labels == 1.0) | (labels == -1.0) | (labels == 0.0)).all():
+        labels = np.where(labels == 1.0, 1.0, -1.0)
+    else:
+        return None
+    row = np.arange(first.size).repeat(widths // 2)
+    if (not ((ids >= 1.0) & (ids <= _MAX_FEATURE_INDEX)).all()
+            or ((ids[1:] <= ids[:-1]) & (row[1:] == row[:-1])).any()):
+        return None
+    keep = values != 0.0
+    return (labels, np.bincount(row[keep], minlength=first.size),
+            ids[keep].astype(np.int64) - 1, values[keep], rows_at)
 
 
 def parse_libsvm(source, positive_class=None) -> Dataset:
@@ -159,71 +308,32 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
     # <info>``; blank lines are skipped and CRLF is accepted. Before its
     comment a line is ASCII without ``_``, so that a number reads as C's
     strtol and strtod read it.
+
+    source is a str, a text-mode file or any iterable of lines; line k is
+    the k-th line the source yields, so a str breaks lines at "\n" alone and
+    a file as its newline mode does. The text is read in blocks of about
+    _BLOCK_CHARS characters: numpy passes check each block's structure and
+    one np.fromstring reads all its numbers with the strtod that float
+    uses. A block that breaks a rule is read again line by line by
+    _check_line, which raises the DataError of its first bad line.
     """
-    indptr, indices, values, labels, linenos = [0], [], [], [], []
     target = float(positive_class) if positive_class is not None else None
     if target is not None and not math.isfinite(target):
         raise ValueError(f"positive_class must be finite, got {target!r}")
-    for lineno, raw in enumerate(_as_lines(source), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        # Python's int and float also read '_' between digits and non-ASCII
-        # digits, which LIBSVM's strtol and strtod do not.
-        if not line.isascii() or "_" in line:
-            bad = next(ch for ch in line if ch == "_" or not ch.isascii())
-            raise DataError(f"line {lineno}: {bad!r} is not part of a LIBSVM number")
-        tokens = line.split()
-        try:
-            raw_label = float(tokens[0])
-        except ValueError:
-            raise DataError(f"line {lineno}: unreadable label {tokens[0]!r}")
-        if not math.isfinite(raw_label):
-            raise DataError(f"line {lineno}: non-finite label {tokens[0]!r}")
-        if target is not None:
-            label = 1 if raw_label == target else -1
-        elif raw_label in (1.0, -1.0):
-            label = int(raw_label)
-        elif raw_label == 0.0:
-            label = -1
-        else:
-            raise DataError(
-                f"line {lineno}: label {tokens[0]!r} is not binary; "
-                "use positive_class for one-vs-rest mapping"
-            )
-        prev = 0
-        for tok in tokens[1:]:
-            try:
-                idx_s, val_s = tok.split(":", 1)
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise DataError(f"line {lineno}: malformed feature {tok!r}")
-            if not math.isfinite(val):
-                raise DataError(f"line {lineno}: non-finite feature value {tok!r}")
-            if idx <= prev:  # prev starts at 0
-                if idx < 1:
-                    raise DataError(f"line {lineno}: feature index {idx} is not positive")
-                raise DataError(f"line {lineno}: non-ascending feature index {idx}")
-            prev = idx
-            if val != 0.0:
-                indices.append(idx - 1)
-                values.append(val)
-        if prev > _MAX_FEATURE_INDEX:  # the line's largest index
-            raise DataError(f"line {lineno}: feature index {prev} is above {_MAX_FEATURE_INDEX}")
-        indptr.append(len(indices))
-        labels.append(label)
-        linenos.append(lineno)
-    if not labels:
+    parts = [_read_block(lines, lineno, target) for lineno, lines in _blocks(_as_lines(source))]
+    if not sum(part[0].size for part in parts):
         raise DataError("no examples found")
-    if target is not None and 1 not in labels:
+    labels, counts, indices, values, linenos = map(np.concatenate, zip(*parts))
+    if target is not None and not (labels == 1.0).any():
         raise DataError(f"positive_class {target!r} matches no label")
+    indptr = np.zeros(labels.size + 1, np.int64)
+    counts.cumsum(out=indptr[1:])
     try:
         return Dataset(indptr, indices, values, labels)
     except DataError as exc:
         if exc.row is None:
             raise
-        raise DataError(f"line {linenos[exc.row]}: {exc.reason}") from None
+        raise DataError(f"line {int(linenos[exc.row])}: {exc.reason}") from None
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,8 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
     default a fresh oracle of kernel's spec. Both counters count from before
     the first step and are read after the checkpoint's held-out scoring,
     which costs evaluations on eval_kernel only. The last checkpoint's model
-    is returned; SolverError if none, or if a checkpoint's alpha or bias is
-    not finite.
+    is returned; SolverError if none, or if a checkpoint's training margins,
+    alpha or bias are not finite.
     """
     record = RunRecord()
     schedule = geometric_schedule(count)
@@ -106,6 +106,8 @@ def run_steps(steps, count: int, dataset, kernel, config, test_data=None,
             continue
         margins, alpha, bias = predict()
         evals, model, test_error = kernel.eval_count - start, None, math.nan
+        if margins is not None and not np.isfinite(margins).all():
+            raise SolverError(f"non-finite model at iteration {t}")
         if alpha is not None:
             if not (np.isfinite(alpha).all() and math.isfinite(bias)):
                 raise SolverError(f"non-finite model at iteration {t}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slacksvm.data import DataError, Dataset
+from slacksvm.data import _MAX_FEATURE_INDEX, DataError, Dataset, _as_lines
 from slacksvm.fourier import _interleave
 from slacksvm.kernels import KernelOracle, add_row
 from slacksvm.recording import index_stream
@@ -31,6 +31,87 @@ def serialize_libsvm(dataset: Dataset) -> str:
         label = "+1" if y > 0 else "-1"
         lines.append(f"{label} {feats}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def parse_libsvm_reference(source, positive_class=None) -> Dataset:
+    """Parse LIBSVM/SVM-light sparse text into a Dataset, token by token:
+    parse_libsvm must give the same arrays, or raise the same error.
+
+    Each data line is ``label idx:val idx:val ...`` with 1-based, strictly
+    ascending indices of at most _MAX_FEATURE_INDEX. Labels may be ``+1/-1``
+    or ``0/1`` (0 maps to -1); any other label set requires
+    ``positive_class``, a finite label, for an explicit one-vs-rest
+    mapping (a non-finite one raises ValueError, and one that matches no
+    line's label DataError). A ``#`` starts
+    a comment that runs to the end of its line, as SVM-light's ``<features>
+    # <info>``; blank lines are skipped and CRLF is accepted. Before its
+    comment a line is ASCII without ``_``, so that a number reads as C's
+    strtol and strtod read it.
+    """
+    indptr, indices, values, labels, linenos = [0], [], [], [], []
+    target = float(positive_class) if positive_class is not None else None
+    if target is not None and not math.isfinite(target):
+        raise ValueError(f"positive_class must be finite, got {target!r}")
+    for lineno, raw in enumerate(_as_lines(source), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        # Python's int and float also read '_' between digits and non-ASCII
+        # digits, which LIBSVM's strtol and strtod do not.
+        if not line.isascii() or "_" in line:
+            bad = next(ch for ch in line if ch == "_" or not ch.isascii())
+            raise DataError(f"line {lineno}: {bad!r} is not part of a LIBSVM number")
+        tokens = line.split()
+        try:
+            raw_label = float(tokens[0])
+        except ValueError:
+            raise DataError(f"line {lineno}: unreadable label {tokens[0]!r}")
+        if not math.isfinite(raw_label):
+            raise DataError(f"line {lineno}: non-finite label {tokens[0]!r}")
+        if target is not None:
+            label = 1 if raw_label == target else -1
+        elif raw_label in (1.0, -1.0):
+            label = int(raw_label)
+        elif raw_label == 0.0:
+            label = -1
+        else:
+            raise DataError(
+                f"line {lineno}: label {tokens[0]!r} is not binary; "
+                "use positive_class for one-vs-rest mapping"
+            )
+        prev = 0
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise DataError(f"line {lineno}: malformed feature {tok!r}")
+            if not math.isfinite(val):
+                raise DataError(f"line {lineno}: non-finite feature value {tok!r}")
+            if idx <= prev:  # prev starts at 0
+                if idx < 1:
+                    raise DataError(f"line {lineno}: feature index {idx} is not positive")
+                raise DataError(f"line {lineno}: non-ascending feature index {idx}")
+            prev = idx
+            if val != 0.0:
+                indices.append(idx - 1)
+                values.append(val)
+        if prev > _MAX_FEATURE_INDEX:  # the line's largest index
+            raise DataError(f"line {lineno}: feature index {prev} is above {_MAX_FEATURE_INDEX}")
+        indptr.append(len(indices))
+        labels.append(label)
+        linenos.append(lineno)
+    if not labels:
+        raise DataError("no examples found")
+    if target is not None and 1 not in labels:
+        raise DataError(f"positive_class {target!r} matches no label")
+    try:
+        return Dataset(indptr, indices, values, labels)
+    except DataError as exc:
+        if exc.row is None:
+            raise
+        raise DataError(f"line {linenos[exc.row]}: {exc.reason}") from None
 
 
 def water_level_sorted(c, volume):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slacksvm import bench, cli, data
+from slacksvm.baselines import PegasosConfig, pegasos_train
 from slacksvm.bench import (SOLVER_KINDS, _fmt, calibrate_nu, fourier_plan, is_flag,
                             load_dataset, parse_plan, run_plan, solver_config,
                             train_solver, write_run_csv)
@@ -895,6 +896,25 @@ class TestCli:
                          "--out", str(tmp_path / "out"))
         assert (r.returncode, r.stdout) == (4, "")
         assert r.stderr == "slacksvm: solver error: non-finite step inf\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_responses_are_4(self, tmp_path, capsys):
+        # A finite but huge step, 1/lambda = 1e308, overflows the responses
+        # to inf, which numpy warns of: the checkpoint's training margins are
+        # then not finite, so the run fails and writes no model.
+        text = "+1 1:1\n-1 1:3\n+1 1:2\n"
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                SolverError, match="^non-finite model at iteration 1$"):
+            pegasos_train(data.parse_libsvm(text), LinearKernel(),
+                          PegasosConfig(lam=1e-308, iterations=20))
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        with pytest.warns(RuntimeWarning):
+            code = cli.main(["train", str(f), "--solver", "pegasos", "--lambda", "1e-308",
+                             "--kernel", "linear", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "slacksvm: solver error: non-finite model at iteration 1\n")
         assert not (tmp_path / "out").exists()
 
     def test_fourier_rejects_linear_kernel(self, tmp_path):

@@ -23,7 +23,9 @@ def mostly(good, bad):
 
 
 _hostile_features = st.sampled_from(["1:", ":1", "1:x", "2:1e400", "x", "1:1:1", "0:1",
-                                     "2147483648:1", "3:nan", "1:1e200", "1:1e-320"])
+                                     "2147483648:1", "3:nan", "1:1e200", "1:1e-320",
+                                     "+2:1", "002:1", "9007199254740993:1", "1:0x10",
+                                     "1:nan(1)", "1:1.2.3"])
 _features = st.lists(st.tuples(st.integers(1, 5), st.floats(-10, 10)),
                      unique_by=lambda f: f[0], max_size=3).map(
     lambda fs: [f"{i}:{v!r}" for i, v in sorted(fs)])
@@ -33,7 +35,7 @@ _labels = mostly(st.sampled_from(["+1", "-1", "1", "0"]),
 _lines = st.builds(lambda label, feats, bad, tail: " ".join([label, *feats, *bad]) + tail,
                    _labels, _features,
                    mostly(st.just([]), _hostile_features.map(lambda tok: [tok])),
-                   st.sampled_from(["", "", "\r", " # note"]))
+                   st.sampled_from(["", "", "\r", " # note", "\x0b", "\x1c", " # \u00e9"]))
 libsvm_text = st.lists(_lines, max_size=8).map(lambda ls: "\n".join(ls) + "\n")
 
 _kernels = mostly(st.sampled_from(["linear", "gaussian:1.0"]),

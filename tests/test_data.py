@@ -1,12 +1,20 @@
+import os
+import tempfile
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from slacksvm import data
 from slacksvm.data import DataError, Dataset, SyntheticSpec, generate, parse_libsvm
 from slacksvm.fourier import linearize, make_fourier_map
 from slacksvm.kernels import LinearKernel
 from slacksvm.model import TrainedModel, evaluate
 
-from oracles import PrecomputedGramKernel, serialize_libsvm
+from oracles import PrecomputedGramKernel, parse_libsvm_reference, serialize_libsvm
 
 
 class TestParse:
@@ -106,6 +114,141 @@ class TestParse:
         text = "+1 1:0.5 3:-2.0\n-1 2:1.25\n"
         ds = parse_libsvm(text)
         assert_same_rows(ds, parse_libsvm(serialize_libsvm(ds)))
+
+
+def mostly(good, bad):
+    """good nine times in ten, and otherwise bad."""
+    return st.sampled_from([good] * 9 + [bad]).flatmap(lambda strategy: strategy)
+
+
+# Unusual text that the format allows: every separator of str.split, which
+# pad a line too, as do non-ASCII spaces; comments of any text; a lone "\r",
+# which ends a line of a text-mode file but not of a str; signed and
+# zero-padded indices; values that round to an explicit zero.
+_spaces = st.sampled_from([" "] * 3 + ["\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e",
+                                       "\x1f", "  "])
+_pads = st.sampled_from([""] * 3 + [" ", "\t", "\x1f", "\r", "\u3000", "\xa0", "\x85"])
+_tails = st.sampled_from([""] * 3 + [" # caf\u00e9 no_1 \u0661", "#1:1", " #", " \u3000 # x"])
+_ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\n\n", "\x0b\n"])
+_indices = st.sampled_from(["{}"] * 3 + ["+{}", "00{}"])
+_values = st.one_of(st.floats(-1e3, 1e3).map(repr), st.sampled_from(
+    ["0", "-0.0", "1e-999", ".5", "5.", "-.5e-3", "1E+5", "4e153"]))
+# Text that breaks a rule, at most one line of it in a text.
+_bad = {
+    "label": st.sampled_from(["nan", "inf", "1e999", "-1e999", "x", "1_0", "\u0661", "+",
+                              ".", "1:1", "1:", "0x1", "1.2.3", "1e", "+-1", "1\x001", "nan(1)"]),
+    "index": st.sampled_from(["-{}", "{}_0", "{}.0", "{}e0", "", "x", "0", "-0", "+-{}",
+                              "2147483648", "9007199254740993", "1" + "0" * 400]),
+    "value": st.sampled_from(["1e999", "nan", "nan(1)", "inf", "0x10", "1.2.3", "", "e5",
+                              "1e", "1e+", ".", "+-1", "1-1", "1e5e5", "1e5.0", "1:1", "1e200",
+                              "1\x1b", "\u0661", "1_0", "\x00"]),
+    "tail": st.sampled_from(["_ # x", "\u0661 # x", "\x00", "\x1b", " \u3000x"]),
+    "feature": st.sampled_from(["10", ":", "10:", "10:1:", "10::1", "::1", ":10:1", "10 1:",
+                                "10: 1", "10 :1"]),
+    "order": st.just(None),
+}
+
+
+@st.composite
+def libsvm_line(draw, labels, bad):
+    """One line of text whose labels are drawn from labels, breaking a rule
+    if bad."""
+    if draw(st.integers(0, 14)) == 0:
+        return draw(st.sampled_from(["", " ", "# only a comment", "\u3000"])) + draw(_ends)
+    slot = draw(st.sampled_from(sorted(_bad))) if bad else None
+    ids = sorted(draw(st.lists(st.integers(1, 9), unique=True, max_size=4)))
+    label = draw(_bad["label"] if slot == "label" else st.sampled_from(labels))
+    feats = [draw(_indices).format(i) + ":" + draw(_values) for i in ids]
+    if draw(st.integers(0, 9)) == 0:
+        feats.append("2147483647:1")
+    if slot == "order":
+        feats.insert(0, "10:1")
+    elif slot == "feature":
+        feats.append(draw(_bad["feature"]))
+    elif slot in ("index", "value"):
+        index, value = draw(_bad["index"]).format(10) if slot == "index" else "10", "1"
+        feats.insert(draw(mostly(st.just(len(feats)), st.integers(0, len(feats)))),
+                     f"{index}:{draw(_bad['value']) if slot == 'value' else value}")
+    line = draw(_pads) + label
+    for feat in feats:
+        line += draw(_spaces) + feat
+    tail = draw(_bad["tail"] if slot == "tail" else _tails)
+    return line + draw(_pads) + tail + draw(_ends)
+
+
+@st.composite
+def libsvm_texts(draw):
+    """(text, positive_class): LIBSVM text of up to 12 lines, in about half
+    of the texts one of them bad, and a positive_class for its labels."""
+    positive_class = draw(mostly(st.none(), st.sampled_from([1, 3, 0, -1, 2.5])))
+    labels = (["+1", "-1", "1", "0", "-0", "1.0", "+1e0"] if positive_class is None
+              else ["1", "-1", "0", "3", "2.5", "7", "+3e0"])
+    n = draw(st.integers(0, 12))
+    bad = draw(st.one_of(st.just(-1), st.integers(0, 11)))
+    return "".join(draw(libsvm_line(labels, k == bad)) for k in range(n)), positive_class
+
+
+def parse_outcome(parse, source, positive_class):
+    """The arrays of the Dataset parse reads from source, bytes and dtypes,
+    or the type and message of what it raises."""
+    try:
+        ds = parse(source, positive_class=positive_class)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.dimension, [(a.dtype.str, a.tobytes()) for a in
+                          (ds.indptr, ds.indices, ds.values, ds.labels, ds.norms)]
+
+
+_DEFAULT_BLOCK = (data._BLOCK_CHARS, data._BLOCK_LINES)
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@given(libsvm_texts(), st.sampled_from([_DEFAULT_BLOCK, (1, 1), (40, 2)]))
+@settings(max_examples=500, deadline=None)
+# Each breaks one of the block checks alone, which random text seldom does.
+@example(("+1 10 1:\n", None), _DEFAULT_BLOCK)
+@example(("+1 1:1:\n", None), _DEFAULT_BLOCK)
+@example(("1: 2:3\n", None), _DEFAULT_BLOCK)
+@example(("+1 1: 2\n", None), _DEFAULT_BLOCK)
+@example(("+1 2.0:1\n-1 2e0:1\n", None), _DEFAULT_BLOCK)
+def test_parse_matches_the_token_loop(case, block):
+    # Both as a str and as a text-mode file, whose "\r" and "\r\n" end
+    # lines; with small blocks too, so a bad line or a row error may fall in
+    # a later block.
+    text, positive_class = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple(data, _BLOCK_CHARS=block[0], _BLOCK_LINES=block[1]):
+        path = os.path.join(tmp, "data.svm")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        outcomes = [parse_outcome(parse, text, positive_class)
+                    for parse in (parse_libsvm, parse_libsvm_reference)]
+        for parse in (parse_libsvm, parse_libsvm_reference):
+            with open(path, encoding="utf-8") as fh:
+                outcomes.append(parse_outcome(parse, fh, positive_class))
+    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3], outcomes
+
+
+def test_parse_memory_stays_at_the_token_loop(tmp_path):
+    # A 20,000-line file of two features in shortest-repr floats, as the
+    # benchmark writes: the block parse holds no more than about one block
+    # of text at a time, so it peaks at most a quarter above the loop's lists.
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((20000, 2))
+    path = tmp_path / "train.svm"
+    path.write_text("".join(f"{y:+d} 1:{a!r} 2:{b!r}\n" for y, (a, b) in
+                            zip(np.where(rng.random(20000) < 0.5, 1, -1).tolist(), x.tolist())))
+    peaks = []
+    for parse in (parse_libsvm_reference, parse_libsvm):
+        with open(path) as fh:
+            tracemalloc.start()
+            try:
+                ds = parse(fh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert ds.n == 20000
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def assert_same_rows(a, b):
