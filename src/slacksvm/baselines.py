@@ -127,12 +127,13 @@ def _perceptron_steps(dataset: Dataset, kernel, config: PerceptronConfig, rng):
 
     It scores the permutation a block at a time: the next examples, at most
     _CROSS_BLOCK_ENTRIES // |support| of them, up to the next checkpoint of
-    the run or the end of the pass. One kernel product of the support's rows
-    with the block's gives every block score. A mistake on a new example
-    adds its row over the rest of the block to the scores left, and a repeat
-    mistake its row of the product. Each (support member, example) pair is
-    evaluated once, as one example at a time would, so the counter reads
-    the same at every checkpoint."""
+    the run or the end of the pass. The block's rows are taken once, as a
+    RowSubset: one kernel row of the support's rows over them gives every
+    block score. A mistake on a new example adds its row over the rest of
+    the block to the scores left, and a repeat mistake its row of the
+    product. Each (support member, example) pair is evaluated once, as one
+    example at a time would, so the counter reads the same at every
+    checkpoint."""
     n = dataset.n
     y, labels = dataset.labels.tolist(), dataset.labels
     alpha = np.zeros(n, dtype=np.int64)
@@ -141,38 +142,32 @@ def _perceptron_steps(dataset: Dataset, kernel, config: PerceptronConfig, rng):
         return None, alpha.astype(np.float64), 0.0
 
     ends = sorted(geometric_schedule(config.passes * n))
-    # The ascending support set and its rows, taken again only when the set
-    # has grown; before the first mistake there are none.
-    sv, support, grown = np.zeros(0, dtype=np.int64), None, False
-    t = 0  # steps taken
-    for _ in range(config.passes):
+    # The ascending support set and its rows, taken at the first block, when
+    # they are empty and cost nothing, and again only when the set has grown.
+    grown = True
+    for p in range(config.passes):
         order = rng.permutation(n)
         lo = 0
         while lo < n:
             if grown:
                 sv = np.flatnonzero(alpha)
                 support, grown = RowSubset(dataset, sv), False
+            t = p * n + lo  # steps taken
             stop = ends[bisect.bisect_left(ends, t + 1)] - t  # the next checkpoint
             hi = min(lo + max(1, _CROSS_BLOCK_ENTRIES // max(1, sv.size)), lo + stop, n)
-            block, rest = order[lo:hi], None
-            if support is None:
-                values, scores = None, np.zeros(block.size)
-            else:
-                values = kernel.row(dataset, block, support)
-                scores = (alpha[sv] * labels[sv]) @ values
-            for k, i in enumerate(block.tolist()):
+            block = RowSubset(dataset, order[lo:hi])
+            values = kernel.row(dataset, block, support)
+            scores = (alpha[sv] * labels[sv]) @ values
+            for k, i in enumerate(order[lo:hi].tolist()):
                 if y[i] * scores.item(k) <= 0.0:  # sign(0) counts as a mistake
                     if alpha[i]:
                         scores[k + 1:] += y[i] * values[sv.searchsorted(i), k + 1:]
                     else:
                         grown = True
-                        if k + 1 < block.size:
-                            if rest is None:  # the block's rows, once
-                                rest = RowSubset(dataset, block)
-                            scores[k + 1:] += y[i] * kernel.row(dataset, i, rest[k + 1:])
+                        if k + 1 < len(block):
+                            scores[k + 1:] += y[i] * kernel.row(dataset, i, block[k + 1:])
                     alpha[i] += 1
                 yield predict
-            t += block.size
             lo = hi
 
 

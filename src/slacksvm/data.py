@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,15 +137,8 @@ class Dataset:
         return self._transposed
 
 
-def _as_lines(source):
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source
-
-
 _MAX_FEATURE_INDEX = 2**31 - 1  # a LIBSVM index is a C int
 _BLOCK_CHARS = 1 << 18  # text read per block, about 256 KB
-_BLOCK_LINES = 256  # lines taken from the source at a time
 
 # The kind of each byte of a block: a space of str.split, the colon, a
 # character of an index (a digit or a sign), or any other.
@@ -199,22 +191,6 @@ def _check_line(lineno, raw, target):
         prev = idx
     if prev > _MAX_FEATURE_INDEX:  # the line's largest index
         raise DataError(f"line {lineno}: feature index {prev} is above {_MAX_FEATURE_INDEX}")
-
-
-def _blocks(lines):
-    """(number of the first line, lines) for consecutive runs of lines of
-    about _BLOCK_CHARS characters, so no more text than that is held."""
-    lines = iter(lines)
-    lineno = 1
-    while True:
-        block, size = [], 0
-        while size < _BLOCK_CHARS and (chunk := list(itertools.islice(lines, _BLOCK_LINES))):
-            block += chunk
-            size += sum(map(len, chunk))
-        if not block:
-            return
-        yield lineno, block
-        lineno += len(block)
 
 
 def _read_block(lines, lineno, target):
@@ -309,18 +285,23 @@ def parse_libsvm(source, positive_class=None) -> Dataset:
     comment a line is ASCII without ``_``, so that a number reads as C's
     strtol and strtod read it.
 
-    source is a str, a text-mode file or any iterable of lines; line k is
-    the k-th line the source yields, so a str breaks lines at "\n" alone and
-    a file as its newline mode does. The text is read in blocks of about
-    _BLOCK_CHARS characters: numpy passes check each block's structure and
-    one np.fromstring reads all its numbers with the strtod that float
-    uses. A block that breaks a rule is read again line by line by
-    _check_line, which raises the DataError of its first bad line.
+    source is a str or a text stream, read in blocks of
+    readlines(_BLOCK_CHARS); line k is the k-th line it yields, so a str
+    breaks lines at "\n" alone and a file as its newline mode does. Numpy
+    passes check each block's structure and one np.fromstring reads all its
+    numbers with the strtod that float uses. A block that breaks a rule is
+    read again line by line by _check_line, which raises the DataError of
+    its first bad line.
     """
     target = float(positive_class) if positive_class is not None else None
     if target is not None and not math.isfinite(target):
         raise ValueError(f"positive_class must be finite, got {target!r}")
-    parts = [_read_block(lines, lineno, target) for lineno, lines in _blocks(_as_lines(source))]
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    parts, lineno = [], 1
+    while lines := source.readlines(_BLOCK_CHARS):
+        parts.append(_read_block(lines, lineno, target))
+        lineno += len(lines)
     if not sum(part[0].size for part in parts):
         raise DataError("no examples found")
     labels, counts, indices, values, linenos = map(np.concatenate, zip(*parts))

@@ -67,7 +67,7 @@ class RowSubset:
             sub.sparse = self.sparse[part]
         return sub
 
-    def products(self, j: int) -> np.ndarray:
+    def products(self, j) -> np.ndarray:
         """[<x_i, x_j>] for i in rows, as a fresh array. Dense rows are one
         matmul of the gathered rows with x_j (BLAS's gemv, the dataset's copy
         itself for every row), summed in BLAS's order: a subset row is the
@@ -75,7 +75,17 @@ class RowSubset:
         sliced. Sparse rows take scipy's mat-vec of row j of the compact
         rows, placed at its compact columns, 0.0 where row j stores none,
         and equal the product over all dimension columns bit for bit: each
-        sum runs from 0.0 in ascending feature order."""
+        sum runs from 0.0 in ascending feature order.
+
+        For a RowSubset j of the dataset, the (len(rows), len(j)) products
+        with each row of j: one gemm with j's rows transposed, whose columns
+        may differ from gemv's in the last bits, or scipy's product with j's
+        compact rows transposed, which skips the zero terms, so its columns
+        equal the mat-vec's up to the sign of zeros."""
+        if isinstance(j, RowSubset):
+            if self.dense is not None:
+                return self.dense @ j.dense.T
+            return (self.sparse @ j.sparse.T).toarray()
         if self.dense is not None:
             return self.dense @ self.dataset._dense[j]
         compact = self.dataset.compact[1]
@@ -84,26 +94,24 @@ class RowSubset:
         x[compact.indices[lo:hi]] = compact.data[lo:hi]
         return self.sparse @ x
 
-    def block_products(self, j: np.ndarray) -> np.ndarray:
-        """products for each index of j, checked int64 indices: the fresh
-        (len(rows), len(j)) array [<x_i, x_j>]. Dense rows are one matmul
-        with the gathered rows of j transposed (BLAS's gemm), whose columns
-        may differ from products' gemv in the last bits. Sparse rows take
-        scipy's product with the compact rows of j transposed; its sums run
-        in products' order but skip the zero terms, so its columns equal
-        products' up to the sign of zeros."""
-        if self.dense is not None:
-            return self.dense @ self.dataset._dense[j].T
-        return (self.sparse @ self.dataset.compact[1][j].T).toarray()
+
+def _row_norm(dataset: Dataset, i) -> float:
+    """Row i's squared norm; numpy's item refuses a float, a bool or an array."""
+    try:
+        norm = dataset.norms.item(i)
+    except (IndexError, OverflowError):
+        norm = None
+    if norm is None or i < 0:
+        raise IndexError(f"row index {i} out of range")
+    return norm
 
 
 class KernelOracle:
     """Base kernel wrapper: every counted access goes through pair/row/diag/
     cross/scores, which bump eval_count by the exact number of kernel
     evaluations performed. The counter only ever increases; it is the cost
-    unit all solvers report. row also takes an index array, for the rows of
-    a block of examples at once: one product, whose values cost what row
-    values cost.
+    unit all solvers report. row also takes a RowSubset j, for the rows of
+    a block of examples at once, at what its rows would cost one by one.
 
     A kernel is one map _values(products, norms_i, norms_j) of the inner
     products read from the dataset's arrays (a fresh array, which it maps in
@@ -121,10 +129,8 @@ class KernelOracle:
 
     def pair(self, dataset: Dataset, i: int) -> float:
         """K(x_i, x_i) from row i's cached squared norm; one evaluation."""
-        if not 0 <= i < dataset.n:
-            raise IndexError(f"row index {i} out of range")
+        norm = _row_norm(dataset, i)
         self.eval_count += 1
-        norm = dataset.norms.item(i)
         return float(self._values(norm, norm, norm))
 
     def row(self, dataset: Dataset, j, rows=None) -> np.ndarray:
@@ -133,34 +139,23 @@ class KernelOracle:
         j (len(rows) evaluations). The row is a fresh array that the caller
         owns and may overwrite.
 
-        j may also be a 1-d numpy array of row indices, checked as cross
-        checks rows: then the result is the (len(rows), len(j)) array of
-        the rows for each index of j, one blocked product
-        (RowSubset.block_products), and costs len(rows) * len(j)
-        evaluations; an empty j costs none. Its columns equal the scalar
-        rows under exact arithmetic and may differ from them in the last
-        bits otherwise."""
-        if isinstance(j, np.ndarray):
-            return self._columns(dataset, j, rows)
-        if not 0 <= j < dataset.n:
-            raise IndexError(f"row index {j} out of range")
+        j may also be a RowSubset of dataset: then the result is the
+        (len(rows), len(j)) array of the rows for each row of j, whose
+        columns may differ from the scalar rows in the last bits
+        (RowSubset.products), and costs len(rows) * len(j) evaluations; an
+        empty j costs none. Either j is checked before anything counts."""
         if rows is None:
             rows = RowSubset(dataset, None)
         elif not (isinstance(rows, RowSubset) and rows.dataset is dataset):
             raise ValueError("rows must be a RowSubset of dataset")
-        self.eval_count += len(rows)
-        return self._values(rows.products(j), rows.norms, dataset.norms[j])
-
-    def _columns(self, dataset: Dataset, j: np.ndarray, rows) -> np.ndarray:
-        """row for an index array j, checked before it counts."""
-        j = _checked_rows(j, dataset.n)
-        if rows is None:
-            rows = RowSubset(dataset, None)
-        elif not (isinstance(rows, RowSubset) and rows.dataset is dataset):
-            raise ValueError("rows must be a RowSubset of dataset")
-        self.eval_count += len(rows) * j.size
-        return self._values(rows.block_products(j), rows.norms[:, None],
-                            dataset.norms[j])
+        if isinstance(j, RowSubset):
+            if j.dataset is not dataset:
+                raise ValueError("j must be a row index or a RowSubset of dataset")
+            width, norms_i, norms_j = len(j), rows.norms[:, None], j.norms
+        else:
+            width, norms_i, norms_j = 1, rows.norms, _row_norm(dataset, j)
+        self.eval_count += len(rows) * width
+        return self._values(rows.products(j), norms_i, norms_j)
 
     def diag(self, dataset: Dataset) -> np.ndarray:
         """[K(x_i, x_i)]_i; costs n evaluations."""

@@ -4,13 +4,14 @@ Everything here is deliberately naive: sorting, dense grids, brute force.
 Production code must match these, never the other way around.
 """
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from slacksvm.data import _MAX_FEATURE_INDEX, DataError, Dataset, _as_lines
+from slacksvm.data import _MAX_FEATURE_INDEX, DataError, Dataset
 from slacksvm.fourier import _interleave
 from slacksvm.kernels import KernelOracle, add_row
 from slacksvm.recording import index_stream
@@ -52,7 +53,9 @@ def parse_libsvm_reference(source, positive_class=None) -> Dataset:
     target = float(positive_class) if positive_class is not None else None
     if target is not None and not math.isfinite(target):
         raise ValueError(f"positive_class must be finite, got {target!r}")
-    for lineno, raw in enumerate(_as_lines(source), start=1):
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    for lineno, raw in enumerate(source, start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue

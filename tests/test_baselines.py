@@ -321,11 +321,11 @@ class TestPerceptron:
     @pytest.mark.parametrize("data", ["dense", "sparse"])
     def test_repeat_mistakes_take_no_new_rows(self, monkeypatch, data):
         # A repeat mistake adds its row of its block's kernel product: it
-        # calls no kernel method and spends no evaluation. Rows are gathered
-        # at most once a block: the support's just before the block's
-        # product, only when the set has grown, and the block's own at its
-        # first new mistake; a new mistake's row reads a suffix of the
-        # latter.
+        # calls no kernel method and spends no evaluation. Each block's rows
+        # are gathered exactly once, just before its product; the support's
+        # just before them, at the first block, where the set is empty, and
+        # then only when it has grown. A new mistake's row reads a suffix
+        # of the block's rows.
         make = gaussians if data == "dense" else sparse_instance
         ds, cfg = make(40, 5), PerceptronConfig(passes=3, seed=2)
         kernel = kernel_from_spec("gaussian:0.5")
@@ -340,7 +340,7 @@ class TestPerceptron:
         def row(dataset, j, rows=None):
             before = kernel.eval_count
             out = type(kernel).row(kernel, dataset, j, rows)
-            events.append(("product" if isinstance(j, np.ndarray) else "row",
+            events.append(("product" if isinstance(j, RowSubset) else "row",
                            kernel.eval_count - before))
             return out
 
@@ -362,22 +362,27 @@ class TestPerceptron:
             if alpha[i] and after[i] > alpha[i]:
                 repeats += 1
                 # Before its decision, the step may open a block.
-                assert [e[0] for e in taken] in ([], ["product"], ["support", "product"])
+                assert [e[0] for e in taken] in ([], ["block rows", "product"],
+                                                 ["support", "block rows", "product"])
                 assert cost == sum(e[1] for e in taken if e[0] == "product")
             events.clear()
             spent = kernel.eval_count
             alpha[:] = after
         assert repeats > 0 and np.count_nonzero(alpha) > 1
-        # Between two block products: at most one gather of the block's rows
-        # and one of the support's, the latter just before the next product.
+        # Up to each block product: one gather of the block's rows, just
+        # before it, and at most one of the support's, just before that;
+        # after the last product, neither. Every example's row is gathered
+        # once a pass.
         products = [k for k, e in enumerate(flat) if e[0] == "product"]
         for lo, hi in zip([-1] + products, products + [len(flat)]):
             between = [e[0] for e in flat[lo + 1:hi]]
-            assert between.count("block rows") <= 1
-            assert "support" not in between[:-1]
-        # And only once the set has grown.
+            assert between.count("block rows") == (hi < len(flat))
+            assert between[-1:] == ["block rows"] or hi == len(flat)
+            assert "support" not in between[:-2] and "support" not in between[-1:]
+        assert sum(e[1] for e in flat if e[0] == "block rows") == cfg.passes * ds.n
+        # And the support's only once the set has grown, from empty.
         sizes = [e[1] for e in flat if e[0] == "support"]
-        assert len(sizes) > 1 and sizes == sorted(set(sizes))
+        assert len(sizes) > 2 and sizes[0] == 0 and sizes == sorted(set(sizes))
         assert sum(e[1] for e in flat if e[0] in ("product", "row")) == kernel.eval_count
 
     @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(1, 4), st.integers(1, 3),

@@ -339,16 +339,39 @@ def test_row_at_rejects_rows_out_of_range():
 
 
 def test_row_rejects_a_bad_index_array_before_counting():
-    # An index array j is checked as cross checks rows; a list is no index.
+    # A block of rows j is a RowSubset of the dataset being read: a subset
+    # of an equal twin raises ValueError, and an index array or a list,
+    # good or bad, TypeError, before anything is counted.
     ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
+    twin = Dataset.from_dense(np.eye(3), [1, -1, 1])
     for k in (LinearKernel(), GaussianKernel(1.0)):
         for subset in (None, RowSubset(ds, [0, 2])):
-            for j, error in BAD_ROWS:
-                with pytest.raises(error):
+            with pytest.raises(ValueError):
+                k.row(ds, RowSubset(twin, [0, 1]), subset)
+            for j in [[0, 1], [1], []] + [rows for rows, _ in BAD_ROWS]:
+                with pytest.raises(TypeError):
                     k.row(ds, np.array(j), subset)
             with pytest.raises(TypeError):
                 k.row(ds, [0, 1], subset)
         assert k.eval_count == 0
+
+
+@pytest.mark.parametrize("i, error", [(1.5, TypeError), (True, TypeError),
+                                      (np.float64(1.0), TypeError), (np.True_, TypeError),
+                                      (-1, IndexError), (3, IndexError), (2**70, IndexError)])
+def test_a_bad_row_index_is_refused_before_counting(i, error):
+    # A float or a bool is no row index, though it compares as one: row and
+    # pair refuse it, and an integer outside [0, n), before they count.
+    # Numpy's integers are indices.
+    ds = Dataset.from_dense(np.eye(3), [1, -1, 1])
+    for k in (LinearKernel(), GaussianKernel(1.0)):
+        for read in (lambda: k.row(ds, i), lambda: k.row(ds, i, RowSubset(ds, [0, 2])),
+                     lambda: k.pair(ds, i)):
+            with pytest.raises(error, match=None if error is TypeError else "row index"):
+                read()
+        assert k.eval_count == 0
+        assert k.row(ds, np.int64(1)).shape == (3,) and k.pair(ds, np.int32(2)) == 1.0
+        assert k.eval_count == 4
 
 
 # A blocked value against the scalar row's: a dot of d terms summed in
@@ -360,12 +383,12 @@ BLOCK_TOLERANCE = 64 * np.finfo(np.float64).eps
 @given(st.integers(0, 2**32), st.integers(1, 5), st.booleans(), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_row_of_an_index_array_is_its_rows_side_by_side(seed, d, dense, integer):
-    # row(ds, j, rows) for an index array j: one column per index of j,
-    # repeated and unordered ones included, (len(rows), len(j)) values that
-    # cost len(rows) * len(j) evaluations. Sparse columns are the scalar
-    # rows bit for bit up to the sign of zeros. Dense ones come from one
-    # gemm: on integer rows the linear columns are the scalar rows bit for
-    # bit, and otherwise within BLOCK_TOLERANCE of them.
+    # row(ds, j, rows) for j a RowSubset of an index array: one column per
+    # row of j, repeated and unordered ones included, (len(rows), len(j))
+    # values that cost len(rows) * len(j) evaluations. Sparse columns are
+    # the scalar rows bit for bit up to the sign of zeros. Dense ones come
+    # from one gemm: on integer rows the linear columns are the scalar rows
+    # bit for bit, and otherwise within BLOCK_TOLERANCE of them.
     rng = np.random.default_rng(seed)
     n = 20
     if integer:
@@ -383,7 +406,7 @@ def test_row_of_an_index_array_is_its_rows_side_by_side(seed, d, dense, integer)
             size = n if rows is None else rows.size
             j = rng.integers(0, n, int(rng.integers(1, 2 * n)))
             before = kernel.eval_count
-            got = kernel.row(ds, j, subset)
+            got = kernel.row(ds, RowSubset(ds, j), subset)
             assert got.shape == (size, j.size) and got.dtype == np.float64
             assert kernel.eval_count - before == size * j.size
             for c, jc in enumerate(j.tolist()):
@@ -397,7 +420,7 @@ def test_row_of_an_index_array_is_its_rows_side_by_side(seed, d, dense, integer)
                 assert np.all(np.abs(got[:, c] - want) <= BLOCK_TOLERANCE * terms)
             before = kernel.eval_count
             for empty in (np.zeros(0, dtype=np.int64), np.array([])):
-                assert kernel.row(ds, empty, subset).shape == (size, 0)
+                assert kernel.row(ds, RowSubset(ds, empty), subset).shape == (size, 0)
             assert kernel.eval_count == before
 
 
