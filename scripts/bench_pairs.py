@@ -28,6 +28,11 @@ where higher is better) and two verdicts:
 - claim: the change is better in at least 9 of every 10 pairs, and its
   median is better than the parent's by more than the parent's IQR.
 
+The last line names every workload and metric whose "worse" verdict reads
+"yes" or "unresolved", as `worse or unresolved: plan train_s (yes), ...`,
+and every workload without one pair of successful runs, as `plan (no
+pairs)`; or it reads `worse or unresolved: none`.
+
 Exits 1 if any run fails, prints no result or reports `correct: false`.
 """
 
@@ -87,13 +92,15 @@ def _run(tree: str, workload: str, seed: int, seconds: float, names: list):
 
 
 def _compare(trees: dict, metrics: list, workload: str, pairs: int, seconds: float,
-             seed: int) -> bool:
-    """Run and print the pairs of one workload, then its verdicts; False if
-    any run failed."""
+             seed: int) -> tuple:
+    """Run and print the pairs of one workload, then its verdicts. Returns
+    False if any run failed, else True, and the "workload metric (verdict)"
+    of each metric whose "worse" verdict is not "no", or "workload (no
+    pairs)" if no pair's two runs succeeded."""
     print(f"workload {workload}")
     names = [name for name, _, _ in metrics]
     results = []  # (parent, change) metrics of each pair whose two runs succeeded
-    ok = True
+    ok, flagged = True, []
     print("pair side   " + " ".join(f"{name:>18}" for name in names))
     for k in range(1, pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
@@ -109,16 +116,20 @@ def _compare(trees: dict, metrics: list, workload: str, pairs: int, seconds: flo
         if len(runs) == 2:
             results.append((runs["parent"], runs["change"]))
 
-    if results:
+    if not results:
+        flagged.append(f"{workload} (no pairs)")
+    else:
         print(f"{workload} medians over {len(results)} pairs:")
         for m, better, bound in metrics:
             v = verdict([(p[m], c[m]) for p, c in results], better, bound)
             worse = "yes" if v["worse"] else "unresolved" if v["unresolved"] else "no"
+            if worse != "no":
+                flagged.append(f"{workload} {m} ({worse})")
             print(f"  {m}: parent {v['parent']:.6g} (IQR {v['iqr']:.3g}), "
                   f"change {v['change']:.6g}, change {better} in {v['wins']} of "
                   f"{len(results)}; worse by more than {bound:g}: {worse}; "
                   f"claim holds: {'yes' if v['claim'] else 'no'}")
-    return ok
+    return ok, flagged
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -151,9 +162,12 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
     metrics = end_to_end(args.change)
-    ok = True
+    ok, flagged = True, []
     for workload in args.workloads:
-        ok &= _compare(trees, metrics, workload, args.pairs, args.seconds, args.seed)
+        done, found = _compare(trees, metrics, workload, args.pairs, args.seconds, args.seed)
+        ok &= done
+        flagged += found
+    print("worse or unresolved: " + (", ".join(flagged) or "none"))
     return 0 if ok else 1
 
 

@@ -1,4 +1,7 @@
-"""Kernel oracles with black-box access semantics and exact evaluation counting."""
+"""Kernel oracles with black-box access semantics and exact evaluation counting.
+
+Every kernel product, of a training row, a block of training rows or a block
+of held-out values, comes from one body, RowSubset.products."""
 
 from __future__ import annotations
 
@@ -10,13 +13,14 @@ import scipy.sparse as sp
 from .data import Dataset
 
 
-# Kernel values per block of cross and scores (256 KB of float64): the product
-# of one block, and the Gaussian's norm sums over it, stay a few hundred KB.
-# Larger blocks cost page faults, as their temporaries are mapped afresh on
-# every call: scoring 1000 support rows against 1000 test rows (2-D, Gaussian,
-# after warm-up, 2-core x86-64) took 0 minor faults a call (ru_minflt) with
-# 2**13 to 2**15 entries, 222 with 2**16 and 496 with 2**17, and 8-11 ms
-# against 14 ms with 2**17; 954 rows against 2000 took 0, 218 and 491 faults.
+# Kernel values per block of support rows in cross and scores (256 KB of
+# float64): one block's products with the held-out set, and the Gaussian's norm
+# sums over it, stay a few hundred KB. Larger blocks cost page faults, as their
+# temporaries are mapped afresh on every block: scoring 1000 support rows
+# against 1000 test rows (2-D, Gaussian, after warm-up, 2-core x86-64) took 0
+# minor faults a call (ru_minflt) with 2**13 to 2**15 entries and about 3300
+# with 2**16 and 2**17, and 4.0 against 8.3 ms; against 2000 test rows, 0 up
+# to 2**16 and 7125 with 2**17, and 7.6 against 18.3 ms.
 _CROSS_BLOCK_ENTRIES = 1 << 15
 
 
@@ -40,7 +44,8 @@ class RowSubset:
     their cached squared norms; rows None takes every row and shares the
     dataset's arrays. Dense data keeps the rows of the dataset's row-major
     copy, `dataset._dense[rows]`; sparse data keeps the rows of its compact
-    layout, `dataset.compact[1][rows]`."""
+    layout, `dataset.compact[1][rows]`. _rows_over takes rows of one
+    dataset over the columns of another, for their products with it."""
 
     def __init__(self, dataset: Dataset, rows):
         self.dataset = dataset
@@ -81,7 +86,18 @@ class RowSubset:
         with each row of j: one gemm with j's rows transposed, whose columns
         may differ from gemv's in the last bits, or scipy's product with j's
         compact rows transposed, which skips the zero terms, so its columns
-        equal the mat-vec's up to the sign of zeros."""
+        equal the mat-vec's up to the sign of zeros.
+
+        For a Dataset j, the held-out set over whose columns these rows were
+        taken (_rows_over), the (len(rows), j.n) products with every row of
+        j: one gemm with j's copy transposed over the common features (gemv
+        for one row), or scipy's product with j.transposed, built once per
+        dataset, which equals the one-shot product over all dimension
+        columns bit for bit."""
+        if isinstance(j, Dataset):
+            if self.dense is not None:
+                return self.dense @ j._dense[:, :self.dense.shape[1]].T
+            return (self.sparse @ j.transposed).toarray()
         if isinstance(j, RowSubset):
             if self.dense is not None:
                 return self.dense @ j.dense.T
@@ -93,6 +109,33 @@ class RowSubset:
         x = np.zeros(compact.shape[1])
         x[compact.indices[lo:hi]] = compact.data[lo:hi]
         return self.sparse @ x
+
+
+def _rows_over(dataset: Dataset, rows, other: Dataset) -> RowSubset:
+    """dataset[rows] over other's columns: the RowSubset whose products with
+    other (RowSubset.products(other)) are the one-shot products over their
+    common features. Two dense datasets keep the rows' first m features, m
+    the smaller dimension, gathered from dataset's copy as
+    `dataset._dense[:, :m][rows]`. Otherwise the rows are dataset's compact
+    rows, each stored entry's feature mapped by one searchsorted into
+    other's stored features, `other.compact[0]`, and kept where it is one
+    of them: the map drops only terms that other does not store."""
+    rows = _checked_rows(rows, dataset.n)
+    sub = object.__new__(RowSubset)
+    sub.dataset, sub.norms, sub.dense = dataset, dataset.norms[rows], None
+    if dataset._dense is not None and other._dense is not None:
+        sub.dense = dataset._dense[:, :other.dimension][rows]
+        return sub
+    (mine, compact), features = dataset.compact, other.compact[0]
+    compact = compact[rows]
+    ids = mine[compact.indices]
+    at = np.searchsorted(features, ids)
+    # A side with no stored features has nothing to match.
+    kept = features[np.minimum(at, features.size - 1)] == ids if features.size else at < 0
+    sub.sparse = sp.csr_matrix((compact.data[kept], at[kept],
+                                np.concatenate(([0], np.cumsum(kept)))[compact.indptr]),
+                               shape=(rows.size, features.size))
+    return sub
 
 
 def _row_norm(dataset: Dataset, i) -> float:
@@ -164,65 +207,38 @@ class KernelOracle:
 
     def cross(self, dataset: Dataset, rows, other: Dataset) -> np.ndarray:
         """K between dataset[rows] and every example of other over their common
-        features: (len(rows), other.n) values and evaluations.
-        Each block of rows is copied into the result, so no temporary grows
+        features: (len(rows), other.n) values and evaluations. A block of rows
+        at a time is mapped and copied into the result, so no temporary grows
         with the result."""
-        rows = _checked_rows(rows, dataset.n)
-        self.eval_count += rows.size * other.n
-        out = np.empty((rows.size, other.n))
-        for lo, block in self._blocks(dataset, rows, other):
-            out[lo:lo + len(block)] = block
+        rows = _rows_over(dataset, rows, other)
+        self.eval_count += len(rows) * other.n
+        out = np.empty((len(rows), other.n))
+        step = max(1, _CROSS_BLOCK_ENTRIES // other.n)
+        for lo in range(0, len(rows), step):
+            out[lo:lo + step] = self._block_values(rows[lo:lo + step], other)
         return out
 
     def scores(self, dataset: Dataset, rows, coef, other: Dataset) -> np.ndarray:
         """coef @ K(dataset[rows], other): the other.n weighted sums of kernel
-        values, as len(rows) * other.n evaluations. Each block of rows is mapped
-        into one reused buffer and added into the result at once, so memory
-        depends on the block size, not on len(rows)."""
-        rows = _checked_rows(rows, dataset.n)
+        values, as len(rows) * other.n evaluations. A block of rows at a time
+        is mapped and added into the result, so the kernel values take
+        memory by the block size, not by len(rows); the rows themselves are
+        taken once, as by _rows_over."""
+        rows = _rows_over(dataset, rows, other)
         coef = np.asarray(coef, dtype=np.float64)
-        if coef.shape != rows.shape:
+        if coef.shape != (len(rows),):
             raise ValueError("coef must have one weight per row")
-        self.eval_count += rows.size * other.n
+        self.eval_count += len(rows) * other.n
         out = np.zeros(other.n)
-        for lo, block in self._blocks(dataset, rows, other):
-            out += coef[lo:lo + len(block)] @ block
+        step = max(1, _CROSS_BLOCK_ENTRIES // other.n)
+        for lo in range(0, len(rows), step):
+            out += coef[lo:lo + step] @ self._block_values(rows[lo:lo + step], other)
         return out
 
-    def _blocks(self, dataset: Dataset, rows: np.ndarray, other: Dataset):
-        """Yield (lo, block): the kernel values between dataset[rows[lo:hi]]
-        and other, hi = lo + len(block), a block of rows at a time, each a
-        view of one buffer that the next block overwrites. Two dense
-        datasets multiply the block's rows, gathered from dataset's copy, by
-        other's copy transposed over their common features: one np.matmul
-        into the buffer, summed in BLAS's order. Otherwise the block is
-        scipy's sparse product of dataset's compact rows, their features
-        mapped into other's (features other lacks add no term), with other's
-        transpose, so it equals the one-shot product bit for bit."""
-        dense = dataset._dense is not None and other._dense is not None
-        if dense:
-            m = min(dataset.dimension, other.dimension)
-            left, right = dataset._dense[:, :m], other._dense[:, :m].T
-        else:
-            # The rows over other's stored features, in the same order.
-            (mine, left), features = dataset.compact, other.compact[0]
-            left, right = left[rows], other.transposed
-            ids = mine[left.indices]
-            kept = np.isin(ids, features)
-            left = sp.csr_matrix((left.data[kept], np.searchsorted(features, ids[kept]),
-                                  np.concatenate(([0], np.cumsum(kept)))[left.indptr]),
-                                 shape=(rows.size, features.size))
-        norms_i = dataset.norms[rows][:, None]
-        step = max(1, _CROSS_BLOCK_ENTRIES // other.n)
-        buffer = np.empty((min(step, rows.size), other.n))
-        for lo in range(0, rows.size, step):
-            hi = min(lo + step, rows.size)
-            block = buffer[:hi - lo]
-            if dense:
-                np.matmul(left[rows[lo:hi]], right, out=block)
-            else:
-                (left[lo:hi] @ right).toarray(out=block)
-            yield lo, self._values(block, norms_i[lo:hi], other.norms[None, :])
+    def _block_values(self, rows: RowSubset, other: Dataset) -> np.ndarray:
+        """The (len(rows), other.n) kernel values of rows, taken over other's
+        columns by _rows_over, and every row of other; not counted."""
+        return self._values(rows.products(other), rows.norms[:, None], other.norms)
 
 
 class LinearKernel(KernelOracle):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, hinge_loss
-from .kernels import kernel_from_spec
+from .kernels import _row_norm, kernel_from_spec
 
 
 class SolverError(RuntimeError):
@@ -58,9 +58,11 @@ def evaluate(model: TrainedModel, dataset: Dataset, kernel):
 
 
 def score(model: TrainedModel, dataset: Dataset, i: int, kernel) -> float:
-    """Score row i of dataset through score_batch; support_size evaluations."""
-    if not 0 <= i < dataset.n:
-        raise IndexError(f"row index {i} out of range")
+    """Score row i of dataset through score_batch; support_size evaluations.
+    i is refused before anything is counted, as by the kernel's row: a
+    float, a bool or an array raises TypeError, an integer outside [0, n)
+    IndexError."""
+    _row_norm(dataset, i)
     lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
     row = Dataset([0, hi - lo], dataset.indices[lo:hi], dataset.values[lo:hi],
                   dataset.labels[i:i + 1], dimension=dataset.dimension)

@@ -10,7 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
+from slacksvm import kernels
 from slacksvm.data import _MAX_FEATURE_INDEX, DataError, Dataset
 from slacksvm.fourier import _interleave
 from slacksvm.kernels import KernelOracle, add_row
@@ -492,6 +494,56 @@ def cross_reference(kernel, dataset, rows, other):
     m = min(dataset.dimension, other.dimension)
     products = (dataset.matrix[rows, :m] @ other.matrix[:, :m].T).toarray()
     return kernel._values(products, dataset.norms[rows][:, None], other.norms[None, :])
+
+
+def held_out_blocks_reference(self, dataset, rows, other):
+    """The block loop that cross and scores ran before their blocks came
+    from RowSubset.products, copied verbatim from KernelOracle._blocks with
+    the kernel as self; only the block budget is read as
+    kernels._CROSS_BLOCK_ENTRIES, so a patched budget applies. Yields (lo,
+    block), each block a view of one buffer that the next overwrites."""
+    dense = dataset._dense is not None and other._dense is not None
+    if dense:
+        m = min(dataset.dimension, other.dimension)
+        left, right = dataset._dense[:, :m], other._dense[:, :m].T
+    else:
+        # The rows over other's stored features, in the same order.
+        (mine, left), features = dataset.compact, other.compact[0]
+        left, right = left[rows], other.transposed
+        ids = mine[left.indices]
+        kept = np.isin(ids, features)
+        left = sp.csr_matrix((left.data[kept], np.searchsorted(features, ids[kept]),
+                              np.concatenate(([0], np.cumsum(kept)))[left.indptr]),
+                             shape=(rows.size, features.size))
+    norms_i = dataset.norms[rows][:, None]
+    step = max(1, kernels._CROSS_BLOCK_ENTRIES // other.n)
+    buffer = np.empty((min(step, rows.size), other.n))
+    for lo in range(0, rows.size, step):
+        hi = min(lo + step, rows.size)
+        block = buffer[:hi - lo]
+        if dense:
+            np.matmul(left[rows[lo:hi]], right, out=block)
+        else:
+            (left[lo:hi] @ right).toarray(out=block)
+        yield lo, self._values(block, norms_i[lo:hi], other.norms[None, :])
+
+
+def cross_blocks_reference(kernel, dataset, rows, other):
+    """kernel.cross as it was over held_out_blocks_reference, not counted."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.empty((rows.size, other.n))
+    for lo, block in held_out_blocks_reference(kernel, dataset, rows, other):
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def scores_blocks_reference(kernel, dataset, rows, coef, other):
+    """kernel.scores as it was over held_out_blocks_reference, not counted."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.zeros(other.n)
+    for lo, block in held_out_blocks_reference(kernel, dataset, rows, other):
+        out += coef[lo:lo + len(block)] @ block
+    return out
 
 
 def fourier_reference(fmap, dataset):

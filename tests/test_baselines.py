@@ -455,6 +455,20 @@ class TestPredict:
                 score(model, ds, i, k)
         assert k.eval_count == 0
 
+    @pytest.mark.parametrize("i", [1.5, np.float64(0.0), True, np.True_, np.array([0])])
+    def test_a_float_bool_or_array_row_raises_type_error_before_counting(self, i):
+        # As the kernel's row and pair do: a float or a bool compares as an
+        # index but is none. Numpy's integers are indices.
+        ds = parse_libsvm("+1 1:0.5\n-1 2:1\n+1 1:1 2:1\n")
+        model = TrainedModel(alpha=np.array([1.0, 0.0, 2.0]), bias=0.0, dataset=ds,
+                             kernel_spec="linear", use_bias=False, kernel_evals=0)
+        k = LinearKernel()
+        with pytest.raises(TypeError):
+            score(model, ds, i, k)
+        assert k.eval_count == 0
+        assert score(model, ds, np.int64(2), k) == 0.5 + 4.0
+        assert k.eval_count == model.support_size
+
     def test_single_support_vector(self):
         ds = parse_libsvm("+1 1:0.5\n")
         model = TrainedModel(alpha=np.array([1.0]), bias=0.0, dataset=ds,

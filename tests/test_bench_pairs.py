@@ -107,3 +107,45 @@ def test_all_runs_every_workload_of_the_change_in_its_order(tmp_path):
         "b", "a"]
     with pytest.raises(SystemExit):
         bench_pairs.parse_args([ROOT, str(tmp_path), "--workload", "all,plan"])
+
+
+def _fake_tree(tmp_path, workloads):
+    """A tree whose BENCHMARK.json declares workloads and two metrics."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": "train_s", "better": "lower", "bound": 0.25},
+                       {"name": "rate", "better": "higher", "bound": 0.25}]}))
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("values, summary, code", [
+    # Equal runs: nothing is worse.
+    ({}, "worse or unresolved: none", 0),
+    # b's train_s is 50% slower in every pair, and a's rate spreads wider
+    # than its bound with the change inside the parent's range.
+    ({("change", "b", "train_s"): lambda k: 1.5,
+      ("parent", "a", "rate"): lambda k: 1.0 + k / 2,
+      ("change", "a", "rate"): lambda k: 1.0 + k / 2},
+     "worse or unresolved: a rate (unresolved), b train_s (yes)", 0),
+    # A failed run changes the exit code, and a workload left without a
+    # pair is named.
+    ({("change", "b", "train_s"): lambda k: None if k == 2 else 1.0},
+     "worse or unresolved: none", 1),
+    ({("change", "a", "train_s"): lambda k: None},
+     "worse or unresolved: a (no pairs)", 1),
+])
+def test_the_last_line_names_every_worse_or_unresolved_metric(
+        tmp_path, monkeypatch, capsys, values, summary, code):
+    tree = _fake_tree(tmp_path, ["a", "b"])
+    sides = {"PARENT": "parent", tree: "change"}
+    calls = {}
+
+    def run(side_tree, workload, seed, seconds, names):
+        side = sides[side_tree]
+        k = calls[side, workload] = calls.get((side, workload), 0) + 1
+        got = {m: values.get((side, workload, m), lambda k: 1.0)(k) for m in names}
+        return None if None in got.values() else got
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    assert bench_pairs.main(["PARENT", tree, "--workload", "all", "--pairs", "4"]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == summary

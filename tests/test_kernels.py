@@ -15,7 +15,8 @@ from slacksvm.kernels import GaussianKernel, LinearKernel, RowSubset, kernel_fro
 from slacksvm.model import TrainedModel, score_batch
 from slacksvm.sbp import SbpConfig, sbp_train
 
-from oracles import PrecomputedGramKernel, cross_reference
+from oracles import (PrecomputedGramKernel, cross_blocks_reference, cross_reference,
+                     scores_blocks_reference)
 
 
 def ex(values, label=1):
@@ -714,7 +715,7 @@ def test_scores_are_the_one_shot_reduce(seed, dense, budget):
     # dense datasets): summed a block at a time, so it differs only in the
     # order of the sum over rows, within 1e-12 of the sum of the terms'
     # magnitudes, and with the same sign wherever that bound cannot flip it.
-    # A one-hot coef reads one row of the reused block buffer, bit for bit.
+    # A one-hot coef reads one row of a block, bit for bit.
     rng = np.random.default_rng(seed)
     sample = _dense_sample if dense else _sparse_sample
     d = int(rng.integers(1, 7)) if dense else int(rng.integers(20, 60))
@@ -738,6 +739,65 @@ def test_scores_are_the_one_shot_reduce(seed, dense, budget):
                     one_hot = np.zeros(rows.size)
                     one_hot[r] = 1.0
                     assert np.array_equal(kernel.scores(a, rows, one_hot, b), ref[r])
+
+
+def _held_out_pair(rng, layout, shared):
+    """A training set of 1 to 25 rows and a held-out set of 1 to 12, each of
+    dimension 1 to 8 (either may be the larger), whose stored features are
+    disjoint, or for shared, the held-out set's also include some of the
+    training set's below its dimension. Either side may store no feature,
+    and about a fifth of the rows store nothing. layout "dense": both keep
+    a dense copy; "sparse": neither (as_sparse); "mixed": the training set
+    only. Draws again until the layout holds."""
+    while True:
+        dims = rng.integers(1, 9, 2)
+        order = rng.permutation(dims.max())
+        k = int(rng.integers(0, order.size + 1))
+        mine, theirs = order[:k], order[k:]
+        if shared and k:
+            theirs = np.concatenate((theirs, mine[:rng.integers(1, k + 1)]))
+        pair = []
+        for n, d, features in ((rng.integers(1, 26), dims[0], mine),
+                               (rng.integers(1, 13), dims[1], theirs)):
+            features = features[features < d]
+            x = np.zeros((n, d))
+            x[:, features] = (rng.standard_normal((n, features.size))
+                              * 10.0 ** rng.integers(-2, 3, size=(n, 1)))
+            x[rng.random(n) < 0.2] = 0.0
+            pair.append(Dataset.from_dense(x, np.where(rng.random(n) < 0.5, 1, -1)))
+        a, b = pair
+        if layout == "sparse":
+            a, b = as_sparse(a), as_sparse(b)
+        elif layout == "mixed":
+            b = as_sparse(b)
+        dense = (a._dense is not None, b._dense is not None)
+        if dense == {"dense": (True, True), "sparse": (False, False), "mixed": (True, False)}[layout]:
+            return a, b
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["dense", "sparse", "mixed"]), st.booleans(),
+       st.sampled_from([1, 16, kernels._CROSS_BLOCK_ENTRIES]))
+@settings(max_examples=150, deadline=None)
+def test_held_out_blocks_keep_the_bits_of_the_block_loop(seed, layout, shared, budget):
+    # cross and scores take each block from RowSubset.products of the
+    # support rows over the held-out set's columns. They equal the block
+    # loop they replaced (oracles.held_out_blocks_reference) bit for bit,
+    # signs of zero included, at every block budget, both ways round, for
+    # empty, repeated and unordered rows, and cost len(rows) * other.n each.
+    rng = np.random.default_rng(seed)
+    ds, other = _held_out_pair(rng, layout, shared)
+    with mock.patch.object(kernels, "_CROSS_BLOCK_ENTRIES", budget):
+        for kernel in (LinearKernel(), GaussianKernel(float(rng.uniform(0.1, 10.0)))):
+            for a, b in ((ds, other), (other, ds)):
+                rows = rng.integers(0, a.n, int(rng.integers(0, 3 * a.n)))
+                coef = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-2, 3, rows.size)
+                before = kernel.eval_count
+                assert _same_bits(kernel.cross(a, rows, b),
+                                  cross_blocks_reference(kernel, a, rows, b))
+                assert kernel.eval_count - before == rows.size * b.n
+                assert _same_bits(kernel.scores(a, rows, coef, b),
+                                  scores_blocks_reference(kernel, a, rows, coef, b))
+                assert kernel.eval_count - before == 2 * rows.size * b.n
 
 
 def test_scoring_peak_memory_does_not_grow_with_the_support():

@@ -94,6 +94,10 @@ def test_plan_run_records_one_span_per_train_function(tracing, tmp_path):
     assert tracer.stats["model.score_batch"].calls > 0
     assert tracer.stats["kernels.cross"].calls == 0
     assert tracer.stats["model.score"].calls == 0
+    # Held-out scoring takes its blocks from RowSubset.products, not through
+    # the traced row: kernels.row.* and sbp.kernel_share count training
+    # rows only.
+    assert ("kernels.row", "model.score_batch") not in tracer.nested_calls
 
 
 def test_calibration_records_one_pair_span_per_sdca_step(tracing):
